@@ -7,8 +7,9 @@ constraint.  Two routes are used:
 * When objective and constraint are both affine in the weights (hinge
   loss risks are), the feasible region is a polytope whose vertices are
   simplex vertices plus constraint-tight points on simplex edges, and
-  the optimum is found exactly by enumerating them: O(M^2) work, no
-  iteration, bit-for-bit deterministic.
+  the optimum is found exactly by enumerating them: O(M^2) work in
+  numpy broadcasts over vertex pairs, no iteration, bit-for-bit
+  deterministic.
 
 * Otherwise sequential quadratic programming (SLSQP) runs from a fixed
   list of starting points (uniform center, the constraint minimizer,
@@ -63,12 +64,25 @@ class SmoothForm:
 Form = Union[AffineForm, SmoothForm]
 
 
+def affine_risk_form(means: np.ndarray, s: Surrogate, sign: float) -> AffineForm:
+    """The risk lam -> mean of phi(sign * H @ lam) for an affine surrogate.
+
+    With phi(z) = a + b z on [-1, 1] and margins of simplex mixtures
+    inside [-1, 1], the risk is exactly a + (b * sign) * means @ lam,
+    where `means` are the (weighted) column means of H.
+    """
+    a, b = s.affine_coefficients
+    return AffineForm(const=a, coeffs=(b * sign) * np.asarray(means, dtype=float))
+
+
 def risk_form(H: np.ndarray, s: Surrogate, sign: float,
               weights: Optional[np.ndarray] = None) -> Form:
     """The map lam -> weighted mean of phi(sign * H @ lam) as a Form.
 
-    Affine surrogates (phi(z) = a + b z on [-1, 1]) collapse to an exact
-    AffineForm because margins of simplex mixtures stay inside [-1, 1].
+    Affine surrogates collapse to an exact AffineForm (affine_risk_form).
+    Smooth forms evaluate at the cleaned mixture _clean_simplex(lam):
+    SLSQP iterates leave the simplex by float dust, and the cleaned
+    mixture keeps every margin inside phi's domain [-1, 1].
     """
     H = np.asarray(H, dtype=float)
     n = H.shape[0]
@@ -77,14 +91,14 @@ def risk_form(H: np.ndarray, s: Surrogate, sign: float,
     else:
         w = np.asarray(weights, dtype=float)
     if s.affine_coefficients is not None:
-        a, b = s.affine_coefficients
-        return AffineForm(const=a, coeffs=(b * sign) * (w @ H))
+        return affine_risk_form(w @ H, s, sign)
 
     def fn(lam: np.ndarray) -> float:
-        return phi_risk_from_matrix(H, lam, s, sign, weights=None if weights is None else w)
+        return phi_risk_from_matrix(H, _clean_simplex(lam), s, sign,
+                                    weights=None if weights is None else w)
 
     def grad_fn(lam: np.ndarray) -> np.ndarray:
-        margins = sign * (H @ lam)
+        margins = sign * (H @ _clean_simplex(lam))
         d = s.derivative(margins)
         if d is None:
             return None
@@ -169,6 +183,17 @@ def minimize_simplex(m: int, form: Form, max_iters: int = 500):
     return best[0], best[1], iters
 
 
+#: vertex pairs scored per block in _affine_solve (bounds its scratch memory)
+_PAIR_BLOCK = 1 << 20
+
+
+def _first_min(vals: np.ndarray):
+    """(index, value) of the first minimum; NaN entries never win."""
+    vals = np.where(np.isnan(vals), np.inf, vals)
+    i = int(np.argmin(vals))
+    return i, float(vals[i])
+
+
 def _affine_solve(objective: AffineForm, constraint: AffineForm, level: float,
                   m: int, feas_tol: float) -> SolveResult:
     c = constraint.coeffs
@@ -185,26 +210,29 @@ def _affine_solve(objective: AffineForm, constraint: AffineForm, level: float,
         raise Infeasible(
             f"constraint minimum {constraint.const + min_c} exceeds level {level} + feas_tol")
 
+    # best feasible vertex, then every tight mixture theta*e_j + (1-theta)*e_k
+    # of a feasible j and an infeasible k; ties keep the first in (j, k)
+    # row-major order, and a mixture must beat the vertex strictly
     best_lam, best_val = None, np.inf
-    for j in range(m):
-        if c[j] <= r and b[j] < best_val:
-            best_val = float(b[j])
-            best_lam = eye[j]
-    for j in range(m):
-        if c[j] > r:
-            continue
-        for k in range(m):
-            if c[k] <= r:
-                continue
-            # tight mixture theta*e_j + (1-theta)*e_k on the constraint
-            theta = (c[k] - r) / (c[k] - c[j])
-            val = float(theta * b[j] + (1.0 - theta) * b[k])
+    feasible = c <= r
+    j, val = _first_min(np.where(feasible, b, np.inf))
+    if val < best_val:
+        best_val, best_lam = val, eye[j]
+    inside, outside = np.flatnonzero(feasible), np.flatnonzero(c > r)
+    if outside.size:
+        c_out, b_out = c[outside], b[outside]
+        step = max(1, _PAIR_BLOCK // outside.size)
+        for lo in range(0, inside.size, step):
+            rows = inside[lo:lo + step, None]
+            theta = (c_out - r) / (c_out - c[rows])
+            vals = theta * b[rows] + (1.0 - theta) * b_out
+            p, val = _first_min(vals.ravel())
             if val < best_val:
+                jj, kk = divmod(p, outside.size)
                 best_val = val
-                lam = np.zeros(m)
-                lam[j] = theta
-                lam[k] = 1.0 - theta
-                best_lam = lam
+                best_lam = np.zeros(m)
+                best_lam[rows[jj, 0]] = theta[jj, kk]
+                best_lam[outside[kk]] = 1.0 - theta[jj, kk]
     return SolveResult(best_lam, objective.const + best_val,
                        constraint.value(best_lam), 0, "optimal")
 

@@ -51,9 +51,37 @@ def load_csv(path):
     if len(set(header)) != len(header):
         raise SchemaError(f"{path} has duplicate column names")
     y_col = header.index("y") if "y" in header else None
+    X, y = _parse_block(header, rows[1:], y_col)
+    if X is None:  # the per-cell parse names the first bad cell
+        X, y = _parse_cells(path, header, rows[1:], y_col)
+    if y_col is not None and len(header) == 1:
+        raise SchemaError(f"{path} has labels but no feature columns")
+    return X, y
+
+
+def _parse_block(header, body, y_col):
+    """(X, y) from one numpy parse of every cell, or (None, None) when a
+    row is ragged, a cell is not a number, a label is bad or a feature is
+    not finite.  numpy parses each cell as float() does."""
+    try:
+        block = np.array(body, dtype=float)
+    except ValueError:
+        return None, None
+    if block.shape != (len(body), len(header)):
+        return None, None
+    X = block if y_col is None else np.delete(block, y_col, axis=1)
+    y = None if y_col is None else block[:, y_col].copy()
+    if y is not None and not np.all((y == -1.0) | (y == 1.0)):
+        return None, None
+    if not np.all(np.isfinite(X)):
+        return None, None
+    return X, y
+
+
+def _parse_cells(path, header, body, y_col):
     width = len(header)
     feats, labels = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(body, start=2):
         if len(row) != width:
             raise SchemaError(
                 f"{path}:{lineno} has {len(row)} cells, expected {width}")
@@ -74,8 +102,6 @@ def load_csv(path):
         if not all(math.isfinite(v) for v in vals):
             raise NonFiniteValue(f"{path}:{lineno} has a non-finite feature")
         feats.append(vals)
-    if y_col is not None and len(header) == 1:
-        raise SchemaError(f"{path} has labels but no feature columns")
     X = np.asarray(feats, dtype=float)
     y = np.asarray(labels, dtype=float) if y_col is not None else None
     return X, y

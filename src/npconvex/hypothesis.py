@@ -115,14 +115,46 @@ class BaseDictionary:
         if d < need:
             raise DimensionMismatch(f"data has dimension {d}, dictionary needs at least {need}")
 
-    def evaluate_matrix(self, X: np.ndarray) -> np.ndarray:
-        """(n, M) matrix H with H[i, j] = h_j(x_i); validates the range."""
+    def _as_features(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X.reshape(-1, 1)
         if X.ndim != 2:
             raise DimensionMismatch(f"expected a 2-D feature matrix, got ndim={X.ndim}")
         self._check_dim(X)
+        return X
+
+    def column_means(self, X: np.ndarray) -> np.ndarray:
+        """The M column means of evaluate_matrix(X), one base at a time.
+
+        Scratch memory is O(n): no (n, M) matrix is formed.  The range
+        check and its error match evaluate_matrix, which reports the
+        first entry of largest magnitude in row-major order.
+        """
+        # column-major, so a base reading one feature scans contiguous memory
+        X = np.asfortranarray(self._as_features(X))
+        if X.shape[0] == 0:
+            raise EmptyData("column means need at least one row")
+        means = np.empty(self.m)
+        peaks = np.empty(self.m)  # max |h_j(x_i)| over i; NaN propagates
+        rows = np.empty(self.m, dtype=np.intp)
+        values = np.empty(self.m)
+        for j, b in enumerate(self.bases):
+            col = np.asarray(b.evaluate_batch(X), dtype=float)
+            mag = np.abs(col)
+            rows[j] = np.argmax(mag)
+            peaks[j], values[j] = mag[rows[j]], col[rows[j]]
+            means[j] = col.mean()
+        peak = float(np.max(peaks))
+        if peak > 1.0 + RANGE_TOL:
+            ties = np.flatnonzero(peaks == peak)
+            j = int(ties[np.argmin(rows[ties])])
+            raise BaseRangeError(f"base {j} returned {values[j]!r}, outside [-1, 1]")
+        return means
+
+    def evaluate_matrix(self, X: np.ndarray) -> np.ndarray:
+        """(n, M) matrix H with H[i, j] = h_j(x_i); validates the range."""
+        X = self._as_features(X)
         cols = [b.evaluate_batch(X) for b in self.bases]
         H = np.column_stack(cols) if cols else np.empty((X.shape[0], 0))
         if H.size and float(np.max(np.abs(H))) > 1.0 + RANGE_TOL:

@@ -7,13 +7,19 @@ risk over mixing weights subject to that constraint.  A brute-force grid
 oracle (M <= 3) certifies the solver, a feasibility probe witnesses the
 small-phi-type-I assumption, and the sample-size/bound report carries
 n0 and the two-term excess bound.
+
+Solver routes: when phi is affine on [-1, 1] (hinge), both risks are
+affine in the weights and their only data are the M column means of
+each class's base-value matrix H; solve_np reads those means one base
+at a time (O(n + M) memory) and solves the LP exactly.  Smooth
+surrogates (logit, exponential) hold both (n, M) matrices, because
+every SLSQP iterate evaluates phi on all n margins.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,34 +112,35 @@ def alpha_kappa(alpha: float, kappa_value: float, n_minus: int) -> float:
     return out
 
 
-def _risk_matrices(sample: Sample, dictionary: BaseDictionary):
+def _per_class(sample: Sample, evaluate):
     if sample.n_minus < 1 or sample.n_plus < 1:
         raise EmptySample("both classes must be nonempty")
-    H_minus = dictionary.evaluate_matrix(sample.negatives)
-    H_plus = dictionary.evaluate_matrix(sample.positives)
-    return H_minus, H_plus
+    return evaluate(sample.negatives), evaluate(sample.positives)
 
 
 def solve_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig) -> NPSolution:
     """Minimize empirical phi-type-II risk s.t. phi-type-I risk <= alpha_kappa."""
-    H_minus, H_plus = _risk_matrices(sample, dictionary)
     s = cfg.surrogate
+    if s.affine_coefficients is not None:
+        means_minus, means_plus = _per_class(sample, dictionary.column_means)
+        objective = core.affine_risk_form(means_plus, s, -1.0)
+        constraint = core.affine_risk_form(means_minus, s, +1.0)
+    else:
+        H_minus, H_plus = _per_class(sample, dictionary.evaluate_matrix)
+        objective = core.risk_form(H_plus, s, -1.0)
+        constraint = core.risk_form(H_minus, s, +1.0)
     kap = kappa(s.lipschitz, dictionary.m, cfg.delta)
     level = alpha_kappa(cfg.alpha, kap, sample.n_minus)
 
-    objective = core.risk_form(H_plus, s, -1.0)
-    constraint = core.risk_form(H_minus, s, +1.0)
     res = core.solve_simplex_program(
         dictionary.m, objective, constraint, level,
         feas_tol=cfg.feas_tol, opt_tol=cfg.opt_tol, max_iters=cfg.max_iters)
-
-    lam = res.lam
     return NPSolution(
-        weights=SimplexWeights(lam),
+        weights=SimplexWeights(res.lam),
         kappa=kap,
         alpha_kappa=level,
-        r_minus_phi=phi_risk_from_matrix(H_minus, lam, s, +1.0),
-        r_plus_phi=phi_risk_from_matrix(H_plus, lam, s, -1.0),
+        r_minus_phi=res.constraint_value,
+        r_plus_phi=res.objective_value,
         n_minus=sample.n_minus,
         n_plus=sample.n_plus,
         iterations=res.iterations,
@@ -228,7 +235,7 @@ def grid_oracle_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig,
         raise DomainError(f"grid oracle supports M <= 3, got {dictionary.m}")
     if not 0.0 < resolution <= 0.5:
         raise DomainError(f"resolution must lie in (0, 0.5], got {resolution}")
-    H_minus, H_plus = _risk_matrices(sample, dictionary)
+    H_minus, H_plus = _per_class(sample, dictionary.evaluate_matrix)
     s = cfg.surrogate
     kap = kappa(s.lipschitz, dictionary.m, cfg.delta)
     level = alpha_kappa(cfg.alpha, kap, sample.n_minus)

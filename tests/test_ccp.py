@@ -188,3 +188,21 @@ def test_solution_json():
     assert blob["status"] == "optimal"
     assert blob["n"] == 10 ** 4
     assert len(blob["weights"]) == 2
+
+
+def test_grid_oracle_is_independent_of_the_solver(monkeypatch):
+    from npconvex import _solver_core as core
+    from npconvex.hypothesis import BaseDictionary
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle must not share the solver's code path")
+
+    monkeypatch.setattr(BaseDictionary, "column_means", forbidden)
+    monkeypatch.setattr(core, "_affine_solve", forbidden)
+    rng = np.random.default_rng(31)
+    n = 2 * 10 ** 4
+    G = np.column_stack([-np.ones(n), rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)])
+    inst = CCPInstance(alpha=0.3, delta=0.1, surrogate=hinge(), g_matrix=G,
+                       **linear_objective([0.5, -1.0, 0.25]))
+    ref = grid_oracle_ccp(inst, resolution=1e-2)
+    assert ref.empirical_constraint_value <= ref.margin_level + 1e-12

@@ -216,3 +216,43 @@ def test_experiment_byte_identical(tmp_path):
         blobs.append(((out_dir / "summary.json").read_bytes(),
                       (out_dir / "trials.csv").read_bytes()))
     assert blobs[0] == blobs[1]
+
+
+def test_load_csv_block_parse_matches_cell_parse(tmp_path):
+    from npconvex.cli import _parse_block, _parse_cells
+
+    rng = np.random.default_rng(4)
+    f = tmp_path / "mixed.csv"
+    lines = ["a, y ,b"] + [f"{u:.17g},{lab},\"{v:.17g}\"" for u, lab, v in
+                            zip(rng.normal(size=50), rng.choice([-1, 1], 50),
+                                rng.uniform(size=50))]
+    lines[3] = "1_000, +1 , 5."  # float() syntax that numpy parses the same way
+    f.write_text("\n".join(lines) + "\n\n", encoding="utf-8")
+    X, y = load_csv(f)
+    rows = [line.replace('"', "").split(",") for line in lines[1:]]
+    X_ref, y_ref = _parse_cells(f, ["a", "y", "b"], rows, 1)
+    X_block, y_block = _parse_block(["a", "y", "b"], rows, 1)
+    assert X.tobytes() == X_ref.tobytes() == X_block.tobytes()
+    assert y.tobytes() == y_ref.tobytes() == y_block.tobytes()
+    assert X.shape == (50, 2) and X[2, 0] == 1000.0 and y[2] == 1.0
+
+
+def test_load_csv_names_the_first_bad_line(tmp_path):
+    from npconvex.errors import NonFiniteValue, SchemaError, UnknownLabel
+
+    f = tmp_path / "bad.csv"
+    good = ["0.1,1", "0.2,-1"] * 3
+    cases = [("0.3,2", UnknownLabel, ":4: label must be -1 or 1, got 2.0"),
+             ("inf,1", NonFiniteValue, ":4 has a non-finite feature"),
+             ("0.3", SchemaError, ":4 has 1 cells, expected 2"),
+             ("0.3,x", SchemaError, ":4 column 'y': 'x' is not a number")]
+    for bad, err, message in cases:
+        # the bad row is line 4; a second bad row later must not be reported
+        lines = ["x0,y", *good[:2], bad, *good[2:], "nan,0"]
+        f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(err) as info:
+            load_csv(f)
+        assert str(info.value) == f"{f}{message}"
+    f.write_text("y\n1\n-1\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="labels but no feature columns"):
+        load_csv(f)

@@ -9,7 +9,8 @@ from npconvex.errors import (BaseRangeError, DimensionMismatch, DomainError,
                              EmptyData)
 from npconvex.hypothesis import (BaseDictionary, CombinedClassifier,
                                  ConstantClassifier, DecisionStump,
-                                 SimplexWeights, build_stump_dictionary)
+                                 FunctionClassifier, SimplexWeights,
+                                 build_stump_dictionary)
 
 
 def test_stump_evaluation():
@@ -137,3 +138,50 @@ def test_dictionary_json_round_trip():
     assert back.dim == d.dim
     X = np.linspace(-1, 1, 11).reshape(-1, 1)
     assert np.array_equal(back.evaluate_matrix(X), d.evaluate_matrix(X))
+
+
+def _mixed_dictionary(X):
+    stumps = build_stump_dictionary(X, 4)
+    user = FunctionClassifier(lambda row: float(np.tanh(row[0] - row[1])), "tanh")
+    return BaseDictionary([ConstantClassifier(-0.5), *stumps.bases, user], dim=X.shape[1])
+
+
+def test_column_means_match_matrix_means():
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(700, 3))
+    d = _mixed_dictionary(X)
+    means = d.column_means(X)
+    assert means.shape == (d.m,)
+    np.testing.assert_allclose(means, d.evaluate_matrix(X).mean(axis=0), rtol=0, atol=1e-12)
+    # row-major and column-major inputs give the same means
+    np.testing.assert_array_equal(means, d.column_means(np.asfortranarray(X)))
+    one = BaseDictionary([DecisionStump(0, 0.5, -1)])
+    assert one.column_means(np.array([0.1, 0.9, 0.7])) == pytest.approx([1.0 / 3.0])
+
+
+def test_column_means_errors_match_evaluate_matrix():
+    X = np.array([[0.0, 1.0], [2.0, 0.0], [-3.0, 0.5]])
+
+    def bad(row):
+        return float(row[0])  # leaves [-1, 1] on the last two rows
+
+    # |h| = 3 is reached twice: in one row, and in two different rows
+    for other in (lambda row: -float(row[0]), lambda row: 3.0 * float(row[1])):
+        d = BaseDictionary([ConstantClassifier(1.0), FunctionClassifier(bad, "bad"),
+                            FunctionClassifier(other, "other")])
+        with pytest.raises(BaseRangeError) as from_matrix:
+            d.evaluate_matrix(X)
+        with pytest.raises(BaseRangeError) as from_means:
+            d.column_means(X)
+        assert str(from_means.value) == str(from_matrix.value)
+
+    narrow = BaseDictionary([DecisionStump(1, 0.0, 1)])
+    fixed = BaseDictionary([DecisionStump(0, 0.0, 1)], dim=2)
+    for dictionary, data in ((narrow, np.zeros((3, 1))), (fixed, np.zeros((3, 1))),
+                             (fixed, np.zeros((2, 2, 2)))):
+        with pytest.raises(DimensionMismatch):
+            dictionary.evaluate_matrix(data)
+        with pytest.raises(DimensionMismatch):
+            dictionary.column_means(data)
+    with pytest.raises(EmptyData):
+        fixed.column_means(np.zeros((0, 2)))

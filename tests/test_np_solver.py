@@ -20,7 +20,7 @@ from npconvex.np_solver import (NPConfig, alpha_kappa, eps_bar_upper,
                                 feasibility_probe, grid_oracle_np, kappa,
                                 n0_and_bound, pooled_bound, solve_np,
                                 split_pooled)
-from npconvex.risk import Sample
+from npconvex.risk import Sample, phi_risk_from_matrix
 from npconvex.surrogate import exponential, hinge, logit
 
 
@@ -270,3 +270,74 @@ def test_stump_dictionary_end_to_end():
     sol = solve_np(Sample(neg, pos), d, cfg)
     assert sol.r_minus_phi <= sol.alpha_kappa + cfg.feas_tol
     assert 0.0 <= sol.r_plus_phi <= 2.0
+
+
+def test_hinge_route_reads_column_means_only(monkeypatch):
+    # the affine route needs the M column means per class, never H itself
+    rng = np.random.default_rng(8)
+    X = np.vstack([rng.normal(0.0, 1.0, (3000, 3)), rng.normal(0.8, 1.0, (3000, 3))])
+    stumps = build_stump_dictionary(X, 6)
+    d = BaseDictionary([ConstantClassifier(-1.0), *stumps.bases], dim=3)
+    sample = Sample(X[:3000], X[3000:])
+    cfg = NPConfig(alpha=0.6, delta=0.1, surrogate=hinge())
+    H_minus, H_plus = d.evaluate_matrix(sample.negatives), d.evaluate_matrix(sample.positives)
+
+    calls = []
+    evaluate = BaseDictionary.evaluate_matrix
+
+    def spy(self, X):
+        calls.append(np.shape(X))
+        return evaluate(self, X)
+
+    monkeypatch.setattr(BaseDictionary, "evaluate_matrix", spy)
+    sol = solve_np(sample, d, cfg)
+    assert calls == []
+    lam = sol.weights.lam
+    assert np.count_nonzero(lam) == 2  # a tight mixture, not a vertex
+    assert sol.r_minus_phi == pytest.approx(
+        phi_risk_from_matrix(H_minus, lam, cfg.surrogate, +1.0), abs=1e-12)
+    assert sol.r_plus_phi == pytest.approx(
+        phi_risk_from_matrix(H_plus, lam, cfg.surrogate, -1.0), abs=1e-12)
+
+
+def test_smooth_route_risks_are_the_solved_values():
+    rng = np.random.default_rng(12)
+    d, sample = _random_instance(rng, 3, n=2000)
+    cfg = NPConfig(alpha=0.9, delta=0.1, surrogate=logit())
+    sol = solve_np(sample, d, cfg)
+    lam = sol.weights.lam
+    H_minus, H_plus = d.evaluate_matrix(sample.negatives), d.evaluate_matrix(sample.positives)
+    assert sol.r_minus_phi == pytest.approx(
+        phi_risk_from_matrix(H_minus, lam, cfg.surrogate, +1.0), abs=1e-12)
+    assert sol.r_plus_phi == pytest.approx(
+        phi_risk_from_matrix(H_plus, lam, cfg.surrogate, -1.0), abs=1e-12)
+
+
+def test_exponential_solve_survives_simplex_drift():
+    # SLSQP iterates leave the simplex by ~1e-12 here; evaluating phi at
+    # the raw iterate used to raise DomainError for a margin just above 1
+    rng = np.random.default_rng(1)
+    neg = rng.normal(0.0, 1.0, (10_000, 5))
+    pos = rng.normal(0.7, 1.0, (10_000, 5))
+    stumps = build_stump_dictionary(np.vstack([neg, pos]), 5)
+    d = BaseDictionary([ConstantClassifier(-1.0), *stumps.bases], dim=5)
+    cfg = NPConfig(alpha=0.8, delta=0.1, surrogate=exponential())
+    sol = solve_np(Sample(neg, pos), d, cfg)
+    assert sol.status == "optimal"
+    assert sol.r_minus_phi <= sol.alpha_kappa + cfg.feas_tol
+
+
+def test_grid_oracle_is_independent_of_the_solver(monkeypatch):
+    from npconvex import _solver_core as core
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle must not share the solver's code path")
+
+    monkeypatch.setattr(BaseDictionary, "column_means", forbidden)
+    monkeypatch.setattr(core, "_affine_solve", forbidden)
+    rng = np.random.default_rng(21)
+    d, sample = _random_instance(rng, 3)
+    for resolution in (1e-2, 1e-3):  # the exhaustive and the affine-reduced scan
+        sol = grid_oracle_np(sample, d, NPConfig(alpha=0.85, delta=0.1, surrogate=hinge()),
+                             resolution=resolution)
+        assert sol.status == "optimal"
