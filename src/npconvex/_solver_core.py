@@ -255,7 +255,7 @@ def _polish_feasibility(lam: np.ndarray, lam_feas: np.ndarray, constraint: Form,
 
 def solve_simplex_program(m: int, objective: Form, constraint: Optional[Form] = None,
                           level: float = 0.0, *, feas_tol: float = 1e-8,
-                          opt_tol: float = 1e-5, max_iters: int = 500) -> SolveResult:
+                          max_iters: int = 500) -> SolveResult:
     """Minimize objective over the simplex, optionally s.t. constraint <= level.
 
     Raises Infeasible when the constraint minimum exceeds level + feas_tol.

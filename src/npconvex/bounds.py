@@ -27,7 +27,7 @@ from ._seeding import rng_for
 from .errors import DomainError, HypothesisFailed
 from .hypothesis import BaseDictionary
 from .np_solver import kappa
-from .risk import Sample, WeightedAtoms, empirical_atoms
+from .risk import Sample, WeightedAtoms, empirical_atoms, phi_risks_from_matrix
 from .surrogate import Surrogate
 
 HOLD_TOL = 1e-12
@@ -249,7 +249,7 @@ def check_sup_deviation(scenario, dictionary: BaseDictionary, s: Surrogate,
         rng = rng_for(seed, "bounds.supdev", trial)
         X = np.asarray(scenario.draw_negatives(rng, n), dtype=float)
         H = dictionary.evaluate_matrix(X)
-        emp = np.mean(s.eval(H @ grid.T), axis=0)
+        emp = phi_risks_from_matrix(H, grid, s, +1.0)
         sup = float(np.max(np.abs(emp - pop)))
         worst = max(worst, sup)
         if sup > threshold:

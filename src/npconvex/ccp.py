@@ -20,10 +20,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _solver_core as core
-from .errors import DomainError, EmptySample
+from ._grids import affine_window, argmin_feasible, iter_grid_chunks
+from .errors import DomainError, EmptySample, Infeasible
 from .hypothesis import SimplexWeights
-from .np_solver import kappa
-from .risk import phi_risk_from_matrix
+from .np_solver import alpha_kappa, kappa
+from .risk import phi_risk_from_matrix, phi_risks_from_matrix
 from .surrogate import Surrogate
 
 RANGE_TOL = 1e-9
@@ -36,7 +37,7 @@ def evaluate_constraint_bases(constraint_bases: Sequence[Callable], draws) -> np
         raise EmptySample("no scenario draws")
     cols = [np.asarray([float(g(x)) for x in xi]) for g in constraint_bases]
     G = np.column_stack(cols)
-    if float(np.max(np.abs(G))) > 1.0 + RANGE_TOL:
+    if not float(np.max(np.abs(G))) <= 1.0 + RANGE_TOL:  # NaN fails too
         raise DomainError("a constraint base produced a value outside [-1, 1]")
     return G
 
@@ -127,16 +128,12 @@ def linear_objective(coeffs) -> dict:
     }
 
 
-def solve_ccp(inst: CCPInstance, feas_tol: float = 1e-8, opt_tol: float = 1e-5,
+def solve_ccp(inst: CCPInstance, feas_tol: float = 1e-8,
               max_iters: int = 500) -> CCPSolution:
     """Minimize the objective s.t. mean phi(F(lambda, xi_i)) <= alpha - kappa/sqrt(n)."""
     s = inst.surrogate
     kap = kappa(s.lipschitz, inst.m, inst.delta)
-    level = inst.alpha - kap / math.sqrt(inst.n)
-    if level <= 0.0:
-        from .errors import SampleTooSmall
-        raise SampleTooSmall(
-            f"alpha - kappa/sqrt(n) = {level} <= 0 at n = {inst.n}")
+    level = alpha_kappa(inst.alpha, kap, inst.n)
 
     constraint = core.risk_form(inst.g_matrix, s, +1.0)
     if inst.linear_coeffs is not None:
@@ -144,8 +141,7 @@ def solve_ccp(inst: CCPInstance, feas_tol: float = 1e-8, opt_tol: float = 1e-5,
     else:
         objective = core.SmoothForm(fn=inst.objective, grad_fn=inst.objective_grad)
     res = core.solve_simplex_program(inst.m, objective, constraint, level,
-                                     feas_tol=feas_tol, opt_tol=opt_tol,
-                                     max_iters=max_iters)
+                                     feas_tol=feas_tol, max_iters=max_iters)
     lam = res.lam
     return CCPSolution(
         weights=SimplexWeights(lam),
@@ -160,36 +156,29 @@ def solve_ccp(inst: CCPInstance, feas_tol: float = 1e-8, opt_tol: float = 1e-5,
 
 
 def grid_oracle_ccp(inst: CCPInstance, resolution: float) -> CCPSolution:
-    """Exhaustive simplex-grid referee for M <= 3; ties to the
-    lexicographically smallest weights (first hit in scan order)."""
-    from ._grids import iter_grid_chunks
+    """Exhaustive simplex-grid referee for M <= 3 (the affine window's
+    candidates for an affine surrogate and linear objective at M = 3);
+    ties to the lexicographically smallest weights (first hit in scan order)."""
     if inst.m > 3:
         raise DomainError(f"grid oracle supports M <= 3, got {inst.m}")
     if not 0.0 < resolution <= 0.5:
         raise DomainError(f"resolution must lie in (0, 0.5], got {resolution}")
     s = inst.surrogate
     kap = kappa(s.lipschitz, inst.m, inst.delta)
-    level = inst.alpha - kap / math.sqrt(inst.n)
-    if level <= 0.0:
-        from .errors import SampleTooSmall
-        raise SampleTooSmall(f"alpha - kappa/sqrt(n) = {level} <= 0")
+    level = alpha_kappa(inst.alpha, kap, inst.n)
     k = max(1, round(1.0 / resolution))
+    chunks = iter_grid_chunks(inst.m, k)
     if s.affine_coefficients is not None:
         # mean phi(G lam) = a + b * mean(G) @ lam, so one dot per point
         a, b = s.affine_coefficients
         g_mean = inst.g_matrix.mean(axis=0)
         def constraint_values(chunk):
             return a + b * (chunk @ g_mean)
+        if inst.m == 3 and inst.linear_coeffs is not None and k > 400:
+            chunks = [affine_window(a, b * g_mean, level, k)]
     else:
-        # cap the (n, block) product to keep memory flat
-        block = max(1, int(5_000_000 // max(inst.n, 1)))
         def constraint_values(chunk):
-            out = np.empty(chunk.shape[0])
-            for lo in range(0, chunk.shape[0], block):
-                part = chunk[lo:lo + block]
-                out[lo:lo + part.shape[0]] = np.mean(
-                    s.eval(inst.g_matrix @ part.T), axis=0)
-            return out
+            return phi_risks_from_matrix(inst.g_matrix, chunk, s, +1.0)
     if inst.linear_coeffs is not None:
         c = inst.linear_coeffs
         def objective_values(chunk):
@@ -197,18 +186,9 @@ def grid_oracle_ccp(inst: CCPInstance, resolution: float) -> CCPSolution:
     else:
         def objective_values(chunk):
             return np.asarray([inst.objective(lam) for lam in chunk])
-    best_val, best_lam = np.inf, None
-    for chunk in iter_grid_chunks(inst.m, k):
-        feasible = constraint_values(chunk) <= level
-        if not np.any(feasible):
-            continue
-        objs = np.where(feasible, objective_values(chunk), np.inf)
-        j = int(np.argmin(objs))
-        if objs[j] < best_val:
-            best_val = float(objs[j])
-            best_lam = chunk[j].copy()
+    best_lam, best_val = argmin_feasible(chunks, constraint_values,
+                                         objective_values, level)
     if best_lam is None:
-        from .errors import Infeasible
         raise Infeasible(f"no grid point satisfies the margin constraint {level}")
     return CCPSolution(
         weights=SimplexWeights(best_lam),

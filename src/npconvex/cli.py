@@ -184,8 +184,7 @@ def _cmd_solve(args) -> int:
     dictionary = BaseDictionary(bases, dim=X.shape[1])
     cfg = NPConfig(alpha=args.alpha, delta=args.delta,
                    surrogate=by_name(args.surrogate),
-                   feas_tol=args.feas_tol, opt_tol=args.opt_tol,
-                   max_iters=args.max_iters)
+                   feas_tol=args.feas_tol, max_iters=args.max_iters)
     sol = solve_np(sample, dictionary, cfg)
     report = _maybe_stamp({
         "command": "solve",
@@ -217,8 +216,7 @@ def _cmd_ccp(args) -> int:
                        surrogate=by_name(args.surrogate),
                        g_matrix=dictionary.evaluate_matrix(X),
                        **linear_objective(coeffs))
-    sol = solve_ccp(inst, feas_tol=args.feas_tol, opt_tol=args.opt_tol,
-                    max_iters=args.max_iters)
+    sol = solve_ccp(inst, feas_tol=args.feas_tol, max_iters=args.max_iters)
     report = _maybe_stamp({
         "command": "ccp",
         "version": __version__,
@@ -343,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--no-constant", action="store_true",
                          help="do not prepend the constant classifier -1")
     p_solve.add_argument("--feas-tol", type=float, default=1e-8)
-    p_solve.add_argument("--opt-tol", type=float, default=1e-5)
     p_solve.add_argument("--max-iters", type=int, default=500)
     add_common(p_solve)
     p_solve.set_defaults(fn=_cmd_solve)
@@ -360,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ccp.add_argument("--no-constant", action="store_true",
                        help="do not prepend the constant -1 base")
     p_ccp.add_argument("--feas-tol", type=float, default=1e-8)
-    p_ccp.add_argument("--opt-tol", type=float, default=1e-5)
     p_ccp.add_argument("--max-iters", type=int, default=500)
     add_common(p_ccp)
     p_ccp.set_defaults(fn=_cmd_ccp)

@@ -18,17 +18,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _solver_core as core
-from ._grids import grid_count, iter_grid_chunks
+from ._grids import argmin_feasible, grid_count, iter_grid_chunks
 from ._seeding import rng_for, worker_count
 from .bounds import binomial_tail_exact
 from .ccp import (CCPInstance, ccp_bound, chance_feasibility_estimate,
                   evaluate_constraint_bases, linear_objective, solve_ccp)
-from .errors import (DomainError, Infeasible, NPConvexError, SampleTooSmall,
-                     UnknownScenario)
+from .errors import DomainError, Infeasible, NPConvexError, UnknownScenario
 from .hypothesis import BaseDictionary, ConstantClassifier, DecisionStump
-from .np_solver import (NPConfig, eps_bar_upper, kappa, n0_and_bound,
-                        pooled_bound, solve_np, split_pooled)
-from .risk import Sample, WeightedAtoms, empirical_atoms
+from .np_solver import (NPConfig, alpha_kappa, eps_bar_upper, kappa,
+                        n0_and_bound, pooled_bound, solve_np, split_pooled)
+from .risk import Sample, WeightedAtoms, empirical_atoms, phi_risks_from_matrix
 
 
 def _three_se(p: float, trials: int) -> float:
@@ -202,10 +201,11 @@ class _TrueRiskOracle:
             atoms = self.minus if side == "minus" else self.plus
             return atoms.phi_risk_grid(grid, self.s, sign)
         H = self._H_minus if side == "minus" else self._H_plus
-        form = core.risk_form(H, self.s, sign)
-        if isinstance(form, core.AffineForm):
-            return form.const + grid @ form.coeffs
-        return np.mean(self.s.eval(sign * (H @ grid.T)), axis=0)
+        if self.s.affine_coefficients is not None:
+            a, b = self.s.affine_coefficients
+            w = np.full(H.shape[0], 1.0 / H.shape[0])
+            return a + grid @ ((b * sign) * (w @ H))
+        return phi_risks_from_matrix(H, grid, self.s, sign)
 
     def gamma(self, level: float, resolution: float) -> float:
         m = self.minus.H.shape[1]
@@ -218,13 +218,10 @@ class _TrueRiskOracle:
                 raise DomainError(
                     "Monte Carlo gamma with a smooth surrogate needs a "
                     f"coarser resolution (grid x draws = {cost:.1e})")
-        best = math.inf
-        for chunk in iter_grid_chunks(m, k):
-            r_minus = self._grid_risks("minus", chunk)
-            mask = r_minus <= level
-            if np.any(mask):
-                r_plus = self._grid_risks("plus", chunk[mask])
-                best = min(best, float(np.min(r_plus)))
+        _, best = argmin_feasible(iter_grid_chunks(m, k),
+                                  lambda grid: self._grid_risks("minus", grid),
+                                  lambda grid: self._grid_risks("plus", grid),
+                                  level)
         return best
 
 
@@ -336,10 +333,7 @@ def run_type1_coverage(scenario, dictionary: BaseDictionary, cfg: NPConfig,
         raise DomainError(f"kappa_scale must be >= 0, got {kappa_scale}")
     s = cfg.surrogate
     kap = kappa(s.lipschitz, dictionary.m, cfg.delta)
-    level = cfg.alpha - kappa_scale * kap / math.sqrt(n_minus)
-    if level <= 0.0:
-        raise SampleTooSmall(
-            f"alpha - kappa/sqrt(n^-) = {level} <= 0 at n^- = {n_minus}")
+    level = alpha_kappa(cfg.alpha, kappa_scale * kap, n_minus)
 
     pilot = scenario.draw_negatives(rng_for(seed, "harness.coverage.probe"),
                                     n_minus)
@@ -371,8 +365,7 @@ def run_type1_coverage(scenario, dictionary: BaseDictionary, cfg: NPConfig,
                 res = core.solve_simplex_program(
                     dictionary.m, core.risk_form(H_p, s, -1.0),
                     core.risk_form(H_m, s, +1.0), level,
-                    feas_tol=cfg.feas_tol, opt_tol=cfg.opt_tol,
-                    max_iters=cfg.max_iters)
+                    feas_tol=cfg.feas_tol, max_iters=cfg.max_iters)
                 lam = res.lam
         except NPConvexError as err:
             return None, type(err).__name__

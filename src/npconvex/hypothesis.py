@@ -129,7 +129,8 @@ class BaseDictionary:
 
         Scratch memory is O(n): no (n, M) matrix is formed.  The range
         check and its error match evaluate_matrix, which reports the
-        first entry of largest magnitude in row-major order.
+        first NaN, or else the first entry of largest magnitude, in
+        row-major order.
         """
         # column-major, so a base reading one feature scans contiguous memory
         X = np.asfortranarray(self._as_features(X))
@@ -146,8 +147,8 @@ class BaseDictionary:
             peaks[j], values[j] = mag[rows[j]], col[rows[j]]
             means[j] = col.mean()
         peak = float(np.max(peaks))
-        if peak > 1.0 + RANGE_TOL:
-            ties = np.flatnonzero(peaks == peak)
+        if not peak <= 1.0 + RANGE_TOL:  # NaN fails too
+            ties = np.flatnonzero((peaks == peak) | np.isnan(peaks))
             j = int(ties[np.argmin(rows[ties])])
             raise BaseRangeError(f"base {j} returned {values[j]!r}, outside [-1, 1]")
         return means
@@ -157,7 +158,8 @@ class BaseDictionary:
         X = self._as_features(X)
         cols = [b.evaluate_batch(X) for b in self.bases]
         H = np.column_stack(cols) if cols else np.empty((X.shape[0], 0))
-        if H.size and float(np.max(np.abs(H))) > 1.0 + RANGE_TOL:
+        if H.size and not float(np.max(np.abs(H))) <= 1.0 + RANGE_TOL:  # NaN fails too
+            # argmax names the first NaN if there is one
             i, j = np.unravel_index(int(np.argmax(np.abs(H))), H.shape)
             raise BaseRangeError(f"base {j} returned {H[i, j]!r}, outside [-1, 1]")
         return H

@@ -4,7 +4,8 @@ Pipeline: the concentration margin kappa = 4*sqrt(2)*L*sqrt(log(2M/delta))
 strengthens the empirical type-I constraint to alpha_kappa =
 alpha - kappa/sqrt(n^-); the solver minimizes the empirical phi-type-II
 risk over mixing weights subject to that constraint.  A brute-force grid
-oracle (M <= 3) certifies the solver, a feasibility probe witnesses the
+oracle (M <= 3, on the first-hit scan every grid referee shares in
+_grids) certifies the solver, a feasibility probe witnesses the
 small-phi-type-I assumption, and the sample-size/bound report carries
 n0 and the two-term excess bound.
 
@@ -13,7 +14,10 @@ affine in the weights and their only data are the M column means of
 each class's base-value matrix H; solve_np reads those means one base
 at a time (O(n + M) memory) and solves the LP exactly.  Smooth
 surrogates (logit, exponential) hold both (n, M) matrices, because
-every SLSQP iterate evaluates phi on all n margins.
+every SLSQP iterate evaluates phi on all n margins.  The oracle never
+uses the solver's forms; it scores grid points in cache-sized blocks
+(risk.phi_risks_from_matrix), and at M = 3 with an affine surrogate and
+a fine grid it scans only the candidates of _grids.affine_window.
 """
 
 from __future__ import annotations
@@ -24,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _solver_core as core
-from ._grids import grid_points, iter_grid_chunks
+from ._grids import affine_window, argmin_feasible, iter_grid_chunks
 from .errors import (DomainError, EmptySample, Infeasible, OneClassEmpty,
                      SampleTooSmall, UnknownLabel)
 from .hypothesis import BaseDictionary, SimplexWeights
-from .risk import Sample, phi_risk_from_matrix
+from .risk import Sample, phi_risk_from_matrix, phi_risks_from_matrix
 from .surrogate import Surrogate
 
 
@@ -38,7 +42,6 @@ class NPConfig:
     delta: float
     surrogate: Surrogate
     feas_tol: float = 1e-8
-    opt_tol: float = 1e-5
     max_iters: int = 500
 
     def __post_init__(self):
@@ -46,7 +49,7 @@ class NPConfig:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.delta < 1.0:
             raise DomainError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.feas_tol <= 0 or self.opt_tol <= 0 or self.max_iters < 1:
+        if self.feas_tol <= 0 or self.max_iters < 1:
             raise DomainError("tolerances must be positive and max_iters >= 1")
 
 
@@ -134,7 +137,7 @@ def solve_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig) -> NPSol
 
     res = core.solve_simplex_program(
         dictionary.m, objective, constraint, level,
-        feas_tol=cfg.feas_tol, opt_tol=cfg.opt_tol, max_iters=cfg.max_iters)
+        feas_tol=cfg.feas_tol, max_iters=cfg.max_iters)
     return NPSolution(
         weights=SimplexWeights(res.lam),
         kappa=kap,
@@ -149,77 +152,12 @@ def solve_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig) -> NPSol
 
 
 def _oracle_scan(H_minus, H_plus, s, level, lam_chunks):
-    """Best feasible grid point: lexicographically-first strict improvements."""
-    best_val = np.inf
-    best_lam = None
-    for chunk in lam_chunks:
-        margins_minus = H_minus @ chunk.T
-        r_minus = np.mean(s.eval(margins_minus), axis=0)
-        feasible = r_minus <= level
-        if not np.any(feasible):
-            continue
-        margins_plus = H_plus @ chunk.T
-        r_plus = np.mean(s.eval(-margins_plus), axis=0)
-        r_plus = np.where(feasible, r_plus, np.inf)
-        j = int(np.argmin(r_plus))  # first index on ties: lexicographic winner
-        if r_plus[j] < best_val:
-            best_val = float(r_plus[j])
-            best_lam = chunk[j].copy()
-    return best_lam, best_val
-
-
-def _oracle_scan_affine(H_minus, H_plus, s, level, k):
-    """Affine-surrogate reduction of the M=3 scan.
-
-    With phi affine on [-1, 1] both risks are affine in the weights, so
-    within each lambda_1 row the feasible j-range is an interval and the
-    objective is monotone in j; only the interval endpoints can win.  The
-    endpoint window is padded by two grid steps and every candidate is
-    re-evaluated with the full-sample formula, so the reduction matches
-    the exhaustive scan (exactly, in exact arithmetic; the padding guards
-    the float boundary).  Verified against the exhaustive scan on coarse
-    grids in the test suite.
-    """
-    a, b = s.affine_coefficients
-    u = b * H_minus.mean(axis=0)   # r_minus(lam) = a + u @ lam
-    v = -b * H_plus.mean(axis=0)   # r_plus(lam)  = a + v @ lam
-    cand_rows = []
-    for i in range(k + 1):
-        j_max = k - i
-        # r_minus(i, j) = a + (u0*i + u1*j + u2*(k-i-j))/k: affine in j
-        c0 = a + (u[0] * i + u[2] * (k - i)) / k
-        cj = (u[1] - u[2]) / k
-        # feasible j interval for c0 + cj*j <= level
-        if abs(cj) < 1e-300:
-            if c0 <= level:
-                lo, hi = 0, j_max
-            else:
-                continue
-        elif cj > 0:
-            hi = math.floor((level - c0) / cj)
-            lo = 0
-            if hi < 0:
-                continue
-            hi = min(hi, j_max)
-        else:
-            lo = math.ceil((level - c0) / cj)
-            hi = j_max
-            if lo > j_max:
-                continue
-            lo = max(lo, 0)
-        window = set()
-        for endpoint in (lo, hi):
-            for dj in range(-2, 3):
-                jj = endpoint + dj
-                if 0 <= jj <= j_max:
-                    window.add(jj)
-        for jj in sorted(window):
-            cand_rows.append((i, jj))
-    if not cand_rows:
-        return None, np.inf
-    idx = np.asarray(cand_rows, dtype=float)
-    lams = np.column_stack([idx[:, 0], idx[:, 1], k - idx[:, 0] - idx[:, 1]]) / k
-    return _oracle_scan(H_minus, H_plus, s, level, [lams])
+    """Best feasible grid point under the empirical NP phi-risks."""
+    return argmin_feasible(
+        lam_chunks,
+        lambda lam: phi_risks_from_matrix(H_minus, lam, s, +1.0),
+        lambda lam: phi_risks_from_matrix(H_plus, lam, s, -1.0),
+        level)
 
 
 def grid_oracle_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig,
@@ -227,8 +165,8 @@ def grid_oracle_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig,
     """Exhaustive grid search over the simplex; the solver's referee.
 
     Independent of the production solver: risks are evaluated directly on
-    every grid point (or a provably sufficient candidate subset for affine
-    surrogates), the best feasible point wins, ties go to the
+    every grid point (or the affine window's candidates for affine
+    surrogates at M = 3), the best feasible point wins, ties go to the
     lexicographically smallest weight vector.
     """
     if dictionary.m > 3:
@@ -242,10 +180,11 @@ def grid_oracle_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig,
     k = max(1, round(1.0 / resolution))
 
     if dictionary.m == 3 and s.affine_coefficients is not None and k > 400:
-        best_lam, best_val = _oracle_scan_affine(H_minus, H_plus, s, level, k)
+        a, b = s.affine_coefficients
+        chunks = [affine_window(a, b * H_minus.mean(axis=0), level, k)]
     else:
         chunks = iter_grid_chunks(dictionary.m, k)
-        best_lam, best_val = _oracle_scan(H_minus, H_plus, s, level, chunks)
+    best_lam, best_val = _oracle_scan(H_minus, H_plus, s, level, chunks)
     if best_lam is None:
         raise Infeasible(f"no grid point satisfies r_minus_phi <= {level}")
     return NPSolution(
@@ -275,10 +214,7 @@ def feasibility_probe(negatives, dictionary: BaseDictionary, cfg: NPConfig,
     s = cfg.surrogate
     H_minus = dictionary.evaluate_matrix(neg)
     kap = kappa(s.lipschitz, dictionary.m, cfg.delta)
-    threshold = eps * cfg.alpha - kap / math.sqrt(neg.shape[0])
-    if threshold <= 0.0:
-        raise SampleTooSmall(
-            f"eps*alpha - kappa/sqrt(n^-) = {threshold} <= 0; probe is vacuous")
+    threshold = alpha_kappa(eps * cfg.alpha, kap, neg.shape[0])
     form = core.risk_form(H_minus, s, +1.0)
     lam, min_val, _ = core.minimize_simplex(dictionary.m, form, cfg.max_iters)
     min_val = phi_risk_from_matrix(H_minus, lam, s, +1.0)

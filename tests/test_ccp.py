@@ -140,6 +140,16 @@ def test_evaluate_constraint_bases():
         evaluate_constraint_bases(bases, np.empty(0))
     with pytest.raises(DomainError):
         evaluate_constraint_bases([lambda x: 3.0], np.array([1.0]))
+    with pytest.raises(DomainError):
+        evaluate_constraint_bases([lambda x: -1.0, lambda x: math.nan], np.array([1.0]))
+
+
+def test_chance_feasibility_estimate_rejects_nan_bases():
+    # NaN used to pass the range check: F = NaN is never > 0, so the
+    # estimate read violation_rate 0.0 and feasible_for_original True
+    bases = [lambda x: -1.0, lambda x: math.nan]
+    with pytest.raises(DomainError):
+        chance_feasibility_estimate([0.5, 0.5], bases, np.linspace(0, 1, 50), alpha=0.1)
 
 
 def test_chance_feasibility_estimate_closed_form():
@@ -199,10 +209,12 @@ def test_grid_oracle_is_independent_of_the_solver(monkeypatch):
 
     monkeypatch.setattr(BaseDictionary, "column_means", forbidden)
     monkeypatch.setattr(core, "_affine_solve", forbidden)
+    monkeypatch.setattr(core, "risk_form", forbidden)
     rng = np.random.default_rng(31)
     n = 2 * 10 ** 4
     G = np.column_stack([-np.ones(n), rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)])
     inst = CCPInstance(alpha=0.3, delta=0.1, surrogate=hinge(), g_matrix=G,
                        **linear_objective([0.5, -1.0, 0.25]))
-    ref = grid_oracle_ccp(inst, resolution=1e-2)
-    assert ref.empirical_constraint_value <= ref.margin_level + 1e-12
+    for resolution in (1e-2, 1e-3):  # the exhaustive and the affine-window scan
+        ref = grid_oracle_ccp(inst, resolution=resolution)
+        assert ref.empirical_constraint_value <= ref.margin_level + 1e-12

@@ -1,0 +1,122 @@
+"""The simplex grid enumerator, the shared first-hit scan and the affine window."""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import pytest
+
+from npconvex._grids import (argmin_feasible, grid_count, grid_points,
+                             iter_grid_chunks)
+from npconvex.ccp import CCPInstance, grid_oracle_ccp, linear_objective
+from npconvex.errors import DomainError, Infeasible
+from npconvex.hypothesis import BaseDictionary, DecisionStump
+from npconvex.np_solver import NPConfig, alpha_kappa, grid_oracle_np, kappa
+from npconvex.risk import Sample
+from npconvex.surrogate import hinge
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_enumerator_matches_product_reference(m, k):
+    want = np.array([p for p in itertools.product(range(k + 1), repeat=m)
+                     if sum(p) == k]) / k
+    np.testing.assert_array_equal(grid_points(m, k), want)
+    chunks = list(iter_grid_chunks(m, k, chunk=4))
+    np.testing.assert_array_equal(np.vstack(chunks), want)
+    assert all(c.shape[0] >= 4 for c in chunks[:-1])
+    assert grid_count(m, k) == want.shape[0]
+
+
+def test_enumerator_rejects_empty_grids():
+    with pytest.raises(DomainError):
+        grid_points(3, 0)
+    with pytest.raises(DomainError):
+        next(iter_grid_chunks(0, 5))
+
+
+def test_argmin_feasible_keeps_the_first_hit():
+    # points are row ids; row 1 is infeasible (and best), rows 2 and 3 tie
+    # inside one chunk, row 4 ties again in a later chunk: row 2 wins
+    con = np.array([0.0, 9.0, 0.0, 0.0, 0.0])
+    obj = np.array([5.0, 0.0, 1.0, 1.0, 1.0])
+    pts = np.arange(5.0)[:, None]
+    scored = []
+
+    def objective_values(rows):
+        scored.extend(rows[:, 0])
+        return obj[rows[:, 0].astype(int)]
+
+    def constraint_values(rows):
+        return con[rows[:, 0].astype(int)]
+
+    lam, val = argmin_feasible([pts[:2], pts[1:2], pts[2:4], pts[4:]],
+                               constraint_values, objective_values, level=1.0)
+    assert (list(lam), val) == ([2.0], 1.0)
+    # a chunk with a feasible row is scored whole; one without is skipped
+    assert scored == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert argmin_feasible([pts[1:2]], constraint_values, objective_values,
+                           level=1.0) == (None, np.inf)
+    assert len(scored) == 5
+
+
+def _full_scan(k, constraint_values, objective_values, level):
+    return argmin_feasible(iter_grid_chunks(3, k, chunk=4096), constraint_values,
+                           objective_values, level)
+
+
+def _assert_window_matches(scan_lam, scan_val, oracle_lam, oracle_val, flat):
+    assert abs(oracle_val - scan_val) <= 1e-12
+    if not flat:
+        np.testing.assert_array_equal(oracle_lam, scan_lam)
+
+
+@pytest.mark.parametrize("k", [500, 1000])
+def test_np_affine_window_matches_full_scan(k):
+    rng = np.random.default_rng(k)
+    s = hinge()
+    for _ in range(3):
+        bases = [DecisionStump(0, 0.995, -1), DecisionStump(0, float(rng.uniform(0.2, 0.9)), 1),
+                 DecisionStump(0, float(rng.uniform(0.2, 0.9)), -1)]
+        d = BaseDictionary(bases, dim=1)
+        sample = Sample(rng.uniform(0, 1, (200, 1)), rng.uniform(0.1, 1.0, (200, 1)))
+        cfg = NPConfig(alpha=float(rng.uniform(0.9, 0.95)), delta=0.1, surrogate=s)
+        H_minus = d.evaluate_matrix(sample.negatives)
+        H_plus = d.evaluate_matrix(sample.positives)
+        level = alpha_kappa(cfg.alpha, kappa(s.lipschitz, 3, cfg.delta), 200)
+        lam, val = _full_scan(
+            k, lambda g: np.mean(s.eval(H_minus @ g.T), axis=0),
+            lambda g: np.mean(s.eval(-(H_plus @ g.T)), axis=0), level)
+        sol = grid_oracle_np(sample, d, cfg, resolution=1.0 / k)
+        # stump columns are +-1, so their sums are exact
+        flat = H_plus[:, 1].sum() == H_plus[:, 2].sum()
+        _assert_window_matches(lam, val, sol.weights.lam, sol.r_plus_phi, flat)
+
+
+@pytest.mark.parametrize("k", [500, 1000])
+def test_ccp_affine_window_matches_full_scan(k):
+    rng = np.random.default_rng(k + 1)
+    a, b = hinge().affine_coefficients
+    n = 2000
+    scanned = 0
+    for trial in range(8):
+        G = np.column_stack([-np.ones(n), rng.uniform(-1.0, 1.0, n),
+                             rng.uniform(-1.0, 1.0, n)])
+        c = rng.uniform(-1.0, 1.0, 3)
+        if trial == 0:
+            c[2] = c[1]  # flat along j: only the value must agree
+        inst = CCPInstance(alpha=float(rng.uniform(0.3, 0.45)), delta=0.1,
+                           surrogate=hinge(), g_matrix=G, **linear_objective(c))
+        level = alpha_kappa(inst.alpha, kappa(1.0, 3, inst.delta), n)
+        g_mean = G.mean(axis=0)
+        lam, val = _full_scan(k, lambda g: a + b * (g @ g_mean), lambda g: g @ c, level)
+        if lam is None:
+            with pytest.raises(Infeasible):
+                grid_oracle_ccp(inst, resolution=1.0 / k)
+            continue
+        sol = grid_oracle_ccp(inst, resolution=1.0 / k)
+        _assert_window_matches(lam, val, sol.weights.lam, sol.objective_value,
+                               c[1] == c[2])
+        scanned += 1
+    assert scanned >= 6

@@ -171,6 +171,21 @@ def test_coverage_kappa_ablation_hurts():
     assert bare["mean_true_type1"] >= level + 0.02
 
 
+def test_gamma_oracle_is_independent_of_the_solver(monkeypatch):
+    # the Monte Carlo hinge gamma evaluates its risks itself, never
+    # through the solver's form builder
+    from npconvex import _solver_core as core
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the gamma oracle must not build solver forms")
+
+    monkeypatch.setattr(core, "risk_form", forbidden)
+    d = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 1.0, 1)], dim=1)
+    oracle = harness._TrueRiskOracle(Scenario.gaussian_1d(0.0, 2.0, 1.0), d,
+                                     hinge(), mc_draws=5000, seed=3)
+    assert math.isfinite(oracle.gamma(0.5, 1e-2))
+
+
 def test_np_lemma_oracle_identical_classes():
     out = np_lemma_oracle(Scenario.prop31(0.35), 0.35)
     assert out == {"threshold": 1.0, "randomization": 0.35,

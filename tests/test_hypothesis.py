@@ -175,6 +175,18 @@ def test_column_means_errors_match_evaluate_matrix():
             d.column_means(X)
         assert str(from_means.value) == str(from_matrix.value)
 
+    # NaN fails the range check too, and wins over a larger finite value
+    def nan_at(i):
+        return lambda row: np.nan if row[0] == X[i, 0] else 0.0
+
+    for columns in ((bad, nan_at(2)), (nan_at(2), nan_at(1)), (nan_at(1), bad)):
+        d = BaseDictionary([FunctionClassifier(fn) for fn in columns])
+        with pytest.raises(BaseRangeError, match="nan") as from_matrix:
+            d.evaluate_matrix(X)
+        with pytest.raises(BaseRangeError) as from_means:
+            d.column_means(X)
+        assert str(from_means.value) == str(from_matrix.value)
+
     narrow = BaseDictionary([DecisionStump(1, 0.0, 1)])
     fixed = BaseDictionary([DecisionStump(0, 0.0, 1)], dim=2)
     for dictionary, data in ((narrow, np.zeros((3, 1))), (fixed, np.zeros((3, 1))),

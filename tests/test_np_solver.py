@@ -12,10 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from npconvex.errors import (DomainError, EmptySample, Infeasible,
-                             OneClassEmpty, SampleTooSmall, UnknownLabel)
+from npconvex.errors import (BaseRangeError, DomainError, EmptySample,
+                             Infeasible, OneClassEmpty, SampleTooSmall,
+                             UnknownLabel)
 from npconvex.hypothesis import (BaseDictionary, ConstantClassifier,
-                                 DecisionStump, build_stump_dictionary)
+                                 DecisionStump, FunctionClassifier,
+                                 build_stump_dictionary)
 from npconvex.np_solver import (NPConfig, alpha_kappa, eps_bar_upper,
                                 feasibility_probe, grid_oracle_np, kappa,
                                 n0_and_bound, pooled_bound, solve_np,
@@ -335,9 +337,22 @@ def test_grid_oracle_is_independent_of_the_solver(monkeypatch):
 
     monkeypatch.setattr(BaseDictionary, "column_means", forbidden)
     monkeypatch.setattr(core, "_affine_solve", forbidden)
+    monkeypatch.setattr(core, "risk_form", forbidden)
     rng = np.random.default_rng(21)
     d, sample = _random_instance(rng, 3)
     for resolution in (1e-2, 1e-3):  # the exhaustive and the affine-reduced scan
         sol = grid_oracle_np(sample, d, NPConfig(alpha=0.85, delta=0.1, surrogate=hinge()),
                              resolution=resolution)
         assert sol.status == "optimal"
+
+
+def test_nan_base_values_are_rejected():
+    # NaN used to pass the [-1, 1] range check, and the hinge route then
+    # reported status "optimal" with r_minus_phi = nan
+    rng = np.random.default_rng(4)
+    sample = Sample(rng.uniform(0, 1, (200, 1)), rng.uniform(0, 1, (200, 1)))
+    d = BaseDictionary([ConstantClassifier(-1.0),
+                        FunctionClassifier(lambda row: np.nan, "nan")], dim=1)
+    for s in (hinge(), logit()):
+        with pytest.raises(BaseRangeError):
+            solve_np(sample, d, NPConfig(alpha=0.9, delta=0.1, surrogate=s))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from npconvex import risk
 from npconvex.errors import DomainError, EmptySample, UnknownScenario
 from npconvex.harness import Scenario
 from npconvex.hypothesis import (BaseDictionary, CombinedClassifier,
@@ -14,7 +15,8 @@ from npconvex.risk import (Sample, WeightedAtoms, empirical_01_type1,
                            empirical_01_type2, empirical_atoms,
                            empirical_phi_type1, empirical_phi_type2,
                            exact_risks_prop31, monte_carlo_risk,
-                           phi_risk_from_matrix, risk_report)
+                           phi_risk_from_matrix, phi_risks_from_matrix,
+                           risk_report)
 from npconvex.surrogate import exponential, hinge, logit
 
 
@@ -154,3 +156,19 @@ def test_weighted_atoms_validation():
         WeightedAtoms(np.zeros((3, 2)), np.array([0.5, 0.5]))
     with pytest.raises(DomainError):
         WeightedAtoms(np.zeros((2, 2)), np.array([0.7, 0.7]))
+
+
+@pytest.mark.parametrize("pairs", [1, 64, 1 << 13])
+def test_grid_risks_are_whole_matrix_means(monkeypatch, pairs):
+    # runs of points and blocks of rows give the bits of np.mean over the
+    # whole (n, P) matrix, for a lone point and a lone row too
+    monkeypatch.setattr(risk, "_GRID_BLOCK_PAIRS", pairs)
+    rng = np.random.default_rng(4)
+    H = rng.uniform(-1.0, 1.0, (301, 3))
+    grid = rng.dirichlet(np.ones(3), 300)
+    s = logit()
+    for sign in (1.0, -1.0):
+        for rows, pts in ((H, grid), (H, grid[:129]), (H, grid[:2]), (H, grid[:1]),
+                          (H[:1], grid), (H[:2], grid)):
+            want = np.mean(s.eval(sign * (rows @ pts.T)), axis=0)
+            np.testing.assert_array_equal(phi_risks_from_matrix(rows, pts, s, sign), want)
