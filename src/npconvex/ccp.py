@@ -215,8 +215,7 @@ def chance_feasibility_estimate(lam, constraint_bases: Sequence[Callable],
     G = evaluate_constraint_bases(constraint_bases, fresh_draws)
     if G.shape[1] != lam.size:
         raise DomainError("weight length does not match the number of bases")
-    F = G @ lam
-    rate = float(np.mean(F > 0.0))
+    rate = chance_violation_from_matrix(lam, G)
     return {"violation_rate": rate, "feasible_for_original": bool(1.0 - rate >= 1.0 - alpha)}
 
 

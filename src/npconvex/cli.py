@@ -21,13 +21,11 @@ import numpy as np
 
 from . import __version__, bounds, harness
 from .ccp import CCPInstance, linear_objective, solve_ccp
-from .errors import (ComputationFailure, DomainError, NonFiniteValue,
-                     NPConvexError, SchemaError, UnknownLabel,
-                     ValidationFailure)
+from .errors import (DomainError, NonFiniteValue, NPConvexError, SchemaError,
+                     UnknownLabel, ValidationFailure)
 from .hypothesis import (BaseDictionary, ConstantClassifier, DecisionStump,
                          build_stump_dictionary)
 from .np_solver import NPConfig, solve_np, split_pooled
-from .risk import Sample
 from .surrogate import by_name
 
 
@@ -171,17 +169,22 @@ def _dictionary_from_config(cfg: dict) -> BaseDictionary:
     return BaseDictionary(bases, dim=1)
 
 
-def _cmd_solve(args) -> int:
-    X, y = load_csv(args.data)
-    _require_labels(X, y, args.data)
-    sample = split_pooled((X, y))
-    dictionary = build_stump_dictionary(X, args.stumps)
-    bases = list(dictionary.bases)
+def _stump_dictionary(X, args) -> BaseDictionary:
+    """Stumps at args.stumps quantiles per axis of X, led by the constant
+    -1 unless args.no_constant drops every constant base."""
+    bases = list(build_stump_dictionary(X, args.stumps).bases)
     if args.no_constant:
         bases = [b for b in bases if not isinstance(b, ConstantClassifier)]
     elif not any(isinstance(b, ConstantClassifier) for b in bases):
         bases.insert(0, ConstantClassifier(-1.0))
-    dictionary = BaseDictionary(bases, dim=X.shape[1])
+    return BaseDictionary(bases, dim=X.shape[1])
+
+
+def _cmd_solve(args) -> int:
+    X, y = load_csv(args.data)
+    _require_labels(X, y, args.data)
+    sample = split_pooled((X, y))
+    dictionary = _stump_dictionary(X, args)
     cfg = NPConfig(alpha=args.alpha, delta=args.delta,
                    surrogate=by_name(args.surrogate),
                    feas_tol=args.feas_tol, max_iters=args.max_iters)
@@ -201,13 +204,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_ccp(args) -> int:
     X, _ = load_csv(args.data)
-    dictionary = build_stump_dictionary(X, args.stumps)
-    bases = list(dictionary.bases)
-    if args.no_constant:
-        bases = [b for b in bases if not isinstance(b, ConstantClassifier)]
-    elif not any(isinstance(b, ConstantClassifier) for b in bases):
-        bases.insert(0, ConstantClassifier(-1.0))
-    dictionary = BaseDictionary(bases, dim=X.shape[1])
+    dictionary = _stump_dictionary(X, args)
     coeffs = [float(c) for c in args.objective.split(",")]
     if len(coeffs) != dictionary.m:
         raise DomainError(
@@ -384,18 +381,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValidationFailure as err:
-        sys.stderr.write(json.dumps(
-            {"error": err.category, "message": str(err)}) + "\n")
-        return 2
-    except ComputationFailure as err:
-        sys.stderr.write(json.dumps(
-            {"error": err.category, "message": str(err)}) + "\n")
-        return 1
     except NPConvexError as err:
         sys.stderr.write(json.dumps(
             {"error": err.category, "message": str(err)}) + "\n")
-        return 1
+        return 2 if isinstance(err, ValidationFailure) else 1
 
 
 if __name__ == "__main__":

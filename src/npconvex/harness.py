@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _solver_core as core
 from ._grids import argmin_feasible, grid_count, iter_grid_chunks
 from ._seeding import rng_for, worker_count
 from .bounds import binomial_tail_exact
@@ -25,9 +24,11 @@ from .ccp import (CCPInstance, ccp_bound, chance_feasibility_estimate,
                   evaluate_constraint_bases, linear_objective, solve_ccp)
 from .errors import DomainError, Infeasible, NPConvexError, UnknownScenario
 from .hypothesis import BaseDictionary, ConstantClassifier, DecisionStump
-from .np_solver import (NPConfig, alpha_kappa, eps_bar_upper, kappa,
-                        n0_and_bound, pooled_bound, solve_np, split_pooled)
-from .risk import Sample, WeightedAtoms, empirical_atoms, phi_risks_from_matrix
+from .np_solver import (NPConfig, _min_type1, _solve_np, alpha_kappa,
+                        eps_bar_upper, kappa, n0_and_bound, pooled_bound,
+                        solve_np, split_pooled)
+from .risk import (Sample, WeightedAtoms, _mc_estimate, empirical_atoms,
+                   phi_risks_from_matrix)
 
 
 def _three_se(p: float, trials: int) -> float:
@@ -180,20 +181,15 @@ class _TrueRiskOracle:
             self.minus = empirical_atoms(self._H_minus)
             self.plus = empirical_atoms(self._H_plus)
 
-    def _mc(self, H, lam, sign):
-        vals = self.s.eval(sign * (H @ lam))
-        m = vals.size
-        return float(np.mean(vals)), 1.96 * float(np.std(vals, ddof=1)) / math.sqrt(m)
-
     def type1(self, lam):
         if self.exact:
             return self.minus.phi_risk(lam, self.s, +1.0), 0.0
-        return self._mc(self._H_minus, lam, +1.0)
+        return _mc_estimate(self.s.eval(self._H_minus @ lam))
 
     def type2(self, lam):
         if self.exact:
             return self.plus.phi_risk(lam, self.s, -1.0), 0.0
-        return self._mc(self._H_plus, lam, -1.0)
+        return _mc_estimate(self.s.eval(-(self._H_plus @ lam)))
 
     def _grid_risks(self, side: str, grid: np.ndarray) -> np.ndarray:
         sign = 1.0 if side == "minus" else -1.0
@@ -337,9 +333,7 @@ def run_type1_coverage(scenario, dictionary: BaseDictionary, cfg: NPConfig,
 
     pilot = scenario.draw_negatives(rng_for(seed, "harness.coverage.probe"),
                                     n_minus)
-    H_pilot = dictionary.evaluate_matrix(np.atleast_2d(pilot))
-    form = core.risk_form(H_pilot, s, +1.0)
-    _, pilot_min, _ = core.minimize_simplex(dictionary.m, form, cfg.max_iters)
+    _, pilot_min = _min_type1(pilot, dictionary, cfg)
     if pilot_min > level:
         raise Infeasible(
             f"pilot minimum {pilot_min} exceeds the strengthened level {level}")
@@ -356,17 +350,7 @@ def run_type1_coverage(scenario, dictionary: BaseDictionary, cfg: NPConfig,
         sample = Sample(negatives=scenario.draw_negatives(rng, n_minus),
                         positives=scenario.draw_positives(rng, n_plus))
         try:
-            if kappa_scale == 1.0:
-                sol = solve_np(sample, dictionary, cfg)
-                lam = sol.weights.lam
-            else:
-                H_m = dictionary.evaluate_matrix(sample.negatives)
-                H_p = dictionary.evaluate_matrix(sample.positives)
-                res = core.solve_simplex_program(
-                    dictionary.m, core.risk_form(H_p, s, -1.0),
-                    core.risk_form(H_m, s, +1.0), level,
-                    feas_tol=cfg.feas_tol, max_iters=cfg.max_iters)
-                lam = res.lam
+            lam = _solve_np(sample, dictionary, cfg, kappa_scale).weights.lam
         except NPConvexError as err:
             return None, type(err).__name__
         if atoms_minus is not None:
@@ -374,9 +358,8 @@ def run_type1_coverage(scenario, dictionary: BaseDictionary, cfg: NPConfig,
         else:
             rng_mc = rng_for(seed, "harness.coverage.mc", t)
             Z = scenario.draw_negatives(rng_mc, mc_draws)
-            vals = s.eval(dictionary.evaluate_matrix(np.atleast_2d(Z)) @ lam)
-            est = float(np.mean(vals))
-            hw = 1.96 * float(np.std(vals, ddof=1)) / math.sqrt(mc_draws)
+            est, hw = _mc_estimate(
+                s.eval(dictionary.evaluate_matrix(np.atleast_2d(Z)) @ lam))
         return (est, hw), None
 
     results = _run_trials(one_trial, trials)
@@ -449,10 +432,7 @@ def run_rate_experiment(scenario, dictionary: BaseDictionary, cfg: NPConfig,
                 return {"n": n, "trial": t, "error": type(err).__name__}
             lam = sol.weights.lam
             if eps_bar is None:
-                H_m = dictionary.evaluate_matrix(sample.negatives)
-                form = core.risk_form(H_m, s, +1.0)
-                _, min_r, _ = core.minimize_simplex(dictionary.m, form,
-                                                    cfg.max_iters)
+                _, min_r = _min_type1(sample.negatives, dictionary, cfg)
                 eps_val = eps_bar_upper(min_r, kap, n, cfg.alpha)
             else:
                 eps_val = eps_bar
@@ -558,10 +538,7 @@ def run_sampling_scheme(scenario, dictionary: BaseDictionary, cfg: NPConfig,
         r1, hw1 = oracle.type1(lam)
         r2, hw2 = oracle.type2(lam)
         if eps_bar is None:
-            H_m = dictionary.evaluate_matrix(sample.negatives)
-            form = core.risk_form(H_m, s, +1.0)
-            _, min_r, _ = core.minimize_simplex(dictionary.m, form,
-                                                cfg.max_iters)
+            _, min_r = _min_type1(sample.negatives, dictionary, cfg)
             eps_val = eps_bar_upper(min_r, kap, sample.n_minus, cfg.alpha)
         else:
             eps_val = eps_bar
@@ -741,6 +718,4 @@ def oracle_type2_mc(scenario, alpha: float, draws: int, seed: int):
             reject = x > oracle["x_star"]
         else:
             reject = x < oracle["x_star"]
-    vals = 1.0 - reject.astype(float)
-    est = float(np.mean(vals))
-    return est, 1.96 * float(np.std(vals, ddof=1)) / math.sqrt(draws)
+    return _mc_estimate(1.0 - reject.astype(float))

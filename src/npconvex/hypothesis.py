@@ -124,45 +124,44 @@ class BaseDictionary:
         self._check_dim(X)
         return X
 
-    def column_means(self, X: np.ndarray) -> np.ndarray:
-        """The M column means of evaluate_matrix(X), one base at a time.
+    def _columns(self, X: np.ndarray, reduce: Callable[[np.ndarray], object]) -> list:
+        """[reduce(h_j(X)) for each base j], one base column at a time.
 
-        Scratch memory is O(n): no (n, M) matrix is formed.  The range
-        check and its error match evaluate_matrix, which reports the
-        first NaN, or else the first entry of largest magnitude, in
-        row-major order.
+        The one range check on base values: it names the first NaN, or
+        else the first entry of largest magnitude, in row-major order.
         """
         # column-major, so a base reading one feature scans contiguous memory
         X = np.asfortranarray(self._as_features(X))
-        if X.shape[0] == 0:
-            raise EmptyData("column means need at least one row")
-        means = np.empty(self.m)
-        peaks = np.empty(self.m)  # max |h_j(x_i)| over i; NaN propagates
-        rows = np.empty(self.m, dtype=np.intp)
-        values = np.empty(self.m)
+        out = []
+        rows = np.zeros(self.m, dtype=np.intp)  # first argmax of |h_j(x_i)|
+        values = np.zeros(self.m)  # h_j there; NaN wins argmax
         for j, b in enumerate(self.bases):
             col = np.asarray(b.evaluate_batch(X), dtype=float)
-            mag = np.abs(col)
-            rows[j] = np.argmax(mag)
-            peaks[j], values[j] = mag[rows[j]], col[rows[j]]
-            means[j] = col.mean()
+            if col.size:
+                rows[j] = np.argmax(np.abs(col))
+                values[j] = col[rows[j]]
+            out.append(reduce(col))
+        peaks = np.abs(values)
         peak = float(np.max(peaks))
         if not peak <= 1.0 + RANGE_TOL:  # NaN fails too
             ties = np.flatnonzero((peaks == peak) | np.isnan(peaks))
             j = int(ties[np.argmin(rows[ties])])
             raise BaseRangeError(f"base {j} returned {values[j]!r}, outside [-1, 1]")
-        return means
+        return out
+
+    def column_means(self, X: np.ndarray) -> np.ndarray:
+        """The M column means of evaluate_matrix(X), with its range check.
+
+        Scratch memory is O(n): no (n, M) matrix is formed.
+        """
+        X = self._as_features(X)
+        if X.shape[0] == 0:
+            raise EmptyData("column means need at least one row")
+        return np.array(self._columns(X, np.mean))
 
     def evaluate_matrix(self, X: np.ndarray) -> np.ndarray:
         """(n, M) matrix H with H[i, j] = h_j(x_i); validates the range."""
-        X = self._as_features(X)
-        cols = [b.evaluate_batch(X) for b in self.bases]
-        H = np.column_stack(cols) if cols else np.empty((X.shape[0], 0))
-        if H.size and not float(np.max(np.abs(H))) <= 1.0 + RANGE_TOL:  # NaN fails too
-            # argmax names the first NaN if there is one
-            i, j = np.unravel_index(int(np.argmax(np.abs(H))), H.shape)
-            raise BaseRangeError(f"base {j} returned {H[i, j]!r}, outside [-1, 1]")
-        return H
+        return np.column_stack(self._columns(X, lambda col: col))
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "bases": [b.to_json() for b in self.bases]}

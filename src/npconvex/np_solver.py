@@ -9,10 +9,11 @@ _grids) certifies the solver, a feasibility probe witnesses the
 small-phi-type-I assumption, and the sample-size/bound report carries
 n0 and the two-term excess bound.
 
-Solver routes: when phi is affine on [-1, 1] (hinge), both risks are
-affine in the weights and their only data are the M column means of
-each class's base-value matrix H; solve_np reads those means one base
-at a time (O(n + M) memory) and solves the LP exactly.  Smooth
+Solver routes, chosen in _class_form for solve_np, the feasibility
+probe and the harness's type-I minima: when phi is affine on [-1, 1]
+(hinge), both risks are affine in the weights and their only data are
+the M column means of each class's base-value matrix H, read one base
+at a time (O(n + M) memory); the LP is then solved exactly.  Smooth
 surrogates (logit, exponential) hold both (n, M) matrices, because
 every SLSQP iterate evaluates phi on all n margins.  The oracle never
 uses the solver's forms; it scores grid points in cache-sized blocks
@@ -32,7 +33,8 @@ from ._grids import affine_window, argmin_feasible, iter_grid_chunks
 from .errors import (DomainError, EmptySample, Infeasible, OneClassEmpty,
                      SampleTooSmall, UnknownLabel)
 from .hypothesis import BaseDictionary, SimplexWeights
-from .risk import Sample, phi_risk_from_matrix, phi_risks_from_matrix
+from .risk import (Sample, _require_nonempty, phi_risk_from_matrix,
+                   phi_risks_from_matrix)
 from .surrogate import Surrogate
 
 
@@ -116,24 +118,43 @@ def alpha_kappa(alpha: float, kappa_value: float, n_minus: int) -> float:
 
 
 def _per_class(sample: Sample, evaluate):
+    """evaluate(X, sign) on the negatives (+1) and positives (-1)."""
     if sample.n_minus < 1 or sample.n_plus < 1:
         raise EmptySample("both classes must be nonempty")
-    return evaluate(sample.negatives), evaluate(sample.positives)
+    return evaluate(sample.negatives, +1.0), evaluate(sample.positives, -1.0)
+
+
+def _class_form(X, dictionary: BaseDictionary, s: Surrogate, sign: float) -> core.Form:
+    """lam -> mean of phi(sign * h_lam(x)) over the rows of X, as a Form.
+
+    An affine phi needs only the column means of H (O(n + M) memory); a
+    smooth phi holds the (n, M) matrix H for its value and gradient.
+    """
+    if s.affine_coefficients is not None:
+        return core.affine_risk_form(dictionary.column_means(X), s, sign)
+    return core.risk_form(dictionary.evaluate_matrix(X), s, sign)
+
+
+def _min_type1(negatives, dictionary: BaseDictionary, cfg: NPConfig):
+    """(lam, value): the unconstrained minimum of the empirical phi-type-I risk."""
+    form = _class_form(negatives, dictionary, cfg.surrogate, +1.0)
+    lam, value, _ = core.minimize_simplex(dictionary.m, form, cfg.max_iters)
+    return lam, value
 
 
 def solve_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig) -> NPSolution:
     """Minimize empirical phi-type-II risk s.t. phi-type-I risk <= alpha_kappa."""
+    return _solve_np(sample, dictionary, cfg, 1.0)
+
+
+def _solve_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig,
+              kappa_scale: float) -> NPSolution:
+    """solve_np with the margin kappa scaled by kappa_scale; 0 ablates it."""
     s = cfg.surrogate
-    if s.affine_coefficients is not None:
-        means_minus, means_plus = _per_class(sample, dictionary.column_means)
-        objective = core.affine_risk_form(means_plus, s, -1.0)
-        constraint = core.affine_risk_form(means_minus, s, +1.0)
-    else:
-        H_minus, H_plus = _per_class(sample, dictionary.evaluate_matrix)
-        objective = core.risk_form(H_plus, s, -1.0)
-        constraint = core.risk_form(H_minus, s, +1.0)
+    constraint, objective = _per_class(
+        sample, lambda X, sign: _class_form(X, dictionary, s, sign))
     kap = kappa(s.lipschitz, dictionary.m, cfg.delta)
-    level = alpha_kappa(cfg.alpha, kap, sample.n_minus)
+    level = alpha_kappa(cfg.alpha, kappa_scale * kap, sample.n_minus)
 
     res = core.solve_simplex_program(
         dictionary.m, objective, constraint, level,
@@ -173,7 +194,7 @@ def grid_oracle_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig,
         raise DomainError(f"grid oracle supports M <= 3, got {dictionary.m}")
     if not 0.0 < resolution <= 0.5:
         raise DomainError(f"resolution must lie in (0, 0.5], got {resolution}")
-    H_minus, H_plus = _per_class(sample, dictionary.evaluate_matrix)
+    H_minus, H_plus = _per_class(sample, lambda X, sign: dictionary.evaluate_matrix(X))
     s = cfg.surrogate
     kap = kappa(s.lipschitz, dictionary.m, cfg.delta)
     level = alpha_kappa(cfg.alpha, kap, sample.n_minus)
@@ -206,18 +227,10 @@ def feasibility_probe(negatives, dictionary: BaseDictionary, cfg: NPConfig,
     eps*alpha - kappa/sqrt(n^-), and report the unconstrained minimum."""
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
-    neg = np.asarray(negatives, dtype=float)
-    if neg.ndim == 1:
-        neg = neg.reshape(-1, 1)
-    if neg.shape[0] < 1:
-        raise EmptySample("negative sample is empty")
-    s = cfg.surrogate
-    H_minus = dictionary.evaluate_matrix(neg)
-    kap = kappa(s.lipschitz, dictionary.m, cfg.delta)
+    neg = _require_nonempty(negatives, "negative")
+    lam, min_val = _min_type1(neg, dictionary, cfg)
+    kap = kappa(cfg.surrogate.lipschitz, dictionary.m, cfg.delta)
     threshold = alpha_kappa(eps * cfg.alpha, kap, neg.shape[0])
-    form = core.risk_form(H_minus, s, +1.0)
-    lam, min_val, _ = core.minimize_simplex(dictionary.m, form, cfg.max_iters)
-    min_val = phi_risk_from_matrix(H_minus, lam, s, +1.0)
     return {
         "feasible": bool(min_val <= threshold),
         "min_r_minus_phi": float(min_val),

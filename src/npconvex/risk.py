@@ -15,6 +15,7 @@ scenarios with a generative law.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -153,9 +154,13 @@ def monte_carlo_risk(h: CombinedClassifier, s: Surrogate, scenario, which: str,
         X = scenario.draw_positives(rng, m)
         margins = h.evaluate_batch(_as_matrix(X))
         values = s.eval(-margins) if which.endswith("phi") else (margins <= 0.0).astype(float)
-    est = float(np.mean(values))
+    return _mc_estimate(values)
+
+
+def _mc_estimate(values: np.ndarray) -> Tuple[float, float]:
+    """Mean of i.i.d. Monte Carlo values and its 95% normal half-width."""
     sd = float(np.std(values, ddof=1))
-    return est, 1.96 * sd / np.sqrt(m)
+    return float(np.mean(values)), 1.96 * sd / math.sqrt(values.size)
 
 
 def phi_risk_from_matrix(H: np.ndarray, lam: np.ndarray, s: Surrogate, sign: float,

@@ -11,10 +11,12 @@ import pytest
 from npconvex import harness
 from npconvex.errors import DomainError, SampleTooSmall, UnknownScenario
 from npconvex.harness import (Scenario, np_lemma_oracle, oracle_type2_mc,
-                              run_counterexample, run_type1_coverage)
+                              run_counterexample, run_rate_experiment,
+                              run_sampling_scheme, run_type1_coverage)
 from npconvex.hypothesis import (BaseDictionary, ConstantClassifier,
                                  DecisionStump)
-from npconvex.np_solver import NPConfig, alpha_kappa, kappa
+from npconvex.np_solver import (NPConfig, alpha_kappa, feasibility_probe,
+                                kappa)
 from npconvex.surrogate import hinge
 
 
@@ -184,6 +186,55 @@ def test_gamma_oracle_is_independent_of_the_solver(monkeypatch):
     oracle = harness._TrueRiskOracle(Scenario.gaussian_1d(0.0, 2.0, 1.0), d,
                                      hinge(), mc_draws=5000, seed=3)
     assert math.isfinite(oracle.gamma(0.5, 1e-2))
+
+
+def _eps_bar_runs(scen, d, cfg):
+    rate = run_rate_experiment(scen, d, cfg, [4000, 9000], trials=2, seed=4,
+                               eps_bar=None, oracle_resolution=1e-2)
+    with pytest.warns(UserWarning):  # n is below the corollary's threshold
+        pooled = run_sampling_scheme(scen, d, cfg, 8000, trials=2, seed=4,
+                                     eps_bar=None, oracle_resolution=1e-2)
+    return rate, pooled
+
+
+def test_hinge_np_callers_read_column_means_only(monkeypatch):
+    # on an affine surrogate the probe, the coverage pilot and solves (at
+    # every kappa scale) and the eps-bar minima never build an H-based form
+    from npconvex import _solver_core as core
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("hinge NP callers must not build H-based forms")
+
+    monkeypatch.setattr(core, "risk_form", forbidden)
+    scen = Scenario.prop31(0.4)
+    d = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 0.4, 1)],
+                       dim=1)
+    cfg = NPConfig(alpha=0.4, delta=0.1, surrogate=hinge())
+    probe = feasibility_probe(scen.draw_negatives(np.random.default_rng(0), 4000),
+                              d, cfg, 0.9)
+    assert probe["feasible"]
+    for scale in (1.0, 0.0):
+        out = run_type1_coverage(scen, d, cfg, 4000, 4000, trials=3,
+                                 mc_draws=10 ** 4, seed=9, kappa_scale=scale)
+        assert out["completed"] == 3
+    for out in _eps_bar_runs(scen, d, cfg):
+        assert all(r["error"] is None for r in out["rows"])
+
+
+def test_estimated_eps_bar_is_the_margin_when_type1_can_vanish():
+    # the constant -1 base has hinge type-I risk exactly 0, so the
+    # estimate (min risk + kappa/sqrt(n^-))/alpha is the margin term alone
+    scen = Scenario.prop31(0.4)
+    d = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 0.4, 1)],
+                       dim=1)
+    cfg = NPConfig(alpha=0.4, delta=0.1, surrogate=hinge())
+    rate, pooled = _eps_bar_runs(scen, d, cfg)
+    kap = kappa(1.0, 2, 0.1)
+    assert [r["eps_bar"] for r in rate["rows"]] == [
+        (kap / math.sqrt(r["n"])) / 0.4 for r in rate["rows"]]
+    assert [r["eps_bar"] for r in pooled["rows"]] == [
+        (kap / math.sqrt(r["n_minus"])) / 0.4 for r in pooled["rows"]]
+    assert len(rate["rows"]) == 4 and len(pooled["rows"]) == 2
 
 
 def test_np_lemma_oracle_identical_classes():

@@ -195,5 +195,11 @@ def test_column_means_errors_match_evaluate_matrix():
             dictionary.evaluate_matrix(data)
         with pytest.raises(DimensionMismatch):
             dictionary.column_means(data)
-    with pytest.raises(EmptyData):
-        fixed.column_means(np.zeros((0, 2)))
+    # zero rows: an empty (0, M) matrix, but no column means
+    wide = BaseDictionary([ConstantClassifier(1.0), DecisionStump(1, 0.0, -1),
+                           FunctionClassifier(bad)], dim=2)
+    for dictionary in (fixed, wide):
+        H = dictionary.evaluate_matrix(np.zeros((0, 2)))
+        assert H.shape == (0, dictionary.m)
+        with pytest.raises(EmptyData):
+            dictionary.column_means(np.zeros((0, 2)))
