@@ -1,22 +1,44 @@
 """Shared engine for convex programs over the probability simplex.
 
 Both production programs have the same shape: minimize a convex
-objective over the flat simplex subject to at most one convex inequality
-constraint.  Two routes are used:
+objective f over the flat simplex subject to at most one convex
+inequality constraint g <= level.  Every solve carries a certificate.
+At any simplex point lam and any mu >= 0, convexity of f and g gives
+the Lagrangian Frank-Wolfe lower bound on the optimum
+
+    f(lam) + mu (g(lam) - level) + min_j (grad f + mu grad g)_j
+           - (grad f + mu grad g) . lam,
+
+and lagrangian_bound maximizes it over mu (mu = 0 without a
+constraint).  SolveResult reports the best bound found as lower_bound
+and gap = objective_value - lower_bound, clipped at 0.  Two routes:
 
 * When objective and constraint are both affine in the weights (hinge
   loss risks are), the feasible region is a polytope whose vertices are
   simplex vertices plus constraint-tight points on simplex edges, and
   the optimum is found exactly by enumerating them: O(M^2) work in
   numpy broadcasts over vertex pairs, no iteration, bit-for-bit
-  deterministic.
+  deterministic.  Its certificate closes the gap up to rounding.
 
 * Otherwise sequential quadratic programming (SLSQP) runs from a fixed
-  list of starting points (uniform center, the constraint minimizer,
-  the best feasible vertex), followed by a terminal feasibility polish:
-  a bisection along the segment toward the constraint minimizer, which
-  by convexity restores the constraint to within feas_tol without
-  leaving the simplex.
+  list of starting points and stops at the first start whose gap is at
+  most GAP_TOL.  The first start is the uniform center.  The constraint
+  probe (minimize_simplex on g) runs only when a start ends infeasible,
+  where it decides Infeasible, or when the first start does not
+  certify, because its minimizer is the second start; the best feasible
+  vertex is the third.  The probe stops early only at a start that
+  certifies and also settles the decision: its value is within
+  level + feas_tol, or its lower bound lies above that.  A start ending
+  above the level by more than feas_tol / 2 is polished: a bisection
+  along the segment toward the probe's minimizer, which by convexity
+  restores the constraint to within feas_tol without leaving the
+  simplex.  When no start certifies, the best feasible start by value
+  wins, with SLSQP's success flag as its status.
+
+GAP_TOL is a fixed absolute tolerance, not a setting: it sits far above
+the gaps SLSQP reaches (about 1e-9 to 1e-6) and far below the
+statistical margin kappa/sqrt(n) that the constraint level already
+gives up.
 
 Everything here is deterministic given identical inputs; no randomness
 is consumed.
@@ -31,8 +53,11 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DomainError, Infeasible
-from .risk import phi_risk_from_matrix
+from .risk import phi_risk_from_margins
 from .surrogate import Surrogate
+
+#: a start whose certified gap is at most this ends the multi-start loop
+GAP_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -51,14 +76,16 @@ class AffineForm:
 
 @dataclass(frozen=True)
 class SmoothForm:
+    """A convex value oracle with a (sub)gradient oracle."""
+
     fn: Callable[[np.ndarray], float]
-    grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    grad_fn: Callable[[np.ndarray], np.ndarray]
 
     def value(self, lam: np.ndarray) -> float:
         return float(self.fn(lam))
 
-    def grad(self, lam: np.ndarray):
-        return None if self.grad_fn is None else self.grad_fn(lam)
+    def grad(self, lam: np.ndarray) -> np.ndarray:
+        return np.asarray(self.grad_fn(lam), dtype=float)
 
 
 Form = Union[AffineForm, SmoothForm]
@@ -82,7 +109,9 @@ def risk_form(H: np.ndarray, s: Surrogate, sign: float,
     Affine surrogates collapse to an exact AffineForm (affine_risk_form).
     Smooth forms evaluate at the cleaned mixture _clean_simplex(lam):
     SLSQP iterates leave the simplex by float dust, and the cleaned
-    mixture keeps every margin inside phi's domain [-1, 1].
+    mixture keeps every margin inside phi's domain [-1, 1].  Value and
+    gradient at one cleaned mixture share one product H @ lam: the form
+    keeps the margins of the last mixture it saw (one n-vector).
     """
     H = np.asarray(H, dtype=float)
     n = H.shape[0]
@@ -93,19 +122,25 @@ def risk_form(H: np.ndarray, s: Surrogate, sign: float,
     if s.affine_coefficients is not None:
         return affine_risk_form(w @ H, s, sign)
 
+    last = [None]  # (cleaned lam bytes, margins), swapped whole
+
+    def margins(lam: np.ndarray) -> np.ndarray:
+        lam = _clean_simplex(lam)
+        key = lam.tobytes()
+        hit = last[0]
+        if hit is None or hit[0] != key:
+            hit = (key, sign * (H @ lam))
+            last[0] = hit
+        return hit[1]
+
     def fn(lam: np.ndarray) -> float:
-        return phi_risk_from_matrix(H, _clean_simplex(lam), s, sign,
-                                    weights=None if weights is None else w)
+        return phi_risk_from_margins(margins(lam), s,
+                                     weights=None if weights is None else w)
 
     def grad_fn(lam: np.ndarray) -> np.ndarray:
-        margins = sign * (H @ _clean_simplex(lam))
-        d = s.derivative(margins)
-        if d is None:
-            return None
-        return sign * (H.T @ (w * d))
+        return sign * (H.T @ (w * s.derivative(margins(lam))))
 
-    has_grad = s.derivative(0.0) is not None
-    return SmoothForm(fn=fn, grad_fn=grad_fn if has_grad else None)
+    return SmoothForm(fn=fn, grad_fn=grad_fn)
 
 
 @dataclass
@@ -115,6 +150,12 @@ class SolveResult:
     constraint_value: Optional[float]
     iterations: int
     status: str  # "optimal" | "max_iters_exceeded"
+    lower_bound: float  # certified lower bound on the optimum
+
+    @property
+    def gap(self) -> float:
+        """objective_value - lower_bound, clipped at 0 (rounding can cross)."""
+        return max(self.objective_value - self.lower_bound, 0.0)
 
 
 def _clean_simplex(lam: np.ndarray) -> np.ndarray:
@@ -127,60 +168,125 @@ def _clean_simplex(lam: np.ndarray) -> np.ndarray:
     return out
 
 
+#: the multiplier search stops doubling here; any mu gives a valid bound
+_MU_MAX = 2.0 ** 64
+
+
+def lagrangian_bound(lam: np.ndarray, objective: Form, constraint: Optional[Form] = None,
+                     level: float = 0.0) -> float:
+    """Lower bound on min objective over the simplex s.t. constraint <= level.
+
+    Linearizing f and g at lam turns the Lagrangian bound into
+    max over mu >= 0 of min_j (c_j + mu d_j), with one line per vertex:
+    c = f(lam) + grad f - grad f . lam and d = g(lam) - level + grad g
+    - grad g . lam.  That is concave and piecewise linear in mu, and
+    every mu >= 0 gives a valid bound, so the search only has to be
+    good.  It doubles mu until the active line slopes down, bisects on
+    the active line's slope, and finally tries the crossing of the
+    active lines at the two ends of the bracket, which is the maximizer
+    when they meet there.  O(M) memory per evaluation.
+    """
+    grad = objective.grad(lam)
+    c = grad + (objective.value(lam) - grad @ lam)
+    if constraint is None:
+        return float(np.min(c))
+    con_grad = constraint.grad(lam)
+    d = con_grad + (constraint.value(lam) - level - con_grad @ lam)
+
+    def active(mu):
+        vals = c + mu * d
+        i = int(np.argmin(vals))
+        return float(vals[i]), i
+
+    best, j = active(0.0)
+    if d[j] <= 0.0:
+        return best
+    lo, hi = 0.0, 1.0
+    while True:  # invariant: the line j active at lo slopes up
+        val, k = active(hi)
+        best = max(best, val)
+        if d[k] <= 0.0:
+            break
+        if hi >= _MU_MAX:
+            return best
+        lo, j, hi = hi, k, 2.0 * hi
+    while True:  # the line k active at hi slopes down or is flat
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        val, i = active(mid)
+        best = max(best, val)
+        if d[i] > 0.0:
+            lo, j = mid, i
+        else:
+            hi, k = mid, i
+    if d[j] != d[k]:
+        mu = min(max((c[k] - c[j]) / (d[j] - d[k]), lo), hi)
+        best = max(best, active(mu)[0])
+    return best
+
+
 def _slsqp(form: Form, m: int, start: np.ndarray, max_iters: int,
            constraint: Optional[Form] = None, level: float = 0.0):
     cons = [{"type": "eq", "fun": lambda l: float(np.sum(l) - 1.0),
              "jac": lambda l: np.ones(m)}]
     if constraint is not None:
-        def cfun(l):
-            return level - constraint.value(l)
-
-        entry = {"type": "ineq", "fun": cfun}
-        if isinstance(constraint, AffineForm) or constraint.grad(start) is not None:
-            entry["jac"] = lambda l: -np.asarray(constraint.grad(l), dtype=float)
-        cons.append(entry)
-    kwargs = {}
-    g0 = form.grad(start)
-    if g0 is not None:
-        kwargs["jac"] = lambda l: np.asarray(form.grad(l), dtype=float)
+        cons.append({"type": "ineq", "fun": lambda l: level - constraint.value(l),
+                     "jac": lambda l: -constraint.grad(l)})
     res = minimize(
         lambda l: form.value(l),
         x0=start,
+        jac=form.grad,
         method="SLSQP",
         bounds=[(0.0, 1.0)] * m,
         constraints=cons,
         options={"maxiter": max_iters, "ftol": 1e-12},
-        **kwargs,
     )
     return _clean_simplex(res.x), int(res.nit), bool(res.success)
 
 
-def minimize_simplex(m: int, form: Form, max_iters: int = 500):
+def minimize_simplex(m: int, form: Form, max_iters: int = 500,
+                     threshold: Optional[float] = None) -> SolveResult:
     """Global minimum of a convex Form over the simplex.
 
-    Returns (lam, value, iterations).  Affine forms are minimized
-    exactly at the first best vertex; smooth forms run SLSQP from the
-    center and the best vertices.
+    Affine forms are minimized exactly at the first best vertex.  Smooth
+    forms run SLSQP from the center, then from the best three vertices,
+    and stop at the first start whose gap is at most GAP_TOL; the
+    vertices are scored only when the center does not certify.  With a
+    `threshold`, a start stops the loop only when it also settles which
+    side of the threshold the minimum lies on: its value is at most the
+    threshold, or its lower bound is above it.  Otherwise every start
+    runs and the best value decides.
     """
     if m < 1:
         raise DomainError("simplex dimension must be >= 1")
     eye = np.eye(m)
     if isinstance(form, AffineForm):
-        j = int(np.argmin(form.coeffs))  # argmin takes the first on ties
-        lam = eye[j]
-        return lam, form.value(lam), 0
-    vertex_vals = np.array([form.value(eye[j]) for j in range(m)])
-    order = np.argsort(vertex_vals, kind="stable")
-    starts = [np.full(m, 1.0 / m)] + [eye[j] for j in order[: min(3, m)]]
+        lam = eye[int(np.argmin(form.coeffs))]  # argmin takes the first on ties
+        return SolveResult(lam, form.value(lam), None, 0, "optimal", lagrangian_bound(lam, form))
+
+    def starts():
+        yield np.full(m, 1.0 / m)
+        vertex_vals = np.array([form.value(eye[j]) for j in range(m)])
+        for j in np.argsort(vertex_vals, kind="stable")[: min(3, m)]:
+            yield eye[j]
+
+    def settled(val, lower):
+        return threshold is None or val <= threshold or lower > threshold
+
     best = None
+    lower = -np.inf
     iters = 0
-    for s0 in starts:
+    for s0 in starts():
         lam, nit, _ = _slsqp(form, m, s0, max_iters)
         iters += nit
+        lower = max(lower, lagrangian_bound(lam, form))
         val = form.value(lam)
         if best is None or val < best[1]:
             best = (lam, val)
-    return best[0], best[1], iters
+        if best[1] - lower <= GAP_TOL and settled(best[1], lower):
+            break
+    return SolveResult(best[0], best[1], None, iters, "optimal", lower)
 
 
 #: vertex pairs scored per block in _affine_solve (bounds its scratch memory)
@@ -192,6 +298,13 @@ def _first_min(vals: np.ndarray):
     vals = np.where(np.isnan(vals), np.inf, vals)
     i = int(np.argmin(vals))
     return i, float(vals[i])
+
+
+def _certified(lam: np.ndarray, value: float, objective: Form, constraint: Form,
+               level: float) -> SolveResult:
+    """The exact route's SolveResult at lam, with its Lagrangian certificate."""
+    return SolveResult(lam, value, constraint.value(lam), 0, "optimal",
+                       lagrangian_bound(lam, objective, constraint, level))
 
 
 def _affine_solve(objective: AffineForm, constraint: AffineForm, level: float,
@@ -206,7 +319,7 @@ def _affine_solve(objective: AffineForm, constraint: AffineForm, level: float,
         j = int(np.argmin(c))
         if min_c <= r + feas_tol:
             lam = eye[j]
-            return SolveResult(lam, objective.value(lam), constraint.value(lam), 0, "optimal")
+            return _certified(lam, objective.value(lam), objective, constraint, level)
         raise Infeasible(
             f"constraint minimum {constraint.const + min_c} exceeds level {level} + feas_tol")
 
@@ -233,15 +346,12 @@ def _affine_solve(objective: AffineForm, constraint: AffineForm, level: float,
                 best_lam = np.zeros(m)
                 best_lam[rows[jj, 0]] = theta[jj, kk]
                 best_lam[outside[kk]] = 1.0 - theta[jj, kk]
-    return SolveResult(best_lam, objective.const + best_val,
-                       constraint.value(best_lam), 0, "optimal")
+    return _certified(best_lam, objective.const + best_val, objective, constraint, level)
 
 
 def _polish_feasibility(lam: np.ndarray, lam_feas: np.ndarray, constraint: Form,
-                        level: float, feas_tol: float) -> np.ndarray:
+                        level: float) -> np.ndarray:
     """Smallest step along lam -> lam_feas restoring constraint <= level."""
-    if constraint.value(lam) <= level + feas_tol * 0.5:
-        return lam
     lo, hi = 0.0, 1.0  # invariant: value at hi is feasible
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -259,46 +369,62 @@ def solve_simplex_program(m: int, objective: Form, constraint: Optional[Form] = 
     """Minimize objective over the simplex, optionally s.t. constraint <= level.
 
     Raises Infeasible when the constraint minimum exceeds level + feas_tol.
-    A non-converged iterative solve returns its best feasible iterate with
-    status "max_iters_exceeded".
+    A start whose Lagrangian gap is at most GAP_TOL ends the solve with
+    status "optimal"; when none certifies, the best feasible start is
+    returned, with status "max_iters_exceeded" if SLSQP did not converge.
     """
     if m < 1:
         raise DomainError("simplex dimension must be >= 1")
     if constraint is None:
-        lam, val, iters = minimize_simplex(m, objective, max_iters)
-        return SolveResult(lam, val, None, iters, "optimal")
+        return minimize_simplex(m, objective, max_iters)
 
     if isinstance(objective, AffineForm) and isinstance(constraint, AffineForm):
         return _affine_solve(objective, constraint, level, m, feas_tol)
 
-    lam_feas, min_con, probe_iters = minimize_simplex(m, constraint, max_iters)
-    if min_con > level + feas_tol:
-        raise Infeasible(f"constraint minimum {min_con} exceeds level {level} + feas_tol")
-
     eye = np.eye(m)
-    starts = [np.full(m, 1.0 / m), lam_feas]
-    feas_vertices = [j for j in range(m) if constraint.value(eye[j]) <= level]
-    if feas_vertices:
-        vals = [objective.value(eye[j]) for j in feas_vertices]
-        starts.append(eye[feas_vertices[int(np.argmin(vals))]])
+    iters = 0
+    probe = None
 
-    iters = probe_iters
+    def probe_lam():
+        """The constraint minimizer; Infeasible when even it misses the level."""
+        nonlocal probe, iters
+        if probe is None:
+            probe = minimize_simplex(m, constraint, max_iters, threshold=level + feas_tol)
+            iters += probe.iterations
+            if probe.objective_value > level + feas_tol:
+                raise Infeasible(f"constraint minimum {probe.objective_value} "
+                                 f"exceeds level {level} + feas_tol")
+        return probe.lam
+
+    def starts():
+        yield np.full(m, 1.0 / m)
+        yield probe_lam()
+        feas = [j for j in range(m) if constraint.value(eye[j]) <= level]
+        if feas:
+            yield eye[feas[int(np.argmin([objective.value(eye[j]) for j in feas]))]]
+
+    lower = -np.inf
     best = None  # (value, lam, converged)
-    for s0 in starts:
+    for s0 in starts():
         lam, nit, ok = _slsqp(objective, m, s0, max_iters, constraint=constraint, level=level)
         iters += nit
-        lam = _polish_feasibility(lam, lam_feas, constraint, level, feas_tol)
         cval = constraint.value(lam)
-        if cval > level + feas_tol:
-            continue
+        if cval > level + feas_tol * 0.5:
+            lam = _polish_feasibility(lam, probe_lam(), constraint, level)
+            if constraint.value(lam) > level + feas_tol:
+                continue
+        lower = max(lower, lagrangian_bound(lam, objective, constraint, level))
         val = objective.value(lam)
         if best is None or val < best[0]:
             best = (val, lam, ok)
+        if best[0] - lower <= GAP_TOL:
+            return SolveResult(best[1], best[0], constraint.value(best[1]), iters,
+                               "optimal", lower)
     if best is None:
         # every start failed to reach feasibility; fall back to the minimizer
-        lam = lam_feas
-        return SolveResult(lam, objective.value(lam), constraint.value(lam),
-                           iters, "max_iters_exceeded")
+        lam = probe.lam
+        lower = lagrangian_bound(lam, objective, constraint, level)
+        best = (objective.value(lam), lam, False)
     val, lam, ok = best
     status = "optimal" if ok else "max_iters_exceeded"
-    return SolveResult(lam, val, constraint.value(lam), iters, status)
+    return SolveResult(lam, val, constraint.value(lam), iters, status, lower)

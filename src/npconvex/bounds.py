@@ -288,6 +288,9 @@ def gamma_curve(source, dictionary: BaseDictionary, s: Surrogate,
         raise DomainError(f"gamma oracle supports M <= 3, got {dictionary.m}")
     minus, plus = _atoms_pair(source, dictionary)
     k = max(1, round(1.0 / resolution))
+    # one grid evaluation serves every level in x_grid; the first-hit scan
+    # of _grids.argmin_feasible takes one level, so it would repeat the
+    # risk evaluations once per level
     grid = grid_points(dictionary.m, k)
     r_minus = minus.phi_risk_grid(grid, s, +1.0)
     r_plus = plus.phi_risk_grid(grid, s, -1.0)

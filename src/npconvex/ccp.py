@@ -47,10 +47,10 @@ class CCPInstance:
     """One empirical chance-constrained problem.
 
     Provide either `g_matrix` (pre-evaluated g_j(xi_i) columns) or both
-    `constraint_bases` and `sample`.  The objective is a value oracle;
-    pass `objective_grad` when a gradient is available and
-    `linear_coeffs` when f(lambda) = linear_coeffs @ lambda, which
-    unlocks the exact affine solve for affine surrogates.
+    `constraint_bases` and `sample`.  The objective is a value oracle with a
+    (sub)gradient oracle `objective_grad`, which the solver's certificate
+    needs; pass `linear_coeffs` instead when f(lambda) = linear_coeffs @
+    lambda, which unlocks the exact affine solve for affine surrogates.
     """
 
     alpha: float
@@ -80,6 +80,8 @@ class CCPInstance:
                 raise DomainError("g_matrix contains non-finite entries")
             if float(np.max(np.abs(self.g_matrix))) > 1.0 + RANGE_TOL:
                 raise DomainError("g_matrix entries must lie in [-1, 1]")
+        if self.linear_coeffs is None and self.objective_grad is None:
+            raise DomainError("need objective_grad or linear_coeffs for the objective")
         if self.linear_coeffs is not None:
             self.linear_coeffs = np.asarray(self.linear_coeffs, dtype=float)
             if self.linear_coeffs.shape != (self.m,):
@@ -104,6 +106,8 @@ class CCPSolution:
     n: int
     iterations: int
     status: str
+    #: certified optimality gap of the solver's objective; None for the grid oracle
+    gap: Optional[float] = None
 
     def to_json(self) -> dict:
         return {
@@ -115,6 +119,7 @@ class CCPSolution:
             "n": self.n,
             "iterations": self.iterations,
             "status": self.status,
+            "gap": self.gap,
         }
 
 
@@ -152,6 +157,7 @@ def solve_ccp(inst: CCPInstance, feas_tol: float = 1e-8,
         n=inst.n,
         iterations=res.iterations,
         status=res.status,
+        gap=res.gap,
     )
 
 

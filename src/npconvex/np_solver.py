@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -66,6 +67,8 @@ class NPSolution:
     n_plus: int
     iterations: int
     status: str
+    #: certified optimality gap of r_plus_phi; None for the grid oracle
+    gap: Optional[float] = None
 
     def to_json(self) -> dict:
         return {
@@ -78,6 +81,7 @@ class NPSolution:
             "n_plus": self.n_plus,
             "iterations": self.iterations,
             "status": self.status,
+            "gap": self.gap,
         }
 
 
@@ -138,8 +142,8 @@ def _class_form(X, dictionary: BaseDictionary, s: Surrogate, sign: float) -> cor
 def _min_type1(negatives, dictionary: BaseDictionary, cfg: NPConfig):
     """(lam, value): the unconstrained minimum of the empirical phi-type-I risk."""
     form = _class_form(negatives, dictionary, cfg.surrogate, +1.0)
-    lam, value, _ = core.minimize_simplex(dictionary.m, form, cfg.max_iters)
-    return lam, value
+    res = core.minimize_simplex(dictionary.m, form, cfg.max_iters)
+    return res.lam, res.objective_value
 
 
 def solve_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig) -> NPSolution:
@@ -169,6 +173,7 @@ def _solve_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig,
         n_plus=sample.n_plus,
         iterations=res.iterations,
         status=res.status,
+        gap=res.gap,
     )
 
 

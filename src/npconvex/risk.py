@@ -167,10 +167,17 @@ def phi_risk_from_matrix(H: np.ndarray, lam: np.ndarray, s: Surrogate, sign: flo
                          weights: np.ndarray | None = None) -> float:
     """Weighted mean of phi(sign * H @ lam); uniform weights when None.
 
-    Shared by the solver, the grid oracles, and closed-form population
-    computations (where rows are atoms and weights their probabilities).
+    Shared by the grid oracles, the reports, and closed-form population
+    computations (where rows are atoms and weights their probabilities);
+    the solver's smooth forms call phi_risk_from_margins on their
+    memoised margins.
     """
-    margins = sign * (H @ lam)
+    return phi_risk_from_margins(sign * (H @ lam), s, weights)
+
+
+def phi_risk_from_margins(margins: np.ndarray, s: Surrogate,
+                          weights: np.ndarray | None = None) -> float:
+    """Weighted mean of phi(margins); uniform weights when None."""
     vals = s.eval(margins)
     if weights is None:
         return float(np.mean(vals))

@@ -48,7 +48,7 @@ class Surrogate:
     lipschitz: float
     value_at_one: float
     _fn: Callable[[np.ndarray], np.ndarray]
-    _deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    _deriv: Callable[[np.ndarray], np.ndarray]
     #: (a, b) with phi(z) = a + b*z on all of [-1, 1], or None
     affine_coefficients: Optional[Tuple[float, float]] = None
     _table: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
@@ -63,9 +63,8 @@ class Surrogate:
         return out
 
     def derivative(self, z):
-        """phi'(z) where available (built-ins); None for tabulated losses."""
-        if self._deriv is None:
-            return None
+        """phi'(z); for a tabulated loss, the slope of the table segment
+        containing z (the right-hand one at a knot), a subgradient."""
         arr = np.asarray(z, dtype=float)
         _check_domain(arr)
         out = self._deriv(arr)
@@ -158,13 +157,18 @@ def custom(grid, values, lipschitz: float) -> Surrogate:
 
     zs = zs.copy()
     vs = vs.copy()
-    zs.setflags(write=False)
-    vs.setflags(write=False)
+    for arr in (zs, vs, slopes):
+        arr.setflags(write=False)
+
+    def segment_slope(z):
+        return slopes[np.clip(np.searchsorted(zs, z, side="right") - 1, 0, slopes.size - 1)]
+
     return Surrogate(
         kind="custom",
         lipschitz=float(lipschitz),
         value_at_one=float(np.interp(1.0, zs, vs)),
         _fn=lambda z: np.interp(z, zs, vs),
+        _deriv=segment_slope,
         _table=(zs, vs),
     )
 

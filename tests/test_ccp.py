@@ -114,6 +114,24 @@ def test_smooth_surrogate_against_oracle():
     assert sol.empirical_constraint_value <= sol.margin_level + 1e-8
 
 
+def test_smooth_objective_with_gradient_is_certified():
+    # f(lam) = |lam - t|^2 pulls toward the second base, which the
+    # constraint caps; the smooth route certifies its answer
+    rng = np.random.default_rng(4)
+    n = 10 ** 4
+    G = np.column_stack([-np.ones(n), rng.uniform(-1, 1, n), rng.uniform(0, 1, n)])
+    t = np.array([0.0, 0.3, 0.7])
+    inst = CCPInstance(alpha=0.3, delta=0.1, surrogate=hinge(), g_matrix=G,
+                       objective=lambda lam: float(np.sum((lam - t) ** 2)),
+                       objective_grad=lambda lam: 2.0 * (lam - t))
+    sol = solve_ccp(inst)
+    ref = grid_oracle_ccp(inst, resolution=1e-2)
+    assert sol.status == "optimal"
+    assert 0.0 <= sol.gap <= 1e-5
+    assert sol.objective_value <= ref.objective_value + 1e-9
+    assert sol.empirical_constraint_value <= sol.margin_level + 1e-8
+
+
 def test_instance_validation():
     with pytest.raises(DomainError):
         CCPInstance(alpha=0.5, delta=0.1, surrogate=hinge(),
@@ -129,6 +147,9 @@ def test_instance_validation():
         CCPInstance(alpha=0.25, delta=0.1, surrogate=hinge(),
                     g_matrix=np.zeros((3, 2)),
                     **linear_objective([1.0, 0.0, 0.0]))
+    with pytest.raises(DomainError):  # the certificate needs a gradient
+        CCPInstance(alpha=0.25, delta=0.1, surrogate=hinge(),
+                    g_matrix=np.zeros((3, 2)), objective=lambda lam: float(lam[0]))
 
 
 def test_evaluate_constraint_bases():

@@ -80,6 +80,7 @@ def test_solve_report(labeled_csv, tmp_path):
     assert report["command"] == "solve"
     sol = report["solution"]
     assert sol["status"] == "optimal"
+    assert 0.0 <= sol["gap"] <= 1e-12
     assert abs(sum(sol["weights"]) - 1.0) < 1e-9
     assert sol["r_minus_phi"] <= sol["alpha_kappa"] + 1e-8
     assert "timestamp" not in report
@@ -135,6 +136,7 @@ def test_ccp_report(draws_csv, tmp_path):
     report = json.loads(out.read_text())
     sol = report["solution"]
     assert sol["status"] == "optimal"
+    assert 0.0 <= sol["gap"] <= 1e-12
     assert sol["empirical_constraint_value"] <= sol["margin_level"] + 1e-8
 
 

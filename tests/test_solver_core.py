@@ -58,6 +58,7 @@ def _assert_same_as_loop(rng, m, tied):
     assert res.lam.tobytes() == lam.tobytes()
     assert res.objective_value == val
     assert res.constraint_value == constraint.value(lam)
+    assert 0.0 <= res.gap <= 1e-12
 
 
 @pytest.mark.parametrize("tied", [False, True])

@@ -89,8 +89,22 @@ def test_custom_accepts_valid_table():
     s = custom(zs, vs, lipschitz=1.0)
     assert s.kind == "custom"
     assert abs(s.eval(0.25) - 1.25) < 1e-9
-    assert s.derivative(0.0) is None
+    k = int(np.searchsorted(zs, 0.0, side="right")) - 1
+    assert s.derivative(0.0) == (vs[k + 1] - vs[k]) / (zs[k + 1] - zs[k])
     _check_invariants(s)
+
+
+def test_custom_derivative_is_a_subgradient():
+    # slopes 0.6, 1.0, 1.6, 1.6: the right-hand slope at each knot
+    zs = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    vs = np.array([0.2, 0.5, 1.0, 1.8, 2.6])
+    s = custom(zs, vs, lipschitz=1.6)
+    assert list(s.derivative(zs)) == pytest.approx([0.6, 1.0, 1.6, 1.6, 1.6])
+    assert s.derivative(-0.75) == pytest.approx(0.6)
+    # phi(y) >= phi(z) + phi'(z) (y - z): the certificate's linearization
+    y, z = GRID[None, :], GRID[:, None]
+    gap = s.eval(y) - s.eval(z) - s.derivative(z) * (y - z)
+    assert gap.min() >= -1e-12
 
 
 def test_custom_rejects_bad_tables():
