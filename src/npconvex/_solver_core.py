@@ -10,15 +10,17 @@ the Lagrangian Frank-Wolfe lower bound on the optimum
            - (grad f + mu grad g) . lam,
 
 and lagrangian_bound maximizes it over mu (mu = 0 without a
-constraint).  SolveResult reports the best bound found as lower_bound
+constraint).  By LP duality that maximum is the minimum of the program
+linearized at lam, one linear constraint over the simplex, which _lp_min
+solves exactly.  SolveResult reports the best bound found as lower_bound
 and gap = objective_value - lower_bound, clipped at 0.  Two routes:
 
 * When objective and constraint are both affine in the weights (hinge
-  loss risks are), the feasible region is a polytope whose vertices are
-  simplex vertices plus constraint-tight points on simplex edges, and
-  the optimum is found exactly by enumerating them: O(M^2) work in
-  numpy broadcasts over vertex pairs, no iteration, bit-for-bit
-  deterministic.  Its certificate closes the gap up to rounding.
+  loss risks are), the program is that LP itself: _lp_min enumerates the
+  vertices of the feasible polytope, simplex vertices plus
+  constraint-tight points on simplex edges, in O(M^2) numpy broadcasts
+  over vertex pairs; no iteration, bit-for-bit deterministic.  The
+  optimum is exact and certifies itself: lower_bound is its value.
 
 * Otherwise sequential quadratic programming (SLSQP) runs from a fixed
   list of starting points and stops at the first start whose gap is at
@@ -168,10 +170,6 @@ def _clean_simplex(lam: np.ndarray) -> np.ndarray:
     return out
 
 
-#: the multiplier search stops doubling here; any mu gives a valid bound
-_MU_MAX = 2.0 ** 64
-
-
 def lagrangian_bound(lam: np.ndarray, objective: Form, constraint: Optional[Form] = None,
                      level: float = 0.0) -> float:
     """Lower bound on min objective over the simplex s.t. constraint <= level.
@@ -179,12 +177,9 @@ def lagrangian_bound(lam: np.ndarray, objective: Form, constraint: Optional[Form
     Linearizing f and g at lam turns the Lagrangian bound into
     max over mu >= 0 of min_j (c_j + mu d_j), with one line per vertex:
     c = f(lam) + grad f - grad f . lam and d = g(lam) - level + grad g
-    - grad g . lam.  That is concave and piecewise linear in mu, and
-    every mu >= 0 gives a valid bound, so the search only has to be
-    good.  It doubles mu until the active line slopes down, bisects on
-    the active line's slope, and finally tries the crossing of the
-    active lines at the two ends of the bracket, which is the maximizer
-    when they meet there.  O(M) memory per evaluation.
+    - grad g . lam.  By LP duality that maximum is the minimum of c . x
+    over the simplex s.t. d . x <= 0, which _lp_min solves exactly; it is
+    +inf when every d_j > 0, where the linearized program is infeasible.
     """
     grad = objective.grad(lam)
     c = grad + (objective.value(lam) - grad @ lam)
@@ -192,38 +187,11 @@ def lagrangian_bound(lam: np.ndarray, objective: Form, constraint: Optional[Form
         return float(np.min(c))
     con_grad = constraint.grad(lam)
     d = con_grad + (constraint.value(lam) - level - con_grad @ lam)
-
-    def active(mu):
-        vals = c + mu * d
-        i = int(np.argmin(vals))
-        return float(vals[i]), i
-
-    best, j = active(0.0)
-    if d[j] <= 0.0:
-        return best
-    lo, hi = 0.0, 1.0
-    while True:  # invariant: the line j active at lo slopes up
-        val, k = active(hi)
-        best = max(best, val)
-        if d[k] <= 0.0:
-            break
-        if hi >= _MU_MAX:
-            return best
-        lo, j, hi = hi, k, 2.0 * hi
-    while True:  # the line k active at hi slopes down or is flat
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        val, i = active(mid)
-        best = max(best, val)
-        if d[i] > 0.0:
-            lo, j = mid, i
-        else:
-            hi, k = mid, i
-    if d[j] != d[k]:
-        mu = min(max((c[k] - c[j]) / (d[j] - d[k]), lo), hi)
-        best = max(best, active(mu)[0])
-    return best
+    if np.isnan(c).any() or np.isnan(d).any():
+        return -np.inf  # a NaN linearization certifies nothing
+    if np.min(d) > 0.0:
+        return np.inf
+    return _lp_min(c, d, 0.0)[1]
 
 
 def _slsqp(form: Form, m: int, start: np.ndarray, max_iters: int,
@@ -289,7 +257,7 @@ def minimize_simplex(m: int, form: Form, max_iters: int = 500,
     return SolveResult(best[0], best[1], None, iters, "optimal", lower)
 
 
-#: vertex pairs scored per block in _affine_solve (bounds its scratch memory)
+#: vertex pairs scored per block in _lp_min (bounds its scratch memory)
 _PAIR_BLOCK = 1 << 20
 
 
@@ -300,37 +268,20 @@ def _first_min(vals: np.ndarray):
     return i, float(vals[i])
 
 
-def _certified(lam: np.ndarray, value: float, objective: Form, constraint: Form,
-               level: float) -> SolveResult:
-    """The exact route's SolveResult at lam, with its Lagrangian certificate."""
-    return SolveResult(lam, value, constraint.value(lam), 0, "optimal",
-                       lagrangian_bound(lam, objective, constraint, level))
+def _lp_min(b: np.ndarray, c: np.ndarray, r: float):
+    """(lam, b . lam) minimizing b . lam over the simplex s.t. c . lam <= r.
 
-
-def _affine_solve(objective: AffineForm, constraint: AffineForm, level: float,
-                  m: int, feas_tol: float) -> SolveResult:
-    c = constraint.coeffs
-    b = objective.coeffs
-    r = level - constraint.const
-    eye = np.eye(m)
-
-    min_c = float(np.min(c))
-    if min_c > r:
-        j = int(np.argmin(c))
-        if min_c <= r + feas_tol:
-            lam = eye[j]
-            return _certified(lam, objective.value(lam), objective, constraint, level)
-        raise Infeasible(
-            f"constraint minimum {constraint.const + min_c} exceeds level {level} + feas_tol")
-
-    # best feasible vertex, then every tight mixture theta*e_j + (1-theta)*e_k
-    # of a feasible j and an infeasible k; ties keep the first in (j, k)
-    # row-major order, and a mixture must beat the vertex strictly
-    best_lam, best_val = None, np.inf
+    Needs min(c) <= r.  The feasible region is a polytope whose vertices
+    are simplex vertices plus constraint-tight points on simplex edges:
+    the best feasible vertex, then every tight mixture theta*e_j +
+    (1-theta)*e_k of a feasible j and an infeasible k, scored in blocks of
+    _PAIR_BLOCK pairs.  Ties keep the first in (j, k) row-major order, and
+    a mixture must beat the vertex strictly.
+    """
+    m = b.size
     feasible = c <= r
-    j, val = _first_min(np.where(feasible, b, np.inf))
-    if val < best_val:
-        best_val, best_lam = val, eye[j]
+    j, best_val = _first_min(np.where(feasible, b, np.inf))
+    best_lam = np.eye(m)[j]
     inside, outside = np.flatnonzero(feasible), np.flatnonzero(c > r)
     if outside.size:
         c_out, b_out = c[outside], b[outside]
@@ -346,7 +297,25 @@ def _affine_solve(objective: AffineForm, constraint: AffineForm, level: float,
                 best_lam = np.zeros(m)
                 best_lam[rows[jj, 0]] = theta[jj, kk]
                 best_lam[outside[kk]] = 1.0 - theta[jj, kk]
-    return _certified(best_lam, objective.const + best_val, objective, constraint, level)
+    return best_lam, best_val
+
+
+def _affine_solve(objective: AffineForm, constraint: AffineForm, level: float,
+                  m: int, feas_tol: float) -> SolveResult:
+    """Exact optimum of the affine program; it is its own lower bound."""
+    c = constraint.coeffs
+    r = level - constraint.const
+    min_c = float(np.min(c))
+    if min_c > r:
+        if min_c > r + feas_tol:
+            raise Infeasible(f"constraint minimum {constraint.const + min_c} "
+                             f"exceeds level {level} + feas_tol")
+        lam = np.eye(m)[int(np.argmin(c))]
+        val = objective.value(lam)
+    else:
+        lam, val = _lp_min(objective.coeffs, c, r)
+        val = objective.const + val
+    return SolveResult(lam, val, constraint.value(lam), 0, "optimal", val)
 
 
 def _polish_feasibility(lam: np.ndarray, lam_feas: np.ndarray, constraint: Form,

@@ -22,12 +22,10 @@ import numpy as np
 from . import _solver_core as core
 from ._grids import affine_window, argmin_feasible, iter_grid_chunks
 from .errors import DomainError, EmptySample, Infeasible
-from .hypothesis import SimplexWeights
+from .hypothesis import RANGE_TOL, SimplexWeights
 from .np_solver import alpha_kappa, kappa
 from .risk import phi_risk_from_matrix, phi_risks_from_matrix
 from .surrogate import Surrogate
-
-RANGE_TOL = 1e-9
 
 
 def evaluate_constraint_bases(constraint_bases: Sequence[Callable], draws) -> np.ndarray:
@@ -86,6 +84,8 @@ class CCPInstance:
             self.linear_coeffs = np.asarray(self.linear_coeffs, dtype=float)
             if self.linear_coeffs.shape != (self.m,):
                 raise DomainError("linear_coeffs length must match the number of bases")
+            if not np.all(np.isfinite(self.linear_coeffs)):
+                raise DomainError("linear_coeffs contains non-finite entries")
 
     @property
     def n(self) -> int:

@@ -205,7 +205,12 @@ def _cmd_solve(args) -> int:
 def _cmd_ccp(args) -> int:
     X, _ = load_csv(args.data)
     dictionary = _stump_dictionary(X, args)
-    coeffs = [float(c) for c in args.objective.split(",")]
+    coeffs = []
+    for c in args.objective.split(","):
+        try:
+            coeffs.append(float(c))
+        except ValueError:
+            raise SchemaError(f"--objective entry {c!r} is not a number")
     if len(coeffs) != dictionary.m:
         raise DomainError(
             f"objective has {len(coeffs)} coefficients for {dictionary.m} bases")

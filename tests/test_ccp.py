@@ -150,6 +150,10 @@ def test_instance_validation():
     with pytest.raises(DomainError):  # the certificate needs a gradient
         CCPInstance(alpha=0.25, delta=0.1, surrogate=hinge(),
                     g_matrix=np.zeros((3, 2)), objective=lambda lam: float(lam[0]))
+    for bad in ([0.4, math.nan], [math.inf, 0.0], [math.nan, math.nan]):
+        with pytest.raises(DomainError):
+            CCPInstance(alpha=0.25, delta=0.1, surrogate=hinge(),
+                        g_matrix=np.zeros((3, 2)), **linear_objective(bad))
 
 
 def test_evaluate_constraint_bases():

@@ -86,6 +86,67 @@ def test_affine_route_certificate_closes_the_gap():
         assert res.lower_bound <= 1.0 + b[c <= level - 1.0].min() + 1e-12
 
 
+def _brute_force_dual(c, d):
+    """max over mu >= 0 of min_j (c_j + mu d_j), by trying every breakpoint.
+
+    The function is concave and piecewise linear in mu, so its maximum
+    sits at mu = 0 or where two lines cross; it is unbounded when every
+    line slopes up.
+    """
+    if np.all(d > 0.0):
+        return np.inf
+    mus = [0.0]
+    for j in range(c.size):
+        for k in range(c.size):
+            if d[j] != d[k]:
+                mu = (c[k] - c[j]) / (d[j] - d[k])
+                if mu >= 0.0:
+                    mus.append(mu)
+    return max(float(np.min(c + mu * d)) for mu in mus)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_lagrangian_bound_is_the_exact_dual(tied):
+    # an affine form linearizes to itself, so the bound of an AffineForm
+    # pair is the dual of its own lines, wherever it is taken; the
+    # reference takes those lines with the same rounding as the bound
+    rng = np.random.default_rng(17 + tied)
+    cases = 0
+    for trial in range(400):
+        m = 1 + trial % 12
+        if tied:  # few distinct values: equal lines and shared crossings
+            b, g = rng.integers(-3, 4, m) / 4.0, rng.integers(-3, 4, m) / 4.0
+        else:
+            b, g = rng.uniform(-1, 1, m), rng.uniform(-1, 1, m)
+        level = float(rng.choice([rng.uniform(-1.2, 1.2), g[rng.integers(m)],
+                                  g.min() - 0.25, g.max() + 0.25]))
+        lam = rng.dirichlet(np.ones(m))
+        f, h = core.AffineForm(0.5, b), core.AffineForm(0.25, g)
+        bound = core.lagrangian_bound(lam, f, h, level)
+        ref = _brute_force_dual(b + (f.value(lam) - b @ lam),
+                                g + (h.value(lam) - level - g @ lam))
+        if np.isinf(ref):
+            assert bound == np.inf
+        else:
+            assert abs(bound - ref) <= 1e-12
+            cases += 1
+    assert cases > 200
+
+
+def test_lagrangian_bound_at_the_extreme_slopes():
+    center = np.full(3, 1 / 3)
+    f = core.AffineForm(0.0, np.array([0.3, -0.2, 0.1]))
+    g = core.AffineForm(0.0, np.array([0.5, 0.7, 0.6]))
+    # every d_j > 0: the linearized program is infeasible, the dual unbounded
+    assert core.lagrangian_bound(center, f, g, 0.4) == np.inf
+    # every d_j < 0: the constraint never binds and the bound is min_j c_j
+    assert core.lagrangian_bound(center, f, g, 0.8) == -0.2
+    assert _brute_force_dual(f.coeffs, g.coeffs - 0.8) == -0.2
+    # a NaN gradient entry certifies nothing, even where the rest would
+    nan_f = core.AffineForm(0.0, np.array([0.3, np.nan, 0.1]))
+    assert core.lagrangian_bound(center, nan_f, g, 0.8) == -np.inf
+
+
 def _np_smooth_like():
     rng = np.random.default_rng(8)
     neg = rng.normal(0.0, 1.0, (5000, 2))

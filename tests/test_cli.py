@@ -7,7 +7,10 @@ import json
 import numpy as np
 import pytest
 
+from npconvex import harness
 from npconvex.cli import load_csv, main
+from npconvex.hypothesis import ConstantClassifier, DecisionStump
+from npconvex.surrogate import hinge
 
 
 @pytest.fixture()
@@ -147,6 +150,21 @@ def test_ccp_objective_length_mismatch(draws_csv, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "domain"
 
 
+@pytest.mark.parametrize("objective, category", [
+    ("0.4,abc,0.1,0.3,-0.4", "schema"),
+    ("0.4,nan,0.1,0.3,-0.4", "domain"),
+    ("nan,nan,nan,nan,nan", "domain"),
+    ("0.4,inf,0.1,0.3,-0.4", "domain"),
+])
+def test_ccp_objective_entries_must_be_finite_numbers(draws_csv, capsys, objective, category):
+    rc = main(["ccp", "--data", str(draws_csv), "--alpha", "0.45",
+               "--delta", "0.1", "--stumps", "2", "--objective", objective])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == category
+
+
 def test_verify_lemmas_report(tmp_path):
     out = tmp_path / "sweep.json"
     rc = main(["verify-lemmas", "--n-max", "30", "--q-points", "8",
@@ -218,6 +236,36 @@ def test_experiment_byte_identical(tmp_path):
         blobs.append(((out_dir / "summary.json").read_bytes(),
                       (out_dir / "trials.csv").read_bytes()))
     assert blobs[0] == blobs[1]
+
+
+def test_experiment_ccp_is_the_harness_run_on_stump_rows(tmp_path):
+    cfg = {"scenario": {"kind": "prop31", "alpha": 0.25},
+           "constraint": {"thresholds": [0.5], "polarities": "positive"},
+           "objective": [1.0, 0.0], "alpha": 0.25, "delta": 0.1,
+           "n": 3000, "trials": 4, "validation_draws": 3000}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    blobs = []
+    for tag in ("a", "b"):
+        out_dir = tmp_path / f"out_{tag}"
+        assert main(["experiment", "--kind", "ccp", "--config", str(path),
+                     "--seed", "4", "--no-timestamp", "--out", str(out_dir)]) == 0
+        blobs.append(((out_dir / "summary.json").read_bytes(),
+                      (out_dir / "trials.csv").read_bytes()))
+    assert blobs[0] == blobs[1]
+    # each dictionary base is evaluated on one scenario row at a time
+    def per_row(base):
+        return lambda row: float(base.evaluate_batch(
+            np.asarray(row, dtype=float).reshape(1, -1))[0])
+
+    bases = [per_row(ConstantClassifier(-1.0)), per_row(DecisionStump(0, 0.5, 1))]
+    direct = harness.run_ccp_feasibility(
+        harness.Scenario.prop31(0.25), bases, [1.0, 0.0], 0.25, 0.1, hinge(),
+        3000, 4, 3000, 4)
+    direct.pop("rows")
+    summary = json.loads(blobs[0][0])["summary"]
+    assert summary == json.loads(json.dumps(direct))
+    assert summary["trials"] == 4
 
 
 def test_load_csv_block_parse_matches_cell_parse(tmp_path):

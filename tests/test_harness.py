@@ -8,16 +8,18 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from npconvex import _solver_core as core
 from npconvex import harness
 from npconvex.errors import DomainError, SampleTooSmall, UnknownScenario
 from npconvex.harness import (Scenario, np_lemma_oracle, oracle_type2_mc,
-                              run_counterexample, run_rate_experiment,
-                              run_sampling_scheme, run_type1_coverage)
+                              run_ccp_feasibility, run_counterexample,
+                              run_rate_experiment, run_sampling_scheme,
+                              run_type1_coverage)
 from npconvex.hypothesis import (BaseDictionary, ConstantClassifier,
                                  DecisionStump)
 from npconvex.np_solver import (NPConfig, alpha_kappa, feasibility_probe,
                                 kappa)
-from npconvex.surrogate import hinge
+from npconvex.surrogate import hinge, logit
 
 
 def test_scenario_validation():
@@ -293,3 +295,31 @@ def test_most_powerful_test_floors_aggregation():
     type2_01 = float(atoms.weights @ (H @ lam <= 0.0))
     assert type2_01 >= floor - 1e-9
     assert type2_01 == pytest.approx(floor, abs=1e-9)
+
+
+def test_results_do_not_depend_on_np_threads(monkeypatch):
+    # every trial draws from its own (seed, component, trial) stream and
+    # solves alone, so the worker count must not change a single bit
+    d = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 0.5, 1),
+                        DecisionStump(0, 0.0, 1)], dim=1)
+    cfg = NPConfig(alpha=0.8, delta=0.1, surrogate=logit())
+    bases = [lambda row: -1.0, lambda row: 2.0 * float(np.ravel(row)[0]) - 1.0]
+    slsqp = core._slsqp
+    smooth_runs = []
+
+    def counted_slsqp(*args, **kwargs):
+        smooth_runs.append(1)
+        return slsqp(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_slsqp", counted_slsqp)
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("NP_THREADS", threads)
+        coverage = run_type1_coverage(Scenario.gaussian_1d(0.0, 1.0, 1.0), d, cfg,
+                                      2000, 2000, trials=4, mc_draws=10 ** 4, seed=5)
+        ccp = run_ccp_feasibility(Scenario.prop31(0.25), bases, [1.0, 0.0], 0.25,
+                                  0.1, hinge(), 3000, 4, 3000, 5)
+        outs.append(repr((coverage, ccp)))
+    assert smooth_runs  # logit coverage takes the smooth route
+    assert coverage["completed"] == 4 and len(ccp["rows"]) == 4
+    assert outs[0] == outs[1]
