@@ -6,8 +6,10 @@ scenario draws, the surrogate program constrains the empirical mean of
 phi(F(lambda, xi_i)) to alpha - kappa/sqrt(n), which makes the feasible
 set convex and, with the concentration margin, keeps every solution
 feasible for the original chance constraint with probability 1 - 2 delta.
-Shares the simplex solver engine with the classification program: same
-shape, one convex constraint over the simplex.
+Shares the simplex solver engine with the classification program (same
+shape, one convex constraint over the simplex) and its base evaluation:
+every g_j goes through BaseDictionary.evaluate_matrix, per-row callables
+as FunctionClassifier bases.
 """
 
 from __future__ import annotations
@@ -15,29 +17,40 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import _solver_core as core
 from ._grids import affine_window, argmin_feasible, iter_grid_chunks
 from .errors import DomainError, EmptySample, Infeasible
-from .hypothesis import RANGE_TOL, SimplexWeights
+from .hypothesis import (RANGE_TOL, BaseDictionary, FunctionClassifier,
+                         SimplexWeights)
 from .np_solver import alpha_kappa, kappa
 from .risk import phi_risk_from_matrix, phi_risks_from_matrix
 from .surrogate import Surrogate
 
 
-def evaluate_constraint_bases(constraint_bases: Sequence[Callable], draws) -> np.ndarray:
-    """(n, M) matrix of g_j(xi_i); validates the [-1, 1] range."""
-    xi = np.asarray(draws)
+def _as_dictionary(constraint_bases, ndim: int) -> BaseDictionary:
+    """A BaseDictionary as is; per-row callables as FunctionClassifier bases."""
+    if isinstance(constraint_bases, BaseDictionary):
+        return constraint_bases
+    if ndim == 1:  # the dictionary sees 1-D draws as (n, 1) rows
+        constraint_bases = [lambda row, g=g: g(row[0]) for g in constraint_bases]
+    return BaseDictionary([FunctionClassifier(g) for g in constraint_bases])
+
+
+def evaluate_constraint_bases(constraint_bases, draws) -> np.ndarray:
+    """(n, M) matrix of g_j(xi_i) from BaseDictionary.evaluate_matrix.
+
+    constraint_bases is a BaseDictionary or per-row callables, which get
+    one (d,) row per draw of (n, d) draws or one scalar per 1-D draw.
+    Draws become float; a value outside [-1, 1] or NaN raises
+    BaseRangeError naming the base."""
+    xi = np.asarray(draws, dtype=float)
     if xi.shape[0] == 0:
         raise EmptySample("no scenario draws")
-    cols = [np.asarray([float(g(x)) for x in xi]) for g in constraint_bases]
-    G = np.column_stack(cols)
-    if not float(np.max(np.abs(G))) <= 1.0 + RANGE_TOL:  # NaN fails too
-        raise DomainError("a constraint base produced a value outside [-1, 1]")
-    return G
+    return _as_dictionary(constraint_bases, xi.ndim).evaluate_matrix(xi)
 
 
 @dataclass
@@ -45,9 +58,9 @@ class CCPInstance:
     """One empirical chance-constrained problem.
 
     Provide either `g_matrix` (pre-evaluated g_j(xi_i) columns) or both
-    `constraint_bases` and `sample`.  The objective is a value oracle with a
-    (sub)gradient oracle `objective_grad`, which the solver's certificate
-    needs; pass `linear_coeffs` instead when f(lambda) = linear_coeffs @
+    `constraint_bases` (see evaluate_constraint_bases) and `sample`.  The
+    objective is a value oracle with a (sub)gradient oracle
+    `objective_grad`, which the solver's certificate needs; pass `linear_coeffs` instead when f(lambda) = linear_coeffs @
     lambda, which unlocks the exact affine solve for affine surrogates.
     """
 
@@ -58,7 +71,7 @@ class CCPInstance:
     objective_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     linear_coeffs: Optional[np.ndarray] = None
     g_matrix: Optional[np.ndarray] = None
-    constraint_bases: Optional[Sequence[Callable]] = None
+    constraint_bases: Optional[Union[BaseDictionary, Sequence[Callable]]] = None
     sample: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -208,8 +221,8 @@ def grid_oracle_ccp(inst: CCPInstance, resolution: float) -> CCPSolution:
     )
 
 
-def chance_feasibility_estimate(lam, constraint_bases: Sequence[Callable],
-                                fresh_draws, alpha: float) -> dict:
+def chance_feasibility_estimate(lam, constraint_bases, fresh_draws,
+                                alpha: float) -> dict:
     """Empirical violation rate of F(lambda, xi) > 0 on held-out draws.
 
     feasible_for_original follows the complement convention: the empirical

@@ -254,12 +254,9 @@ def _experiment_dispatch(kind: str, cfg: dict, seed: int) -> dict:
             tau=cfg.get("tau"), grid_size=cfg.get("grid_size", 1000))
     scenario = _scenario_from_config(cfg["scenario"])
     if kind == "ccp":
-        dictionary = _dictionary_from_config(cfg["constraint"])
-        bases = [lambda row, b=b: float(b.evaluate_batch(
-            np.asarray(row, dtype=float).reshape(1, -1))[0])
-            for b in dictionary.bases]
         return harness.run_ccp_feasibility(
-            scenario, bases, cfg["objective"], cfg["alpha"], cfg["delta"],
+            scenario, _dictionary_from_config(cfg["constraint"]),
+            cfg["objective"], cfg["alpha"], cfg["delta"],
             by_name(cfg.get("surrogate", "hinge")), cfg["n"], cfg["trials"],
             cfg.get("validation_draws", 10 ** 5), seed,
             f_star=cfg.get("f_star"), eps=cfg.get("eps"))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from statistics import NormalDist
 from typing import Optional, Sequence
@@ -20,8 +21,9 @@ import numpy as np
 from ._grids import argmin_feasible, grid_count, iter_grid_chunks
 from ._seeding import rng_for, worker_count
 from .bounds import binomial_tail_exact
-from .ccp import (CCPInstance, ccp_bound, chance_feasibility_estimate,
-                  evaluate_constraint_bases, linear_objective, solve_ccp)
+from .ccp import (CCPInstance, _as_dictionary, ccp_bound,
+                  chance_feasibility_estimate, evaluate_constraint_bases,
+                  linear_objective, solve_ccp)
 from .errors import DomainError, Infeasible, NPConvexError, UnknownScenario
 from .hypothesis import BaseDictionary, ConstantClassifier, DecisionStump
 from .np_solver import (NPConfig, _min_type1, _solve_np, alpha_kappa,
@@ -352,7 +354,7 @@ def run_type1_coverage(scenario, dictionary: BaseDictionary, cfg: NPConfig,
         try:
             lam = _solve_np(sample, dictionary, cfg, kappa_scale).weights.lam
         except NPConvexError as err:
-            return None, type(err).__name__
+            return {"trial": t, "error": type(err).__name__}
         if atoms_minus is not None:
             est, hw = atoms_minus.phi_risk(lam, s, +1.0), 0.0
         else:
@@ -360,31 +362,19 @@ def run_type1_coverage(scenario, dictionary: BaseDictionary, cfg: NPConfig,
             Z = scenario.draw_negatives(rng_mc, mc_draws)
             est, hw = _mc_estimate(
                 s.eval(dictionary.evaluate_matrix(np.atleast_2d(Z)) @ lam))
-        return (est, hw), None
+        return {"trial": t, "error": None, "true_type1": est,
+                "half_width": hw, "covered": bool(est <= cfg.alpha + hw)}
 
-    results = _run_trials(one_trial, trials)
-    errors = {}
-    covered = 0
-    ests, hws, rows = [], [], []
-    for t, (payload, err) in enumerate(results):
-        if err is not None:
-            errors[err] = errors.get(err, 0) + 1
-            rows.append({"trial": t, "error": err})
-            continue
-        est, hw = payload
-        ests.append(est)
-        hws.append(hw)
-        hit = bool(est <= cfg.alpha + hw)
-        if hit:
-            covered += 1
-        rows.append({"trial": t, "error": None, "true_type1": est,
-                     "half_width": hw, "covered": hit})
-    coverage = covered / trials
+    rows = _run_trials(one_trial, trials)
+    done = [r for r in rows if r["error"] is None]
+    ests = [r["true_type1"] for r in done]
+    hws = [r["half_width"] for r in done]
+    coverage = sum(r["covered"] for r in done) / trials
     return {
         "rows": rows,
         "trials": trials,
-        "completed": len(ests),
-        "solver_errors": errors,
+        "completed": len(done),
+        "solver_errors": dict(Counter(r["error"] for r in rows if r["error"])),
         "coverage": coverage,
         "target": 1.0 - cfg.delta,
         "meets_target": bool(coverage >= 1.0 - cfg.delta),
@@ -574,10 +564,6 @@ def run_sampling_scheme(scenario, dictionary: BaseDictionary, cfg: NPConfig,
             "exact_probability": exact,
             "matches": bool(abs(observed - exact) <= _three_se(exact, trials)),
         })
-    errors = {}
-    for r in rows:
-        if r["error"]:
-            errors[r["error"]] = errors.get(r["error"], 0) + 1
     return {
         "rows": rows,
         "n": n,
@@ -590,7 +576,7 @@ def run_sampling_scheme(scenario, dictionary: BaseDictionary, cfg: NPConfig,
         "n0": n0,
         "meets_n0_precondition": bool(n > n_required),
         "tails": tails,
-        "solver_errors": errors,
+        "solver_errors": dict(Counter(r["error"] for r in rows if r["error"])),
         "gamma_alpha": gamma_alpha,
     }
 
@@ -602,17 +588,19 @@ def run_ccp_feasibility(scenario, constraint_bases, objective_coeffs,
                         eps: Optional[float] = None) -> dict:
     """Chance-constraint feasibility of the surrogate-margin solution.
 
-    Per trial: draw n scenario realizations, solve the strengthened
-    surrogate program with the linear objective, then estimate the true
-    violation probability on fresh draws.  When f_star (the optimum over
-    the population surrogate-feasible set) and the instance's epsilon are
-    supplied, objective gaps are compared against the 1/sqrt(n) bound.
+    constraint_bases is a BaseDictionary, or per-row callables that each
+    get one row of the (n, d) scenario draws.  Per trial: draw n scenario
+    realizations, solve the strengthened surrogate program with the
+    linear objective, then estimate the true violation probability on
+    fresh draws.  When f_star (the optimum over the population
+    surrogate-feasible set) and the instance's epsilon are supplied,
+    objective gaps are compared against the 1/sqrt(n) bound.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
-    constraint_bases = list(constraint_bases)
+    bases = _as_dictionary(constraint_bases, 2)
     obj = linear_objective(objective_coeffs)
-    kap = kappa(surrogate.lipschitz, len(constraint_bases), delta)
+    kap = kappa(surrogate.lipschitz, bases.m, delta)
     bound = None
     if f_star is not None and eps is not None:
         bound = ccp_bound(kap, eps, alpha, n, surrogate.value_at_one)
@@ -620,7 +608,7 @@ def run_ccp_feasibility(scenario, constraint_bases, objective_coeffs,
     def one_trial(t: int):
         rng = rng_for(seed, "harness.ccp.draw", t)
         draws = scenario.draw_negatives(rng, n)
-        G = evaluate_constraint_bases(constraint_bases, draws)
+        G = evaluate_constraint_bases(bases, draws)
         inst = CCPInstance(alpha=alpha, delta=delta, surrogate=surrogate,
                            g_matrix=G, **obj)
         try:
@@ -630,8 +618,7 @@ def run_ccp_feasibility(scenario, constraint_bases, objective_coeffs,
                     "feasible": False}
         fresh = scenario.draw_negatives(
             rng_for(seed, "harness.ccp.validate", t), validation_draws)
-        est = chance_feasibility_estimate(sol.weights.lam, constraint_bases,
-                                          fresh, alpha)
+        est = chance_feasibility_estimate(sol.weights.lam, bases, fresh, alpha)
         row = {"trial": t, "error": None,
                "violation_rate": est["violation_rate"],
                "feasible": est["feasible_for_original"],

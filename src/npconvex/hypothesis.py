@@ -81,7 +81,8 @@ class FunctionClassifier:
         self.name = name
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray([float(self.fn(row)) for row in X], dtype=float)
+        fn = self.fn
+        return np.asarray([float(fn(row)) for row in X], dtype=float)
 
     def min_dim(self) -> int:
         return 0

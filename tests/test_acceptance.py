@@ -286,6 +286,16 @@ def test_criterion_08_pooled_sampling_scheme():
     assert elapsed < 600.0
 
 
+class _AffineXi:
+    """Vectorized constraint base g(xi) = 2 xi - 1 on the first feature."""
+
+    def evaluate_batch(self, X):
+        return 2.0 * X[:, 0] - 1.0
+
+    def min_dim(self):
+        return 1
+
+
 @pytest.mark.criterion(9)
 def test_criterion_09_ccp_chance_feasibility():
     t0 = time.monotonic()
@@ -296,7 +306,7 @@ def test_criterion_09_ccp_chance_feasibility():
     # is passed as 1e-12 to stay inside the bound's open domain, which
     # also puts n = 10^4 below the guarantee threshold: a warning
     scen = Scenario.prop31(0.25)
-    bases = [lambda row: -1.0, lambda row: 2.0 * float(np.ravel(row)[0]) - 1.0]
+    bases = BaseDictionary([ConstantClassifier(-1.0), _AffineXi()])
     with pytest.warns(UserWarning):
         out = run_ccp_feasibility(scen, bases, [1.0, 0.0], alpha=0.25,
                                   delta=0.1, surrogate=hinge(), n=10 ** 4,

@@ -12,7 +12,10 @@ from npconvex.ccp import (CCPInstance, ccp_bound, chance_feasibility_estimate,
                           chance_violation_from_matrix,
                           evaluate_constraint_bases, grid_oracle_ccp,
                           linear_objective, solve_ccp)
-from npconvex.errors import DomainError, EmptySample, Infeasible, SampleTooSmall
+from npconvex.errors import (BaseRangeError, DomainError, EmptySample,
+                             Infeasible, SampleTooSmall)
+from npconvex.hypothesis import (BaseDictionary, ConstantClassifier,
+                                 DecisionStump, FunctionClassifier)
 from npconvex.np_solver import kappa
 from npconvex.surrogate import hinge, logit
 
@@ -163,9 +166,9 @@ def test_evaluate_constraint_bases():
     assert list(G[:, 1]) == [-1.0, 0.0, 1.0]
     with pytest.raises(EmptySample):
         evaluate_constraint_bases(bases, np.empty(0))
-    with pytest.raises(DomainError):
+    with pytest.raises(BaseRangeError, match=r"^base 0 returned .*3\.0"):
         evaluate_constraint_bases([lambda x: 3.0], np.array([1.0]))
-    with pytest.raises(DomainError):
+    with pytest.raises(BaseRangeError, match=r"^base 1 returned .*nan"):
         evaluate_constraint_bases([lambda x: -1.0, lambda x: math.nan], np.array([1.0]))
 
 
@@ -173,8 +176,49 @@ def test_chance_feasibility_estimate_rejects_nan_bases():
     # NaN used to pass the range check: F = NaN is never > 0, so the
     # estimate read violation_rate 0.0 and feasible_for_original True
     bases = [lambda x: -1.0, lambda x: math.nan]
-    with pytest.raises(DomainError):
+    with pytest.raises(BaseRangeError, match=r"^base 1 returned .*nan"):
         chance_feasibility_estimate([0.5, 0.5], bases, np.linspace(0, 1, 50), alpha=0.1)
+
+
+def test_per_row_bases_get_one_draw_at_a_time():
+    # 1-D draws hand each callable one float scalar, so float(x) works on
+    # numpy 2; (n, d) draws hand it one row of shape (d,)
+    def on_scalar(x):
+        assert np.ndim(x) == 0 and isinstance(x, np.floating)
+        return 2.0 * float(x) - 1.0
+
+    def on_row(x):
+        assert np.shape(x) == (2,)
+        return float(x[1])
+
+    assert evaluate_constraint_bases([on_scalar], np.array([0, 1])).tolist() == [[-1.0], [1.0]]
+    rows = np.array([[0.0, -0.5], [1.0, 0.25]])
+    assert evaluate_constraint_bases([on_row], rows).tolist() == [[-0.5], [0.25]]
+
+
+def test_every_base_kind_goes_through_evaluate_matrix(monkeypatch):
+    # BaseDictionary holds the one base loop and the one range check:
+    # per-row callables become FunctionClassifier bases, a dictionary
+    # passes through as is
+    calls = []
+    evaluate_matrix = BaseDictionary.evaluate_matrix
+
+    def spy(self, X):
+        calls.append(self)
+        return evaluate_matrix(self, X)
+
+    monkeypatch.setattr(BaseDictionary, "evaluate_matrix", spy)
+    draws = np.linspace(0.0, 1.0, 7).reshape(-1, 1)
+    per_row = [lambda x: -1.0, lambda x: 2.0 * float(x[0]) - 1.0]
+    batch = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 0.5, -1)])
+    for bases in (per_row, batch):
+        evaluate_constraint_bases(bases, draws)
+        chance_feasibility_estimate([0.5, 0.5], bases, draws, alpha=0.1)
+        CCPInstance(alpha=0.25, delta=0.1, surrogate=hinge(), constraint_bases=bases,
+                    sample=draws, **linear_objective([1.0, 0.0]))
+    assert len(calls) == 6
+    assert all(isinstance(b, FunctionClassifier) for d in calls[:3] for b in d.bases)
+    assert all(d is batch for d in calls[3:])
 
 
 def test_chance_feasibility_estimate_closed_form():

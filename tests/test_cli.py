@@ -253,7 +253,8 @@ def test_experiment_ccp_is_the_harness_run_on_stump_rows(tmp_path):
         blobs.append(((out_dir / "summary.json").read_bytes(),
                       (out_dir / "trials.csv").read_bytes()))
     assert blobs[0] == blobs[1]
-    # each dictionary base is evaluated on one scenario row at a time
+    # the CLI passes its dictionary through; the same bases evaluated
+    # one scenario row at a time give the same summary
     def per_row(base):
         return lambda row: float(base.evaluate_batch(
             np.asarray(row, dtype=float).reshape(1, -1))[0])
@@ -266,6 +267,27 @@ def test_experiment_ccp_is_the_harness_run_on_stump_rows(tmp_path):
     summary = json.loads(blobs[0][0])["summary"]
     assert summary == json.loads(json.dumps(direct))
     assert summary["trials"] == 4
+
+
+def test_experiment_dictionaries_check_the_scenario_dimension(tmp_path, capsys):
+    # a config dictionary is one-dimensional; ccp checks it against the
+    # scenario rows as the NP kinds do, instead of reading axis 0 of wider rows
+    data = tmp_path / "wide.csv"
+    data.write_text("x0,x1,y\n0.1,0.2,-1\n0.7,0.4,1\n0.3,0.9,-1\n", encoding="utf-8")
+    scenario = {"kind": "custom_csv", "data": str(data)}
+    configs = {
+        "ccp": {"scenario": scenario, "constraint": {"thresholds": [0.5]},
+                "objective": [1.0, 0.0, 0.0], "alpha": 0.25, "delta": 0.1,
+                "n": 5000, "trials": 1, "validation_draws": 50},
+        "coverage": {"scenario": scenario, "dictionary": {"thresholds": [0.5]},
+                     "alpha": 0.25, "delta": 0.1, "n_minus": 5000, "n_plus": 5000,
+                     "trials": 1, "mc_draws": 50},
+    }
+    for kind, cfg in configs.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["experiment", "--kind", kind, "--config", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "dimension_mismatch"
 
 
 def test_load_csv_block_parse_matches_cell_parse(tmp_path):

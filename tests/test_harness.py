@@ -157,6 +157,39 @@ def test_coverage_sample_too_small():
                            mc_draws=10 ** 4, seed=2)
 
 
+def test_coverage_counts_failed_trials_as_error_rows(monkeypatch):
+    # every runner returns one dict row per trial, so a failed coverage
+    # trial shows in the rows the trial loop hands back
+    d = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 0.3, 1)],
+                       dim=1)
+    cfg = NPConfig(alpha=0.3, delta=0.1, surrogate=hinge())
+    solve, run_trials = harness._solve_np, harness._run_trials
+    solves, loop_rows = [], []
+
+    def odd_trials_fail(*args):
+        solves.append(1)
+        if len(solves) % 2 == 0:  # one worker: call k is trial k - 1
+            raise SampleTooSmall("forced")
+        return solve(*args)
+
+    def spied_run_trials(fn, trials):
+        loop_rows.extend(run_trials(fn, trials))
+        return loop_rows
+
+    monkeypatch.setenv("NP_THREADS", "1")
+    monkeypatch.setattr(harness, "_solve_np", odd_trials_fail)
+    monkeypatch.setattr(harness, "_run_trials", spied_run_trials)
+    out = run_type1_coverage(Scenario.prop31(0.3), d, cfg, 8000, 8000, trials=5,
+                             mc_draws=10 ** 4, seed=2)
+    assert all(isinstance(r, dict) for r in loop_rows)
+    assert [r for r in loop_rows if r["error"]] == [
+        {"trial": 1, "error": "SampleTooSmall"}, {"trial": 3, "error": "SampleTooSmall"}]
+    assert out["rows"] == loop_rows
+    assert out["solver_errors"] == {"SampleTooSmall": 2}
+    assert out["completed"] == 3
+    assert out["coverage"] == sum(r.get("covered", False) for r in loop_rows) / 5
+
+
 def test_coverage_kappa_ablation_hurts():
     # dropping the kappa margin (scale 0) must lose the conservativeness
     # cushion: the un-margined solve sits at the constraint boundary, so
@@ -295,6 +328,28 @@ def test_most_powerful_test_floors_aggregation():
     type2_01 = float(atoms.weights @ (H @ lam <= 0.0))
     assert type2_01 >= floor - 1e-9
     assert type2_01 == pytest.approx(floor, abs=1e-9)
+
+
+def test_ccp_per_row_bases_match_the_dictionary(monkeypatch):
+    # per-row callables become FunctionClassifier bases of one dictionary,
+    # so they give the same bits as the equivalent vectorized dictionary,
+    # and both kinds go through BaseDictionary.evaluate_matrix
+    evaluate_matrix = BaseDictionary.evaluate_matrix
+    kinds = []
+
+    def spy(self, X):
+        kinds.append(type(self.bases[1]).__name__)
+        return evaluate_matrix(self, X)
+
+    monkeypatch.setattr(BaseDictionary, "evaluate_matrix", spy)
+    per_row = [lambda row: -1.0, lambda row: 1.0 if row[0] <= 0.3 else -1.0]
+    batch = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 0.3, 1)])
+    outs = [run_ccp_feasibility(Scenario.prop31(0.25), bases, [1.0, 0.0], 0.25,
+                                0.1, hinge(), 2000, 4, 5000, 3)
+            for bases in (per_row, batch)]
+    assert all(r["error"] is None for r in outs[0]["rows"])
+    assert repr(outs[0]) == repr(outs[1])
+    assert kinds == ["FunctionClassifier"] * 8 + ["DecisionStump"] * 8
 
 
 def test_results_do_not_depend_on_np_threads(monkeypatch):
