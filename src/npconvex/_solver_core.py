@@ -23,19 +23,22 @@ and gap = objective_value - lower_bound, clipped at 0.  Two routes:
   optimum is exact and certifies itself: lower_bound is its value.
 
 * Otherwise sequential quadratic programming (SLSQP) runs from a fixed
-  list of starting points and stops at the first start whose gap is at
-  most GAP_TOL.  The first start is the uniform center.  The constraint
-  probe (minimize_simplex on g) runs only when a start ends infeasible,
-  where it decides Infeasible, or when the first start does not
-  certify, because its minimizer is the second start; the best feasible
-  vertex is the third.  The probe stops early only at a start that
-  certifies and also settles the decision: its value is within
-  level + feas_tol, or its lower bound lies above that.  A start ending
-  above the level by more than feas_tol / 2 is polished: a bisection
-  along the segment toward the probe's minimizer, which by convexity
-  restores the constraint to within feas_tol without leaving the
-  simplex.  When no start certifies, the best feasible start by value
-  wins, with SLSQP's success flag as its status.
+  list of starting points in one loop, _certified_starts, which stops at
+  the first start whose best value lies within GAP_TOL of the best lower
+  bound.  The first start is the uniform center.  The constraint probe
+  (minimize_simplex on g) runs only when a start ends infeasible, where
+  it decides Infeasible, or when the first start does not certify,
+  because its minimizer is the second start; the best feasible vertex is
+  the third.  The probe stops early only at a start that certifies and
+  also settles the decision: its value is within level + feas_tol, or
+  its lower bound lies above that.  A start ending above the level by
+  more than feas_tol / 2 is polished: a bisection along the segment
+  toward the probe's minimizer, which by convexity restores the
+  constraint to within feas_tol without leaving the simplex.  When no
+  start certifies, the best start by value wins.
+
+SolveResult.status reads the gap alone, never SLSQP's success flag:
+"optimal" when it is at most GAP_TOL, "uncertified" otherwise.
 
 GAP_TOL is a fixed absolute tolerance, not a setting: it sits far above
 the gaps SLSQP reaches (about 1e-9 to 1e-6) and far below the
@@ -151,13 +154,17 @@ class SolveResult:
     objective_value: float
     constraint_value: Optional[float]
     iterations: int
-    status: str  # "optimal" | "max_iters_exceeded"
     lower_bound: float  # certified lower bound on the optimum
 
     @property
     def gap(self) -> float:
         """objective_value - lower_bound, clipped at 0 (rounding can cross)."""
         return max(self.objective_value - self.lower_bound, 0.0)
+
+    @property
+    def status(self) -> str:
+        """"optimal" when the certificate closes the gap, else "uncertified"."""
+        return "optimal" if self.gap <= GAP_TOL else "uncertified"
 
 
 def _clean_simplex(lam: np.ndarray) -> np.ndarray:
@@ -210,7 +217,38 @@ def _slsqp(form: Form, m: int, start: np.ndarray, max_iters: int,
         constraints=cons,
         options={"maxiter": max_iters, "ftol": 1e-12},
     )
-    return _clean_simplex(res.x), int(res.nit), bool(res.success)
+    return _clean_simplex(res.x), int(res.nit)
+
+
+def _certified_starts(objective: Form, m: int, starts, max_iters: int,
+                      constraint: Optional[Form] = None, level: float = 0.0,
+                      repair: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                      threshold: Optional[float] = None) -> SolveResult:
+    """SLSQP from each (lazily built) start until the certificate closes the gap.
+
+    Each end point is `repair`ed, when given, before it is scored.  The
+    loop stops once the best value lies within GAP_TOL of the best lower
+    bound and, with a `threshold`, that value is at most the threshold or
+    the bound lies above it; otherwise every start runs and the best
+    value wins.
+    """
+    best = None  # (lam, value)
+    lower = -np.inf
+    iters = 0
+    for s0 in starts:
+        lam, nit = _slsqp(objective, m, s0, max_iters, constraint, level)
+        iters += nit
+        if repair is not None:
+            lam = repair(lam)
+        lower = max(lower, lagrangian_bound(lam, objective, constraint, level))
+        val = objective.value(lam)
+        if best is None or val < best[1]:
+            best = (lam, val)
+        if best[1] - lower <= GAP_TOL and (
+                threshold is None or best[1] <= threshold or lower > threshold):
+            break
+    cval = None if constraint is None else constraint.value(best[0])
+    return SolveResult(*best, cval, iters, lower)
 
 
 def minimize_simplex(m: int, form: Form, max_iters: int = 500,
@@ -219,19 +257,15 @@ def minimize_simplex(m: int, form: Form, max_iters: int = 500,
 
     Affine forms are minimized exactly at the first best vertex.  Smooth
     forms run SLSQP from the center, then from the best three vertices,
-    and stop at the first start whose gap is at most GAP_TOL; the
-    vertices are scored only when the center does not certify.  With a
-    `threshold`, a start stops the loop only when it also settles which
-    side of the threshold the minimum lies on: its value is at most the
-    threshold, or its lower bound is above it.  Otherwise every start
-    runs and the best value decides.
+    through _certified_starts; the vertices are scored only when the
+    center does not certify (or, with a `threshold`, does not settle it).
     """
     if m < 1:
         raise DomainError("simplex dimension must be >= 1")
     eye = np.eye(m)
     if isinstance(form, AffineForm):
         lam = eye[int(np.argmin(form.coeffs))]  # argmin takes the first on ties
-        return SolveResult(lam, form.value(lam), None, 0, "optimal", lagrangian_bound(lam, form))
+        return SolveResult(lam, form.value(lam), None, 0, lagrangian_bound(lam, form))
 
     def starts():
         yield np.full(m, 1.0 / m)
@@ -239,22 +273,7 @@ def minimize_simplex(m: int, form: Form, max_iters: int = 500,
         for j in np.argsort(vertex_vals, kind="stable")[: min(3, m)]:
             yield eye[j]
 
-    def settled(val, lower):
-        return threshold is None or val <= threshold or lower > threshold
-
-    best = None
-    lower = -np.inf
-    iters = 0
-    for s0 in starts():
-        lam, nit, _ = _slsqp(form, m, s0, max_iters)
-        iters += nit
-        lower = max(lower, lagrangian_bound(lam, form))
-        val = form.value(lam)
-        if best is None or val < best[1]:
-            best = (lam, val)
-        if best[1] - lower <= GAP_TOL and settled(best[1], lower):
-            break
-    return SolveResult(best[0], best[1], None, iters, "optimal", lower)
+    return _certified_starts(form, m, starts(), max_iters, threshold=threshold)
 
 
 #: vertex pairs scored per block in _lp_min (bounds its scratch memory)
@@ -315,13 +334,13 @@ def _affine_solve(objective: AffineForm, constraint: AffineForm, level: float,
     else:
         lam, val = _lp_min(objective.coeffs, c, r)
         val = objective.const + val
-    return SolveResult(lam, val, constraint.value(lam), 0, "optimal", val)
+    return SolveResult(lam, val, constraint.value(lam), 0, val)
 
 
 def _polish_feasibility(lam: np.ndarray, lam_feas: np.ndarray, constraint: Form,
                         level: float) -> np.ndarray:
     """Smallest step along lam -> lam_feas restoring constraint <= level."""
-    lo, hi = 0.0, 1.0  # invariant: value at hi is feasible
+    lo, hi = 0.0, 1.0  # invariant: hi = 1 or the value at hi is <= level
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         cand = (1.0 - mid) * lam + mid * lam_feas
@@ -332,34 +351,27 @@ def _polish_feasibility(lam: np.ndarray, lam_feas: np.ndarray, constraint: Form,
     return (1.0 - hi) * lam + hi * lam_feas
 
 
-def solve_simplex_program(m: int, objective: Form, constraint: Optional[Form] = None,
-                          level: float = 0.0, *, feas_tol: float = 1e-8,
-                          max_iters: int = 500) -> SolveResult:
-    """Minimize objective over the simplex, optionally s.t. constraint <= level.
+def solve_simplex_program(m: int, objective: Form, constraint: Form, level: float,
+                          *, feas_tol: float = 1e-8, max_iters: int = 500) -> SolveResult:
+    """Minimize objective over the simplex s.t. constraint <= level.
 
     Raises Infeasible when the constraint minimum exceeds level + feas_tol.
-    A start whose Lagrangian gap is at most GAP_TOL ends the solve with
-    status "optimal"; when none certifies, the best feasible start is
-    returned, with status "max_iters_exceeded" if SLSQP did not converge.
+    The status is "optimal" when the returned point's Lagrangian gap is at
+    most GAP_TOL and "uncertified" when no start closed it.
     """
     if m < 1:
         raise DomainError("simplex dimension must be >= 1")
-    if constraint is None:
-        return minimize_simplex(m, objective, max_iters)
-
     if isinstance(objective, AffineForm) and isinstance(constraint, AffineForm):
         return _affine_solve(objective, constraint, level, m, feas_tol)
 
     eye = np.eye(m)
-    iters = 0
     probe = None
 
     def probe_lam():
         """The constraint minimizer; Infeasible when even it misses the level."""
-        nonlocal probe, iters
+        nonlocal probe
         if probe is None:
             probe = minimize_simplex(m, constraint, max_iters, threshold=level + feas_tol)
-            iters += probe.iterations
             if probe.objective_value > level + feas_tol:
                 raise Infeasible(f"constraint minimum {probe.objective_value} "
                                  f"exceeds level {level} + feas_tol")
@@ -372,28 +384,14 @@ def solve_simplex_program(m: int, objective: Form, constraint: Optional[Form] = 
         if feas:
             yield eye[feas[int(np.argmin([objective.value(eye[j]) for j in feas]))]]
 
-    lower = -np.inf
-    best = None  # (value, lam, converged)
-    for s0 in starts():
-        lam, nit, ok = _slsqp(objective, m, s0, max_iters, constraint=constraint, level=level)
-        iters += nit
-        cval = constraint.value(lam)
-        if cval > level + feas_tol * 0.5:
+    def polish(lam):
+        # the polish ends at a point it scored <= level, or at the probe's
+        # minimizer bit for bit, which probe_lam checked against level + feas_tol
+        if constraint.value(lam) > level + feas_tol * 0.5:
             lam = _polish_feasibility(lam, probe_lam(), constraint, level)
-            if constraint.value(lam) > level + feas_tol:
-                continue
-        lower = max(lower, lagrangian_bound(lam, objective, constraint, level))
-        val = objective.value(lam)
-        if best is None or val < best[0]:
-            best = (val, lam, ok)
-        if best[0] - lower <= GAP_TOL:
-            return SolveResult(best[1], best[0], constraint.value(best[1]), iters,
-                               "optimal", lower)
-    if best is None:
-        # every start failed to reach feasibility; fall back to the minimizer
-        lam = probe.lam
-        lower = lagrangian_bound(lam, objective, constraint, level)
-        best = (objective.value(lam), lam, False)
-    val, lam, ok = best
-    status = "optimal" if ok else "max_iters_exceeded"
-    return SolveResult(lam, val, constraint.value(lam), iters, status, lower)
+        return lam
+
+    res = _certified_starts(objective, m, starts(), max_iters, constraint, level, polish)
+    if probe is not None:
+        res.iterations += probe.iterations
+    return res

@@ -172,38 +172,32 @@ class _TrueRiskOracle:
         if self.exact:
             self.minus = scenario.population_atoms(dictionary, "minus")
             self.plus = scenario.population_atoms(dictionary, "plus")
-            self._H_minus = None
-            self._H_plus = None
         else:
             rng = rng_for(seed, "harness.reference")
             Xm = scenario.draw_negatives(rng, mc_draws)
             Xp = scenario.draw_positives(rng, mc_draws)
-            self._H_minus = dictionary.evaluate_matrix(np.atleast_2d(Xm))
-            self._H_plus = dictionary.evaluate_matrix(np.atleast_2d(Xp))
-            self.minus = empirical_atoms(self._H_minus)
-            self.plus = empirical_atoms(self._H_plus)
+            self.minus = empirical_atoms(dictionary.evaluate_matrix(np.atleast_2d(Xm)))
+            self.plus = empirical_atoms(dictionary.evaluate_matrix(np.atleast_2d(Xp)))
+
+    def _risk(self, atoms: WeightedAtoms, lam, sign: float):
+        """(estimate, half-width) of the phi-risk of lam under atoms."""
+        if self.exact:
+            return atoms.phi_risk(lam, self.s, sign), 0.0
+        return _mc_estimate(self.s.eval(sign * (atoms.H @ lam)))
 
     def type1(self, lam):
-        if self.exact:
-            return self.minus.phi_risk(lam, self.s, +1.0), 0.0
-        return _mc_estimate(self.s.eval(self._H_minus @ lam))
+        return self._risk(self.minus, lam, +1.0)
 
     def type2(self, lam):
-        if self.exact:
-            return self.plus.phi_risk(lam, self.s, -1.0), 0.0
-        return _mc_estimate(self.s.eval(-(self._H_plus @ lam)))
+        return self._risk(self.plus, lam, -1.0)
 
-    def _grid_risks(self, side: str, grid: np.ndarray) -> np.ndarray:
-        sign = 1.0 if side == "minus" else -1.0
+    def _grid_risks(self, atoms: WeightedAtoms, sign: float, grid: np.ndarray) -> np.ndarray:
         if self.exact:
-            atoms = self.minus if side == "minus" else self.plus
             return atoms.phi_risk_grid(grid, self.s, sign)
-        H = self._H_minus if side == "minus" else self._H_plus
         if self.s.affine_coefficients is not None:
             a, b = self.s.affine_coefficients
-            w = np.full(H.shape[0], 1.0 / H.shape[0])
-            return a + grid @ ((b * sign) * (w @ H))
-        return phi_risks_from_matrix(H, grid, self.s, sign)
+            return a + grid @ ((b * sign) * (atoms.weights @ atoms.H))
+        return phi_risks_from_matrix(atoms.H, grid, self.s, sign)
 
     def gamma(self, level: float, resolution: float) -> float:
         m = self.minus.H.shape[1]
@@ -211,14 +205,14 @@ class _TrueRiskOracle:
             raise DomainError(f"gamma oracle supports M <= 4, got {m}")
         k = max(1, round(1.0 / resolution))
         if not self.exact and self.s.affine_coefficients is None:
-            cost = grid_count(m, k) * self._H_minus.shape[0]
+            cost = grid_count(m, k) * self.minus.H.shape[0]
             if cost > 2 * 10 ** 9:
                 raise DomainError(
                     "Monte Carlo gamma with a smooth surrogate needs a "
                     f"coarser resolution (grid x draws = {cost:.1e})")
         _, best = argmin_feasible(iter_grid_chunks(m, k),
-                                  lambda grid: self._grid_risks("minus", grid),
-                                  lambda grid: self._grid_risks("plus", grid),
+                                  lambda grid: self._grid_risks(self.minus, +1.0, grid),
+                                  lambda grid: self._grid_risks(self.plus, -1.0, grid),
                                   level)
         return best
 

@@ -72,8 +72,8 @@ class ConstantClassifier:
 class FunctionClassifier:
     """User-registered base: a callable on one feature vector.
 
-    The output range is validated on probe points at registration and
-    again on every batch it evaluates; nothing is clamped.
+    The dictionary validates the output range on every batch it
+    evaluates; nothing is clamped.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], float], name: str = "user"):
@@ -94,15 +94,11 @@ class FunctionClassifier:
 class BaseDictionary:
     """Immutable collection of M >= 1 base classifiers."""
 
-    def __init__(self, bases: Sequence, dim: Optional[int] = None,
-                 probe_points: Optional[np.ndarray] = None):
+    def __init__(self, bases: Sequence, dim: Optional[int] = None):
         if len(bases) < 1:
             raise DomainError("a dictionary needs at least one base classifier")
         self.bases: Tuple = tuple(bases)
         self.dim = dim
-        if probe_points is not None:
-            probe = np.atleast_2d(np.asarray(probe_points, dtype=float))
-            self.evaluate_matrix(probe)
 
     @property
     def m(self) -> int:
@@ -147,7 +143,7 @@ class BaseDictionary:
         if not peak <= 1.0 + RANGE_TOL:  # NaN fails too
             ties = np.flatnonzero((peaks == peak) | np.isnan(peaks))
             j = int(ties[np.argmin(rows[ties])])
-            raise BaseRangeError(f"base {j} returned {values[j]!r}, outside [-1, 1]")
+            raise BaseRangeError(f"base {j} returned {float(values[j])!r}, outside [-1, 1]")
         return out
 
     def column_means(self, X: np.ndarray) -> np.ndarray:

@@ -189,7 +189,7 @@ def test_infeasible_first_start_runs_the_probe_once(monkeypatch):
     level = s.eval(-1.0) + 2e-3
     con, obj = core.risk_form(H_minus, s, +1.0), core.risk_form(H_plus, s, -1.0)
     center = np.full(3, 1.0 / 3)
-    lam, _, _ = core._slsqp(obj, 3, center, 2, constraint=con, level=level)
+    lam, _ = core._slsqp(obj, 3, center, 2, constraint=con, level=level)
     assert con.value(lam) > level + FEAS_TOL
     runs = _spy(monkeypatch, "_slsqp")
     probes = _spy(monkeypatch, "minimize_simplex")
@@ -245,3 +245,42 @@ def test_shared_margins_leave_values_and_gradients_bitwise(kind):
         assert value == phi_risk_from_matrix(H_minus, lam, s, +1.0)
         d = s.derivative(H_minus @ lam)
         assert grad.tobytes() == (H_minus.T @ (np.full(400, 1 / 400) * d)).tobytes()
+
+
+def test_uncertified_solve_says_so():
+    # exp tabulated at 11 knots has kinks where the bound is loose: no
+    # start closes the gap, so the solve must not call itself optimal
+    H_minus, H_plus, s = _program(1, 3, 65, "custom")
+    con, obj = core.risk_form(H_minus, s, +1.0), core.risk_form(H_plus, s, -1.0)
+    level = float(np.median([con.value(e) for e in np.eye(3)]))
+    res = core.solve_simplex_program(3, obj, con, level, feas_tol=FEAS_TOL)
+    assert res.gap > core.GAP_TOL
+    assert res.status == "uncertified"
+    assert res.constraint_value <= level + FEAS_TOL
+    certified = core.SolveResult(res.lam, res.lower_bound + core.GAP_TOL / 2, None, 0,
+                                 res.lower_bound)
+    assert certified.status == "optimal"
+
+
+def test_level_missed_within_feas_tol_returns_the_probe_minimizer(monkeypatch):
+    # the constraint minimum phi(-1), at the constant base, lies 0.75
+    # feas_tol above the level: every start ends above it, the polish
+    # finds no point at or below it and ends at the probe's minimizer
+    H_minus, H_plus, s = _program(4, 3, 200, "logit")
+    con, obj = core.risk_form(H_minus, s, +1.0), core.risk_form(H_plus, s, -1.0)
+    level = s.eval(-1.0) - 0.75 * FEAS_TOL
+    center, _ = core._slsqp(obj, 3, np.full(3, 1 / 3), 500, constraint=con, level=level)
+    assert con.value(center) > level + 0.5 * FEAS_TOL
+    probes = []
+    minimize_simplex = core.minimize_simplex
+
+    def spy(*args, **kwargs):
+        probes.append(minimize_simplex(*args, **kwargs))
+        return probes[-1]
+
+    monkeypatch.setattr(core, "minimize_simplex", spy)
+    res = core.solve_simplex_program(3, obj, con, level, feas_tol=FEAS_TOL)
+    assert len(probes) == 1
+    assert level < probes[0].objective_value <= level + FEAS_TOL
+    assert res.lam.tobytes() == probes[0].lam.tobytes()
+    assert res.constraint_value <= level + FEAS_TOL
