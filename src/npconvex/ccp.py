@@ -60,8 +60,9 @@ class CCPInstance:
     Provide either `g_matrix` (pre-evaluated g_j(xi_i) columns) or both
     `constraint_bases` (see evaluate_constraint_bases) and `sample`.  The
     objective is a value oracle with a (sub)gradient oracle
-    `objective_grad`, which the solver's certificate needs; pass `linear_coeffs` instead when f(lambda) = linear_coeffs @
-    lambda, which unlocks the exact affine solve for affine surrogates.
+    `objective_grad`, which the solver's certificate needs; pass
+    `linear_coeffs` instead when f(lambda) = linear_coeffs @ lambda, which
+    unlocks the exact affine solve for affine surrogates.
     """
 
     alpha: float

@@ -119,11 +119,20 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _maybe_stamp(report: dict, args) -> dict:
+def _report(args, **body) -> dict:
+    """The report of command args.command: its body, led by the command
+    name and version, with a timestamp unless --no-timestamp."""
+    report = {"command": args.command, "version": __version__, **body}
     if not args.no_timestamp:
         report["timestamp"] = datetime.datetime.now(
             datetime.timezone.utc).isoformat()
     return report
+
+
+def _given(cfg: dict, *keys) -> dict:
+    """The optional keys that cfg sets; the rest keep the defaults of the
+    runner or constructor they are passed to."""
+    return {k: cfg[k] for k in keys if k in cfg}
 
 
 def _write_trials_csv(rows, path: Path) -> None:
@@ -139,17 +148,15 @@ def _scenario_from_config(cfg: dict):
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise SchemaError("scenario config must be an object with a 'kind'")
     kind = cfg["kind"]
-    p = cfg.get("p", 0.5)
+    p = _given(cfg, "p")
     if kind == "prop31":
-        return harness.Scenario.prop31(cfg["alpha"], p)
+        return harness.Scenario.prop31(cfg["alpha"], **p)
     if kind == "gaussian_1d":
         return harness.Scenario.gaussian_1d(cfg["mu_minus"], cfg["mu_plus"],
-                                            cfg["sigma"], p)
+                                            cfg["sigma"], **p)
     if kind == "custom_csv":
-        X, y = load_csv(cfg["data"])
-        _require_labels(X, y, cfg["data"])
-        sample = split_pooled((X, y))
-        return harness.Scenario.custom_csv(sample.negatives, sample.positives, p)
+        sample = split_pooled(_require_labels(*load_csv(cfg["data"]), cfg["data"]))
+        return harness.Scenario.custom_csv(sample.negatives, sample.positives, **p)
     raise SchemaError(f"unknown scenario kind {kind!r}")
 
 
@@ -171,35 +178,32 @@ def _dictionary_from_config(cfg: dict) -> BaseDictionary:
 
 def _stump_dictionary(X, args) -> BaseDictionary:
     """Stumps at args.stumps quantiles per axis of X, led by the constant
-    -1 unless args.no_constant drops every constant base."""
-    bases = list(build_stump_dictionary(X, args.stumps).bases)
-    if args.no_constant:
-        bases = [b for b in bases if not isinstance(b, ConstantClassifier)]
-    elif not any(isinstance(b, ConstantClassifier) for b in bases):
-        bases.insert(0, ConstantClassifier(-1.0))
-    return BaseDictionary(bases, dim=X.shape[1])
+    -1 unless args.no_constant."""
+    lead = [] if args.no_constant else [ConstantClassifier(-1.0)]
+    stumps = build_stump_dictionary(X, args.stumps).bases
+    return BaseDictionary([*lead, *stumps], dim=X.shape[1])
+
+
+def _program_report(args, dictionary: BaseDictionary, sol, **config) -> int:
+    """Write the report that solve and ccp share: the program flags plus
+    the command's own config, the dictionary and the solution."""
+    _emit(_report(args,
+                  config={"alpha": args.alpha, "delta": args.delta,
+                          "surrogate": args.surrogate, "stumps": args.stumps,
+                          "seed": args.seed, "data": args.data, **config},
+                  dictionary=dictionary.to_json(), solution=sol.to_json()),
+          args.out)
+    return 0
 
 
 def _cmd_solve(args) -> int:
-    X, y = load_csv(args.data)
-    _require_labels(X, y, args.data)
+    X, y = _require_labels(*load_csv(args.data), args.data)
     sample = split_pooled((X, y))
     dictionary = _stump_dictionary(X, args)
     cfg = NPConfig(alpha=args.alpha, delta=args.delta,
                    surrogate=by_name(args.surrogate),
                    feas_tol=args.feas_tol, max_iters=args.max_iters)
-    sol = solve_np(sample, dictionary, cfg)
-    report = _maybe_stamp({
-        "command": "solve",
-        "version": __version__,
-        "config": {"alpha": args.alpha, "delta": args.delta,
-                   "surrogate": args.surrogate, "stumps": args.stumps,
-                   "seed": args.seed, "data": args.data},
-        "dictionary": dictionary.to_json(),
-        "solution": sol.to_json(),
-    }, args)
-    _emit(report, args.out)
-    return 0
+    return _program_report(args, dictionary, solve_np(sample, dictionary, cfg))
 
 
 def _cmd_ccp(args) -> int:
@@ -219,31 +223,14 @@ def _cmd_ccp(args) -> int:
                        g_matrix=dictionary.evaluate_matrix(X),
                        **linear_objective(coeffs))
     sol = solve_ccp(inst, feas_tol=args.feas_tol, max_iters=args.max_iters)
-    report = _maybe_stamp({
-        "command": "ccp",
-        "version": __version__,
-        "config": {"alpha": args.alpha, "delta": args.delta,
-                   "surrogate": args.surrogate, "stumps": args.stumps,
-                   "objective": coeffs, "seed": args.seed, "data": args.data},
-        "dictionary": dictionary.to_json(),
-        "solution": sol.to_json(),
-    }, args)
-    _emit(report, args.out)
-    return 0
+    return _program_report(args, dictionary, sol, objective=coeffs)
 
 
 def _cmd_verify_lemmas(args) -> int:
-    sweep = bounds.sweep_binomial_lemmas(n_max=args.n_max,
-                                         q_points=args.q_points,
-                                         t_points=args.t_points)
-    report = _maybe_stamp({
-        "command": "verify-lemmas",
-        "version": __version__,
-        "config": {"n_max": args.n_max, "q_points": args.q_points,
-                   "t_points": args.t_points},
-        "sweep": sweep,
-    }, args)
-    _emit(report, args.out)
+    config = {"n_max": args.n_max, "q_points": args.q_points,
+              "t_points": args.t_points}
+    sweep = bounds.sweep_binomial_lemmas(**config)
+    _emit(_report(args, config=config, sweep=sweep), args.out)
     return 0 if sweep["all_hold"] else 1
 
 
@@ -251,36 +238,32 @@ def _experiment_dispatch(kind: str, cfg: dict, seed: int) -> dict:
     if kind == "counterexample":
         return harness.run_counterexample(
             cfg["alpha"], cfg["n_minus"], cfg["n_plus"], cfg["trials"], seed,
-            tau=cfg.get("tau"), grid_size=cfg.get("grid_size", 1000))
+            **_given(cfg, "tau", "grid_size"))
+    surrogate = cfg.get("surrogate", "hinge")
     scenario = _scenario_from_config(cfg["scenario"])
     if kind == "ccp":
         return harness.run_ccp_feasibility(
             scenario, _dictionary_from_config(cfg["constraint"]),
-            cfg["objective"], cfg["alpha"], cfg["delta"],
-            by_name(cfg.get("surrogate", "hinge")), cfg["n"], cfg["trials"],
-            cfg.get("validation_draws", 10 ** 5), seed,
-            f_star=cfg.get("f_star"), eps=cfg.get("eps"))
+            cfg["objective"], cfg["alpha"], cfg["delta"], by_name(surrogate),
+            cfg["n"], cfg["trials"], cfg.get("validation_draws", 10 ** 5),
+            seed, **_given(cfg, "f_star", "eps"))
     dictionary = _dictionary_from_config(cfg["dictionary"])
     np_cfg = NPConfig(alpha=cfg["alpha"], delta=cfg["delta"],
-                      surrogate=by_name(cfg.get("surrogate", "hinge")))
+                      surrogate=by_name(surrogate))
     if kind == "coverage":
         return harness.run_type1_coverage(
             scenario, dictionary, np_cfg, cfg["n_minus"], cfg["n_plus"],
             cfg["trials"], cfg.get("mc_draws", 10 ** 6), seed,
-            kappa_scale=cfg.get("kappa_scale", 1.0))
+            **_given(cfg, "kappa_scale"))
+    common = _given(cfg, "eps_bar", "oracle_resolution", "mc_draws")
     if kind == "rate":
         return harness.run_rate_experiment(
             scenario, dictionary, np_cfg, cfg["n_grid"], cfg["trials"], seed,
-            eps_bar=cfg.get("eps_bar"),
-            oracle_resolution=cfg.get("oracle_resolution", 1e-4),
-            mc_draws=cfg.get("mc_draws", 10 ** 6))
+            **common)
     if kind == "sampling":
         return harness.run_sampling_scheme(
             scenario, dictionary, np_cfg, cfg["n"], cfg["trials"], seed,
-            eps_bar=cfg.get("eps_bar"),
-            tail_thresholds=cfg.get("tail_thresholds"),
-            oracle_resolution=cfg.get("oracle_resolution", 1e-4),
-            mc_draws=cfg.get("mc_draws", 10 ** 6))
+            **common, **_given(cfg, "tail_thresholds"))
     raise SchemaError(f"unknown experiment kind {kind!r}")
 
 
@@ -298,14 +281,8 @@ def _cmd_experiment(args) -> int:
     except KeyError as err:
         raise SchemaError(f"experiment config is missing {err.args[0]!r}")
     rows = summary.pop("rows", None)
-    report = _maybe_stamp({
-        "command": "experiment",
-        "version": __version__,
-        "kind": args.kind,
-        "seed": args.seed,
-        "config": cfg,
-        "summary": summary,
-    }, args)
+    report = _report(args, kind=args.kind, seed=args.seed, config=cfg,
+                     summary=summary)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -324,57 +301,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def command(name, fn, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp for byte-identical reports")
+        return p
 
-    p_solve = sub.add_parser("solve", help="solve one classification program")
-    p_solve.add_argument("--data", required=True)
-    p_solve.add_argument("--alpha", type=float, required=True)
-    p_solve.add_argument("--delta", type=float, required=True)
-    p_solve.add_argument("--surrogate", default="hinge")
-    p_solve.add_argument("--stumps", type=int, default=3,
-                         help="per-axis threshold count for the dictionary")
-    p_solve.add_argument("--no-constant", action="store_true",
-                         help="do not prepend the constant classifier -1")
-    p_solve.add_argument("--feas-tol", type=float, default=1e-8)
-    p_solve.add_argument("--max-iters", type=int, default=500)
-    add_common(p_solve)
-    p_solve.set_defaults(fn=_cmd_solve)
+    def program(name, fn, help, data):
+        # one program over a stump dictionary of --data: solve and ccp
+        p = command(name, fn, help)
+        p.add_argument("--data", required=True, help=data)
+        p.add_argument("--alpha", type=float, required=True)
+        p.add_argument("--delta", type=float, required=True)
+        p.add_argument("--surrogate", default="hinge")
+        p.add_argument("--stumps", type=int, default=3,
+                       help="per-axis threshold count for the dictionary")
+        p.add_argument("--no-constant", action="store_true",
+                       help="do not prepend the constant base -1")
+        p.add_argument("--feas-tol", type=float, default=1e-8)
+        p.add_argument("--max-iters", type=int, default=500)
+        return p
 
-    p_ccp = sub.add_parser("ccp", help="solve one chance-constrained program")
-    p_ccp.add_argument("--data", required=True,
-                       help="CSV of scenario draws (no label column needed)")
-    p_ccp.add_argument("--alpha", type=float, required=True)
-    p_ccp.add_argument("--delta", type=float, required=True)
-    p_ccp.add_argument("--surrogate", default="hinge")
-    p_ccp.add_argument("--stumps", type=int, default=3)
-    p_ccp.add_argument("--objective", required=True,
-                       help="comma-separated coefficients of the linear objective")
-    p_ccp.add_argument("--no-constant", action="store_true",
-                       help="do not prepend the constant -1 base")
-    p_ccp.add_argument("--feas-tol", type=float, default=1e-8)
-    p_ccp.add_argument("--max-iters", type=int, default=500)
-    add_common(p_ccp)
-    p_ccp.set_defaults(fn=_cmd_ccp)
+    program("solve", _cmd_solve, "solve one classification program",
+            "CSV of labeled points (label column y in {-1, 1})")
+    program("ccp", _cmd_ccp, "solve one chance-constrained program",
+            "CSV of scenario draws (no label column needed)").add_argument(
+        "--objective", required=True,
+        help="comma-separated coefficients of the linear objective")
 
-    p_ver = sub.add_parser("verify-lemmas",
-                           help="exact binomial lemma sweep")
+    p_ver = command("verify-lemmas", _cmd_verify_lemmas,
+                    "exact binomial lemma sweep")
     p_ver.add_argument("--n-max", type=int, default=200)
     p_ver.add_argument("--q-points", type=int, default=50)
     p_ver.add_argument("--t-points", type=int, default=4)
-    add_common(p_ver)
-    p_ver.set_defaults(fn=_cmd_verify_lemmas)
 
-    p_exp = sub.add_parser("experiment", help="run a Monte Carlo experiment")
+    p_exp = command("experiment", _cmd_experiment, "run a Monte Carlo experiment")
     p_exp.add_argument("--kind", required=True,
                        choices=["counterexample", "coverage", "rate",
                                 "sampling", "ccp"])
     p_exp.add_argument("--config", required=True, help="JSON config file")
-    add_common(p_exp)
-    p_exp.set_defaults(fn=_cmd_experiment)
     return parser
 
 

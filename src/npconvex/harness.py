@@ -29,8 +29,8 @@ from .hypothesis import BaseDictionary, ConstantClassifier, DecisionStump
 from .np_solver import (NPConfig, _min_type1, _solve_np, alpha_kappa,
                         eps_bar_upper, kappa, n0_and_bound, pooled_bound,
                         solve_np, split_pooled)
-from .risk import (Sample, WeightedAtoms, _mc_estimate, empirical_atoms,
-                   phi_risks_from_matrix)
+from .risk import (Sample, WeightedAtoms, _as_matrix, _mc_estimate,
+                   empirical_atoms, phi_risks_from_matrix)
 
 
 def _three_se(p: float, trials: int) -> float:
@@ -73,8 +73,7 @@ class Scenario:
 
     @classmethod
     def custom_csv(cls, negatives, positives, p: float = 0.5) -> "Scenario":
-        neg = np.atleast_2d(np.asarray(negatives, dtype=float))
-        pos = np.atleast_2d(np.asarray(positives, dtype=float))
+        neg, pos = _as_matrix(negatives), _as_matrix(positives)
         if neg.shape[0] == 0 or pos.shape[0] == 0:
             raise DomainError("custom scenario needs rows for both classes")
         if neg.shape[1] != pos.shape[1]:
@@ -176,8 +175,8 @@ class _TrueRiskOracle:
             rng = rng_for(seed, "harness.reference")
             Xm = scenario.draw_negatives(rng, mc_draws)
             Xp = scenario.draw_positives(rng, mc_draws)
-            self.minus = empirical_atoms(dictionary.evaluate_matrix(np.atleast_2d(Xm)))
-            self.plus = empirical_atoms(dictionary.evaluate_matrix(np.atleast_2d(Xp)))
+            self.minus = empirical_atoms(dictionary.evaluate_matrix(Xm))
+            self.plus = empirical_atoms(dictionary.evaluate_matrix(Xp))
 
     def _risk(self, atoms: WeightedAtoms, lam, sign: float):
         """(estimate, half-width) of the phi-risk of lam under atoms."""
@@ -215,6 +214,14 @@ class _TrueRiskOracle:
                                   lambda grid: self._grid_risks(self.plus, -1.0, grid),
                                   level)
         return best
+
+
+def _eps_bar(eps_bar, negatives, dictionary, cfg: NPConfig, kap: float) -> float:
+    """eps_bar as given, else its probe upper bound on the negatives."""
+    if eps_bar is not None:
+        return eps_bar
+    _, min_r = _min_type1(negatives, dictionary, cfg)
+    return eps_bar_upper(min_r, kap, negatives.shape[0], cfg.alpha)
 
 
 def _run_trials(fn, trials: int):
@@ -354,8 +361,7 @@ def run_type1_coverage(scenario, dictionary: BaseDictionary, cfg: NPConfig,
         else:
             rng_mc = rng_for(seed, "harness.coverage.mc", t)
             Z = scenario.draw_negatives(rng_mc, mc_draws)
-            est, hw = _mc_estimate(
-                s.eval(dictionary.evaluate_matrix(np.atleast_2d(Z)) @ lam))
+            est, hw = _mc_estimate(s.eval(dictionary.evaluate_matrix(Z) @ lam))
         return {"trial": t, "error": None, "true_type1": est,
                 "half_width": hw, "covered": bool(est <= cfg.alpha + hw)}
 
@@ -415,11 +421,7 @@ def run_rate_experiment(scenario, dictionary: BaseDictionary, cfg: NPConfig,
             except NPConvexError as err:
                 return {"n": n, "trial": t, "error": type(err).__name__}
             lam = sol.weights.lam
-            if eps_bar is None:
-                _, min_r = _min_type1(sample.negatives, dictionary, cfg)
-                eps_val = eps_bar_upper(min_r, kap, n, cfg.alpha)
-            else:
-                eps_val = eps_bar
+            eps_val = _eps_bar(eps_bar, sample.negatives, dictionary, cfg, kap)
             row = {"n": n, "trial": t, "error": None}
             r2, hw = oracle.type2(lam)
             row["excess"] = r2 - gamma_alpha
@@ -521,11 +523,7 @@ def run_sampling_scheme(scenario, dictionary: BaseDictionary, cfg: NPConfig,
         lam = sol.weights.lam
         r1, hw1 = oracle.type1(lam)
         r2, hw2 = oracle.type2(lam)
-        if eps_bar is None:
-            _, min_r = _min_type1(sample.negatives, dictionary, cfg)
-            eps_val = eps_bar_upper(min_r, kap, sample.n_minus, cfg.alpha)
-        else:
-            eps_val = eps_bar
+        eps_val = _eps_bar(eps_bar, sample.negatives, dictionary, cfg, kap)
         out["type1"] = r1
         out["excess"] = r2 - gamma_alpha
         out["eps_bar"] = eps_val

@@ -212,6 +212,11 @@ def phi_risks_from_matrix(H: np.ndarray, grid: np.ndarray, s: Surrogate,
     return np.concatenate(out)
 
 
+# (atom, point) pairs per run of WeightedAtoms.phi_risk_grid: 32 MB of
+# temporaries; every exact-atom caller scores its <= 200k-point chunk whole
+_ATOM_BLOCK_PAIRS = 1 << 22
+
+
 @dataclass(frozen=True)
 class WeightedAtoms:
     """A measure carried on finitely many base-value atoms.
@@ -240,8 +245,15 @@ class WeightedAtoms:
         return phi_risk_from_matrix(self.H, lam, s, sign, self.weights)
 
     def phi_risk_grid(self, grid: np.ndarray, s: Surrogate, sign: float) -> np.ndarray:
-        """Risk at every grid row: weights @ phi(sign * H @ grid.T)."""
-        return self.weights @ s.eval(sign * (self.H @ grid.T))
+        """Risk at every grid row: weights @ phi(sign * H @ grid.T).
+
+        Scored in runs of grid points that hold at most _ATOM_BLOCK_PAIRS
+        (atom, point) pairs, so memory stays flat for a large reference
+        sample.  A run that covers the grid scores it whole, bit for bit.
+        """
+        run = max(1, _ATOM_BLOCK_PAIRS // self.H.shape[0])
+        return np.concatenate([self.weights @ s.eval(sign * (self.H @ grid[i:i + run].T))
+                               for i in range(0, max(1, grid.shape[0]), run)])
 
 
 def empirical_atoms(H: np.ndarray) -> WeightedAtoms:

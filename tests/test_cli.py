@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import numpy as np
@@ -328,3 +329,54 @@ def test_load_csv_names_the_first_bad_line(tmp_path):
     f.write_text("y\n1\n-1\n", encoding="utf-8")
     with pytest.raises(SchemaError, match="labels but no feature columns"):
         load_csv(f)
+
+
+@pytest.mark.parametrize("no_constant", [False, True])
+def test_no_constant_drops_the_constant_base(labeled_csv, draws_csv, tmp_path,
+                                             no_constant):
+    flag = ["--no-constant"] if no_constant else []
+    m = 40 + (not no_constant)  # 20 thresholds, two polarities each
+    commands = {
+        "solve": ["--data", str(labeled_csv), "--stumps", "3"],
+        "ccp": ["--data", str(draws_csv), "--stumps", "20",
+                "--objective=" + ",".join(f"{(-1) ** j * 0.1 * j:g}" for j in range(m))],
+    }
+    for command, extra in commands.items():
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--alpha", "0.45", "--delta", "0.1", *extra, *flag,
+                     "--no-timestamp", "--out", str(out)]) == 0
+        bases = json.loads(out.read_text())["dictionary"]["bases"]
+        kinds = [b["kind"] for b in bases]
+        if no_constant:
+            assert "constant" not in kinds
+        else:
+            assert bases[0] == {"kind": "constant", "value": -1.0}
+            assert kinds.count("constant") == 1
+
+
+@pytest.mark.parametrize("kind, cfg, defaults", [
+    ("counterexample", {"alpha": 0.25, "n_minus": 200, "n_plus": 200, "trials": 40},
+     (harness.run_counterexample, ("grid_size",))),
+    ("rate", {"scenario": {"kind": "prop31", "alpha": 0.3},
+              "dictionary": {"thresholds": [0.3], "polarities": "positive"},
+              "alpha": 0.4, "delta": 0.1, "n_grid": [2000, 4000], "trials": 2},
+     (harness.run_rate_experiment, ("oracle_resolution", "mc_draws"))),
+])
+def test_experiment_defaults_live_in_the_runners(tmp_path, kind, cfg, defaults):
+    # a config that omits the optional keys runs at the runner's and the
+    # scenario's own defaults, so the CLI states none of them again
+    runner, keys = defaults
+    params = inspect.signature(runner).parameters
+    full = {**cfg, **{k: params[k].default for k in keys}}
+    if "scenario" in cfg:
+        p = inspect.signature(harness.Scenario.prop31).parameters["p"].default
+        full["scenario"] = {**cfg["scenario"], "p": p}
+    summaries = []
+    for tag, config in (("omitted", cfg), ("set", full)):
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / tag
+        assert main(["experiment", "--kind", kind, "--config", str(path),
+                     "--seed", "5", "--no-timestamp", "--out", str(out)]) == 0
+        summaries.append(json.loads((out / "summary.json").read_text())["summary"])
+    assert summaries[0] == summaries[1]

@@ -63,6 +63,16 @@ def test_custom_csv_bootstrap():
     assert np.all(scen.draw_positives(rng, 10) == 0.9)
 
 
+def test_custom_csv_reads_one_dimensional_classes_as_columns():
+    # as Sample and BaseDictionary do: n values of one feature, not one row
+    scen = Scenario.custom_csv([0.1, 0.2, 0.3], [0.5, 0.6])
+    rng = np.random.default_rng(2)
+    assert scen.draw_negatives(rng, 4).shape == (4, 1)
+    X, _ = scen.draw_pooled(rng, 6)
+    assert X.shape == (6, 1)
+    assert set(np.unique(scen.draw_positives(rng, 50))) <= {0.5, 0.6}
+
+
 def test_prop31_population_atoms_match_closed_form():
     alpha = 0.3
     scen = Scenario.prop31(alpha)

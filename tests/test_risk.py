@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -172,3 +174,33 @@ def test_grid_risks_are_whole_matrix_means(monkeypatch, pairs):
                           (H[:1], grid), (H[:2], grid)):
             want = np.mean(s.eval(sign * (rows @ pts.T)), axis=0)
             np.testing.assert_array_equal(phi_risks_from_matrix(rows, pts, s, sign), want)
+
+
+def test_atom_grid_risks_score_bounded_blocks():
+    # a large reference sample is scored a run of grid points at a time;
+    # a small atom set still scores a 200k-point chunk in one piece
+    sizes = []
+    base = hinge()
+
+    def recording(z):
+        sizes.append(z.size)
+        return base._fn(z)
+
+    s = dataclasses.replace(base, _fn=recording)
+    rng = np.random.default_rng(6)
+    H = rng.choice([-1.0, 1.0], size=(20_000, 2))
+    grid = np.column_stack([np.linspace(0.0, 1.0, 1001), np.linspace(1.0, 0.0, 1001)])
+    atoms = empirical_atoms(H)
+    vals = atoms.phi_risk_grid(grid, s, 1.0)
+    assert max(sizes) <= risk._ATOM_BLOCK_PAIRS
+    assert sum(sizes) == H.shape[0] * grid.shape[0]
+    want = atoms.weights @ base.eval(H @ grid.T)
+    np.testing.assert_allclose(vals, want, rtol=0.0, atol=1e-12)
+
+    H3 = rng.choice([-1.0, 1.0], size=(3, 3))
+    three = WeightedAtoms(H3, rng.dirichlet(np.ones(3)))
+    chunk = rng.dirichlet(np.ones(3), 200_000)
+    sizes.clear()
+    got = three.phi_risk_grid(chunk, s, -1.0)
+    assert sizes == [3 * 200_000]
+    np.testing.assert_array_equal(got, three.weights @ base.eval(-(H3 @ chunk.T)))
