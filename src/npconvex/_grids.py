@@ -41,6 +41,13 @@ def _blocks(m: int, k: int, prefix: tuple = ()) -> Iterator[np.ndarray]:
     yield np.hstack([head, tail])
 
 
+def grid_steps(resolution: float) -> int:
+    """Grid steps per unit, round(1 / resolution), for a resolution in (0, 0.5]."""
+    if not 0.0 < resolution <= 0.5:
+        raise DomainError(f"resolution must lie in (0, 0.5], got {resolution}")
+    return round(1.0 / resolution)
+
+
 def grid_count(m: int, k: int) -> int:
     return math.comb(k + m - 1, m - 1)
 

@@ -22,12 +22,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grids import grid_points
+from ._grids import grid_count, grid_points, grid_steps, iter_grid_chunks
 from ._seeding import rng_for
 from .errors import DomainError, HypothesisFailed
 from .hypothesis import BaseDictionary
 from .np_solver import kappa
-from .risk import Sample, WeightedAtoms, empirical_atoms, phi_risks_from_matrix
+from .risk import (Sample, WeightedAtoms, _as_matrix, empirical_atoms,
+                   phi_risks_from_matrix)
 from .surrogate import Surrogate
 
 HOLD_TOL = 1e-12
@@ -186,13 +187,9 @@ def check_rademacher_vertex_identity(dictionary: BaseDictionary, data,
     """
     if dictionary.m > 4:
         raise DomainError(f"identity check supports M <= 4, got {dictionary.m}")
-    X = np.asarray(data, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    H = dictionary.evaluate_matrix(X)
+    H = dictionary.evaluate_matrix(_as_matrix(data))
     n = H.shape[0]
-    k = max(1, round(1.0 / resolution))
-    grid = grid_points(dictionary.m, k)
+    grid = grid_points(dictionary.m, grid_steps(resolution))
     slack = 2.0 * resolution * float(np.max(np.abs(H), initial=0.0))
     for trial in range(trials):
         rng = rng_for(seed, "bounds.rademacher", trial)
@@ -224,8 +221,9 @@ def check_sup_deviation(scenario, dictionary: BaseDictionary, s: Surrogate,
 
     Samples are drawn from the scenario's negative class-conditional.  The
     population term comes from exact interval atoms when the scenario and
-    dictionary admit them, otherwise from one large Monte Carlo reference
-    sample.  The supremum over the simplex is taken on a grid (M <= 3).
+    dictionary admit them, otherwise from the merged atoms of one large
+    Monte Carlo reference sample (empirical_atoms).  The supremum over the
+    simplex is taken on a grid (M <= 3).
     """
     if dictionary.m > 3:
         raise DomainError(f"sup check supports M <= 3, got {dictionary.m}")
@@ -233,8 +231,7 @@ def check_sup_deviation(scenario, dictionary: BaseDictionary, s: Surrogate,
         raise DomainError("need at least one trial")
     kap = kappa(s.lipschitz, dictionary.m, delta)
     threshold = kap / math.sqrt(n)
-    k = max(1, round(1.0 / resolution))
-    grid = grid_points(dictionary.m, k)
+    grid = grid_points(dictionary.m, grid_steps(resolution))
 
     atoms = _population_atoms(scenario, dictionary, "minus")
     if atoms is None:
@@ -279,27 +276,28 @@ def gamma_curve(source, dictionary: BaseDictionary, s: Surrogate,
                 x_grid: Sequence[float], resolution: float = 1e-3) -> list:
     """gamma(x) = minimal phi-type-II risk subject to phi-type-I <= x.
 
-    Minimization over a simplex grid (M <= 3); infeasible levels map to
+    Minimization over a simplex grid (M <= 4); infeasible levels map to
     +inf.  The curve is non-increasing by construction and convex up to
     grid slack.  `source` may be a Sample (empirical measure), a pair of
-    WeightedAtoms, or a scenario with exact population atoms.
+    WeightedAtoms, or a scenario with exact population atoms.  Each grid
+    chunk is scored once for all levels; scans of over 2e9 grid points
+    times atoms are refused.  The harness's population gamma is this.
     """
-    if dictionary.m > 3:
-        raise DomainError(f"gamma oracle supports M <= 3, got {dictionary.m}")
+    if dictionary.m > 4:
+        raise DomainError(f"gamma oracle supports M <= 4, got {dictionary.m}")
     minus, plus = _atoms_pair(source, dictionary)
-    k = max(1, round(1.0 / resolution))
-    # one grid evaluation serves every level in x_grid; the first-hit scan
-    # of _grids.argmin_feasible takes one level, so it would repeat the
-    # risk evaluations once per level
-    grid = grid_points(dictionary.m, k)
-    r_minus = minus.phi_risk_grid(grid, s, +1.0)
-    r_plus = plus.phi_risk_grid(grid, s, -1.0)
-    out = []
-    for x in x_grid:
-        feasible = r_minus <= x
-        val = float(np.min(r_plus[feasible])) if np.any(feasible) else math.inf
-        out.append((float(x), val))
-    return out
+    k = grid_steps(resolution)
+    cost = grid_count(dictionary.m, k) * max(minus.H.shape[0], plus.H.shape[0])
+    if cost > 2 * 10 ** 9:
+        raise DomainError("gamma oracle needs a coarser resolution or fewer atoms "
+                          f"(grid points x atoms = {cost:.1e})")
+    best = [math.inf] * len(x_grid)
+    for grid in iter_grid_chunks(dictionary.m, k):
+        r_minus = minus.phi_risk_grid(grid, s, +1.0)
+        r_plus = plus.phi_risk_grid(grid, s, -1.0)
+        for i, x in enumerate(x_grid):
+            best[i] = min(best[i], float(np.min(r_plus[r_minus <= x], initial=math.inf)))
+    return [(float(x), val) for x, val in zip(x_grid, best)]
 
 
 def _curve_lookup(curve, x: float) -> float:

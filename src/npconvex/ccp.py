@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import _solver_core as core
-from ._grids import affine_window, argmin_feasible, iter_grid_chunks
+from ._grids import affine_window, argmin_feasible, grid_steps, iter_grid_chunks
 from .errors import DomainError, EmptySample, Infeasible
 from .hypothesis import (RANGE_TOL, BaseDictionary, FunctionClassifier,
                          SimplexWeights)
@@ -181,12 +181,10 @@ def grid_oracle_ccp(inst: CCPInstance, resolution: float) -> CCPSolution:
     ties to the lexicographically smallest weights (first hit in scan order)."""
     if inst.m > 3:
         raise DomainError(f"grid oracle supports M <= 3, got {inst.m}")
-    if not 0.0 < resolution <= 0.5:
-        raise DomainError(f"resolution must lie in (0, 0.5], got {resolution}")
+    k = grid_steps(resolution)
     s = inst.surrogate
     kap = kappa(s.lipschitz, inst.m, inst.delta)
     level = alpha_kappa(inst.alpha, kap, inst.n)
-    k = max(1, round(1.0 / resolution))
     chunks = iter_grid_chunks(inst.m, k)
     if s.affine_coefficients is not None:
         # mean phi(G lam) = a + b * mean(G) @ lam, so one dot per point

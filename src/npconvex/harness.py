@@ -18,9 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._grids import argmin_feasible, grid_count, iter_grid_chunks
 from ._seeding import rng_for, worker_count
-from .bounds import binomial_tail_exact
+from .bounds import binomial_tail_exact, gamma_curve
 from .ccp import (CCPInstance, _as_dictionary, ccp_bound,
                   chance_feasibility_estimate, evaluate_constraint_bases,
                   linear_objective, solve_ccp)
@@ -30,7 +29,7 @@ from .np_solver import (NPConfig, _min_type1, _solve_np, alpha_kappa,
                         eps_bar_upper, kappa, n0_and_bound, pooled_bound,
                         solve_np, split_pooled)
 from .risk import (Sample, WeightedAtoms, _as_matrix, _mc_estimate,
-                   empirical_atoms, phi_risks_from_matrix)
+                   empirical_atoms)
 
 
 def _three_se(p: float, trials: int) -> float:
@@ -157,18 +156,21 @@ class Scenario:
 class _TrueRiskOracle:
     """Population risks and the gamma value for the experiment runners.
 
-    Closed-form interval atoms for the uniform construction; one large
-    shared reference sample otherwise, whose estimates carry nonzero
-    half-widths.  Other scenarios may well admit exact atoms too, but the
-    experiments deliberately stay Monte Carlo there so the harness treats
-    every generative law the same way.
+    Closed-form interval atoms for the uniform construction; otherwise the
+    merged atoms of one large shared reference sample, whose estimates
+    carry nonzero half-widths.  Other scenarios may well admit exact atoms
+    too, but the experiments deliberately stay Monte Carlo there so the
+    harness treats every generative law the same way.  gamma is
+    bounds.gamma_curve at one level.
     """
 
     def __init__(self, scenario, dictionary: BaseDictionary, surrogate,
                  mc_draws: int, seed: int):
+        if mc_draws < 2:
+            raise DomainError(f"need at least 2 Monte Carlo draws, got {mc_draws}")
         self.s = surrogate
-        self.exact = getattr(scenario, "kind", None) == "prop31"
-        if self.exact:
+        self.dictionary = dictionary
+        if getattr(scenario, "kind", None) == "prop31":
             self.minus = scenario.population_atoms(dictionary, "minus")
             self.plus = scenario.population_atoms(dictionary, "plus")
         else:
@@ -178,42 +180,16 @@ class _TrueRiskOracle:
             self.minus = empirical_atoms(dictionary.evaluate_matrix(Xm))
             self.plus = empirical_atoms(dictionary.evaluate_matrix(Xp))
 
-    def _risk(self, atoms: WeightedAtoms, lam, sign: float):
-        """(estimate, half-width) of the phi-risk of lam under atoms."""
-        if self.exact:
-            return atoms.phi_risk(lam, self.s, sign), 0.0
-        return _mc_estimate(self.s.eval(sign * (atoms.H @ lam)))
-
     def type1(self, lam):
-        return self._risk(self.minus, lam, +1.0)
+        return self.minus.estimate(lam, self.s, +1.0)
 
     def type2(self, lam):
-        return self._risk(self.plus, lam, -1.0)
-
-    def _grid_risks(self, atoms: WeightedAtoms, sign: float, grid: np.ndarray) -> np.ndarray:
-        if self.exact:
-            return atoms.phi_risk_grid(grid, self.s, sign)
-        if self.s.affine_coefficients is not None:
-            a, b = self.s.affine_coefficients
-            return a + grid @ ((b * sign) * (atoms.weights @ atoms.H))
-        return phi_risks_from_matrix(atoms.H, grid, self.s, sign)
+        return self.plus.estimate(lam, self.s, -1.0)
 
     def gamma(self, level: float, resolution: float) -> float:
-        m = self.minus.H.shape[1]
-        if m > 4:
-            raise DomainError(f"gamma oracle supports M <= 4, got {m}")
-        k = max(1, round(1.0 / resolution))
-        if not self.exact and self.s.affine_coefficients is None:
-            cost = grid_count(m, k) * self.minus.H.shape[0]
-            if cost > 2 * 10 ** 9:
-                raise DomainError(
-                    "Monte Carlo gamma with a smooth surrogate needs a "
-                    f"coarser resolution (grid x draws = {cost:.1e})")
-        _, best = argmin_feasible(iter_grid_chunks(m, k),
-                                  lambda grid: self._grid_risks(self.minus, +1.0, grid),
-                                  lambda grid: self._grid_risks(self.plus, -1.0, grid),
-                                  level)
-        return best
+        curve = gamma_curve((self.minus, self.plus), self.dictionary, self.s,
+                            [level], resolution)
+        return curve[0][1]
 
 
 def _eps_bar(eps_bar, negatives, dictionary, cfg: NPConfig, kap: float) -> float:
@@ -330,6 +306,8 @@ def run_type1_coverage(scenario, dictionary: BaseDictionary, cfg: NPConfig,
         raise DomainError("need at least one trial")
     if kappa_scale < 0.0:
         raise DomainError(f"kappa_scale must be >= 0, got {kappa_scale}")
+    if mc_draws < 2:
+        raise DomainError(f"need at least 2 Monte Carlo draws, got {mc_draws}")
     s = cfg.surrogate
     kap = kappa(s.lipschitz, dictionary.m, cfg.delta)
     level = alpha_kappa(cfg.alpha, kappa_scale * kap, n_minus)
@@ -357,7 +335,7 @@ def run_type1_coverage(scenario, dictionary: BaseDictionary, cfg: NPConfig,
         except NPConvexError as err:
             return {"trial": t, "error": type(err).__name__}
         if atoms_minus is not None:
-            est, hw = atoms_minus.phi_risk(lam, s, +1.0), 0.0
+            est, hw = atoms_minus.estimate(lam, s, +1.0)
         else:
             rng_mc = rng_for(seed, "harness.coverage.mc", t)
             Z = scenario.draw_negatives(rng_mc, mc_draws)
@@ -470,7 +448,7 @@ def run_rate_experiment(scenario, dictionary: BaseDictionary, cfg: NPConfig,
         "asserted_rows": len(asserted),
         "all_within_bound": bool(all_within),
         "slope": slope,
-        "exact_population": oracle.exact,
+        "exact_population": oracle.minus.n is None,
     }
 
 

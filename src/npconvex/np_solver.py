@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import _solver_core as core
-from ._grids import affine_window, argmin_feasible, iter_grid_chunks
+from ._grids import affine_window, argmin_feasible, grid_steps, iter_grid_chunks
 from .errors import (DomainError, EmptySample, Infeasible, OneClassEmpty,
                      SampleTooSmall, UnknownLabel)
 from .hypothesis import BaseDictionary, SimplexWeights
@@ -197,13 +197,11 @@ def grid_oracle_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig,
     """
     if dictionary.m > 3:
         raise DomainError(f"grid oracle supports M <= 3, got {dictionary.m}")
-    if not 0.0 < resolution <= 0.5:
-        raise DomainError(f"resolution must lie in (0, 0.5], got {resolution}")
+    k = grid_steps(resolution)
     H_minus, H_plus = _per_class(sample, lambda X, sign: dictionary.evaluate_matrix(X))
     s = cfg.surrogate
     kap = kappa(s.lipschitz, dictionary.m, cfg.delta)
     level = alpha_kappa(cfg.alpha, kap, sample.n_minus)
-    k = max(1, round(1.0 / resolution))
 
     if dictionary.m == 3 and s.affine_coefficients is not None and k > 400:
         a, b = s.affine_coefficients

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -157,10 +157,17 @@ def monte_carlo_risk(h: CombinedClassifier, s: Surrogate, scenario, which: str,
     return _mc_estimate(values)
 
 
-def _mc_estimate(values: np.ndarray) -> Tuple[float, float]:
-    """Mean of i.i.d. Monte Carlo values and its 95% normal half-width."""
-    sd = float(np.std(values, ddof=1))
-    return float(np.mean(values)), 1.96 * sd / math.sqrt(values.size)
+def _mc_estimate(values: np.ndarray,
+                 counts: np.ndarray | None = None) -> Tuple[float, float]:
+    """Mean of i.i.d. Monte Carlo values and its 95% normal half-width;
+    counts[k] draws took values[k], one draw each when counts is None."""
+    if counts is None:
+        sd = float(np.std(values, ddof=1))
+        return float(np.mean(values)), 1.96 * sd / math.sqrt(values.size)
+    n = float(counts.sum())
+    mean = float(counts @ values) / n
+    var = float(counts @ (values - mean) ** 2) / (n - 1.0)
+    return mean, 1.96 * math.sqrt(var / n)
 
 
 def phi_risk_from_matrix(H: np.ndarray, lam: np.ndarray, s: Surrogate, sign: float,
@@ -222,14 +229,15 @@ class WeightedAtoms:
     """A measure carried on finitely many base-value atoms.
 
     Row k of H holds (h_1, ..., h_M) on atom k; weights are the atom
-    probabilities.  Empirical samples are the uniform-weight case, and
-    piecewise-constant dictionaries under absolutely continuous
-    class-conditionals reduce to a handful of interval atoms, which
-    makes population risks exactly computable.
+    probabilities.  An empirical measure records its n draws (weights are
+    counts over n); an exact law has n = None.  Piecewise-constant
+    dictionaries under absolutely continuous class-conditionals reduce to
+    a handful of interval atoms, which makes population risks exact.
     """
 
     H: np.ndarray
     weights: np.ndarray
+    n: Optional[int] = None
 
     def __post_init__(self):
         H = np.asarray(self.H, dtype=float)
@@ -244,6 +252,12 @@ class WeightedAtoms:
     def phi_risk(self, lam: np.ndarray, s: Surrogate, sign: float) -> float:
         return phi_risk_from_matrix(self.H, lam, s, sign, self.weights)
 
+    def estimate(self, lam: np.ndarray, s: Surrogate, sign: float) -> Tuple[float, float]:
+        """(phi-risk of lam, 95% Monte Carlo half-width); 0 on an exact law."""
+        if self.n is None:
+            return self.phi_risk(lam, s, sign), 0.0
+        return _mc_estimate(s.eval(sign * (self.H @ lam)), np.rint(self.weights * self.n))
+
     def phi_risk_grid(self, grid: np.ndarray, s: Surrogate, sign: float) -> np.ndarray:
         """Risk at every grid row: weights @ phi(sign * H @ grid.T).
 
@@ -257,6 +271,11 @@ class WeightedAtoms:
 
 
 def empirical_atoms(H: np.ndarray) -> WeightedAtoms:
-    H = np.asarray(H, dtype=float)
+    """The rows of H as atoms: identical rows merge into one of weight
+    count/n, so a stump dictionary's draws make only a few atoms."""
+    H = _require_nonempty(H, "empirical")
     n = H.shape[0]
-    return WeightedAtoms(H=H, weights=np.full(n, 1.0 / n))
+    # rows in np.unique(axis=0) order, at a tenth of its cost
+    H = H[np.lexsort(H.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, np.any(H[1:] != H[:-1], axis=1)])
+    return WeightedAtoms(H=H[starts], weights=np.diff(starts, append=n) / n, n=n)

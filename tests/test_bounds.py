@@ -8,6 +8,7 @@ recomputation (mpmath) so the fast float path never certifies itself.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,12 +18,13 @@ from npconvex.bounds import (HOLD_TOL, MAX_EXACT_N, binomial_tail_exact,
                              check_rademacher_vertex_identity,
                              check_sup_deviation, gamma_curve,
                              sweep_binomial_lemmas)
-from npconvex.errors import DomainError, HypothesisFailed
+from npconvex._grids import grid_points
+from npconvex.errors import DomainError, EmptySample, HypothesisFailed
 from npconvex.harness import Scenario
 from npconvex.hypothesis import (BaseDictionary, ConstantClassifier,
                                  DecisionStump)
-from npconvex.risk import WeightedAtoms
-from npconvex.surrogate import hinge
+from npconvex.risk import Sample, WeightedAtoms, empirical_atoms
+from npconvex.surrogate import hinge, logit
 
 FROZEN_TAILS = [
     # (n, q, t, value) frozen from a 60-digit mpmath evaluation
@@ -156,6 +158,75 @@ def test_sup_deviation_small_run():
     assert out["trials"] == 50
     assert out["violation_rate"] <= 0.1
     assert out["max_sup"] <= out["threshold"]
+
+
+def test_sup_deviation_monte_carlo_reference_on_custom_csv():
+    # custom_csv has no closed-form atoms, so the population term comes
+    # from the merged atoms of a 10^6-draw reference sample; the law is the
+    # pool itself, so the pool's exact atoms give the same supremum up to
+    # Monte Carlo error on the same trial draws
+    rng = np.random.default_rng(5)
+    neg = rng.uniform(0, 1, (40, 1))
+    scen = Scenario.custom_csv(neg, rng.uniform(0, 1, (40, 1)))
+    d = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 0.3, 1),
+                        DecisionStump(0, 0.7, -1)], dim=1)
+    pool = SimpleNamespace(
+        draw_negatives=scen.draw_negatives,
+        population_atoms=lambda dictionary, side: empirical_atoms(
+            dictionary.evaluate_matrix(neg)))
+    runs = [check_sup_deviation(law, d, logit(), n=500, delta=0.1, trials=20,
+                                seed=3, resolution=1e-2) for law in (scen, pool)]
+    mc, exact = runs
+    assert mc["violation_rate"] == exact["violation_rate"] <= 0.1
+    assert mc["max_sup"] <= mc["threshold"]
+    assert abs(mc["max_sup"] - exact["max_sup"]) <= 5e-3
+
+
+def test_grid_referees_reject_resolutions_outside_the_unit_half():
+    d = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 0.5, 1)], dim=1)
+    atoms = _uniform_pair_atoms(0.5)
+    data = np.random.default_rng(1).uniform(0, 1, (50, 1))
+    for resolution in (0.0, -0.01, 0.6):
+        with pytest.raises(DomainError, match="resolution"):
+            gamma_curve(atoms, d, hinge(), [0.5], resolution=resolution)
+        with pytest.raises(DomainError, match="resolution"):
+            check_rademacher_vertex_identity(d, data, seed=1, trials=1,
+                                             resolution=resolution)
+        with pytest.raises(DomainError, match="resolution"):
+            check_sup_deviation(Scenario.prop31(0.5), d, hinge(), n=50, delta=0.1,
+                                trials=1, seed=1, resolution=resolution)
+
+
+def test_gamma_curve_at_four_bases_is_the_grid_minimum():
+    rng = np.random.default_rng(12)
+    d = BaseDictionary([ConstantClassifier(-1.0)] * 4, dim=1)
+    H = rng.uniform(-1.0, 1.0, (5, 4))
+    minus = WeightedAtoms(H, rng.dirichlet(np.ones(5)))
+    plus = WeightedAtoms(H, rng.dirichlet(np.ones(5)))
+    s = logit()
+    levels = [0.3, 0.6, 0.8, 1.0, 2.0]
+    curve = gamma_curve((minus, plus), d, s, levels, resolution=0.05)
+    grid = grid_points(4, 20)
+    r_minus = minus.weights @ s.eval(H @ grid.T)
+    r_plus = plus.weights @ s.eval(-(H @ grid.T))
+    want = [float(np.min(r_plus[r_minus <= x], initial=np.inf)) for x in levels]
+    assert [x for x, _ in curve] == levels
+    np.testing.assert_allclose([v for _, v in curve], want, rtol=0.0, atol=1e-12)
+    assert math.isinf(curve[0][1]) and math.isfinite(curve[-1][1])
+
+
+def test_gamma_curve_refuses_oversized_scans_and_empty_classes():
+    # 1.7e8 grid points at M = 4 and 1e-3 times 12 atoms exceeds the guard
+    d = BaseDictionary([ConstantClassifier(-1.0)] * 4, dim=1)
+    atoms = WeightedAtoms(np.ones((12, 4)), np.full(12, 1.0 / 12))
+    with pytest.raises(DomainError, match="coarser resolution"):
+        gamma_curve((atoms, atoms), d, hinge(), [0.5], resolution=1e-3)
+    d5 = BaseDictionary([ConstantClassifier(-1.0)] * 5, dim=1)
+    with pytest.raises(DomainError, match="M <= 4"):
+        gamma_curve((atoms, atoms), d5, hinge(), [0.5], resolution=0.1)
+    empty = Sample(np.empty((0, 1)), np.ones((3, 1)))
+    with pytest.raises(EmptySample):
+        gamma_curve(empty, d, hinge(), [0.5], resolution=0.1)
 
 
 def _uniform_pair_atoms(alpha):

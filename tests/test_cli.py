@@ -380,3 +380,17 @@ def test_experiment_defaults_live_in_the_runners(tmp_path, kind, cfg, defaults):
                      "--seed", "5", "--no-timestamp", "--out", str(out)]) == 0
         summaries.append(json.loads((out / "summary.json").read_text())["summary"])
     assert summaries[0] == summaries[1]
+
+
+def test_experiment_domain_errors_exit_two(tmp_path, capsys):
+    # zero Monte Carlo draws and a zero oracle resolution are domain errors
+    # with exit code 2, not tracebacks
+    base = {"scenario": {"kind": "gaussian_1d", "mu_minus": 0.0, "mu_plus": 2.0,
+                         "sigma": 1.0},
+            "dictionary": {"thresholds": [1.0]}, "alpha": 0.3, "delta": 0.1,
+            "n_grid": [200], "trials": 1}
+    for extra in ({"mc_draws": 0}, {"mc_draws": 1000, "oracle_resolution": 0}):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**base, **extra}), encoding="utf-8")
+        assert main(["experiment", "--kind", "rate", "--config", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "domain"

@@ -233,6 +233,40 @@ def test_gamma_oracle_is_independent_of_the_solver(monkeypatch):
     assert math.isfinite(oracle.gamma(0.5, 1e-2))
 
 
+def test_runners_reject_fewer_than_two_mc_draws(monkeypatch):
+    # one draw has no sample variance and zero has no mean: refused before
+    # any scenario draw
+    def no_draws(*args):
+        raise AssertionError("drew before checking mc_draws")
+
+    scen = Scenario.gaussian_1d(0.0, 2.0, 1.0)
+    monkeypatch.setattr(scen, "_draw", no_draws)
+    d = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 1.0, 1)], dim=1)
+    cfg = NPConfig(alpha=0.3, delta=0.1, surrogate=hinge())
+    for draws in (0, 1):
+        with pytest.raises(DomainError, match="Monte Carlo draws"):
+            run_type1_coverage(scen, d, cfg, 100, 100, trials=1, mc_draws=draws, seed=1)
+        with pytest.raises(DomainError, match="Monte Carlo draws"):
+            run_rate_experiment(scen, d, cfg, [100], trials=1, seed=1, mc_draws=draws)
+        with pytest.raises(DomainError, match="Monte Carlo draws"):
+            run_sampling_scheme(scen, d, cfg, 100, trials=1, seed=1, mc_draws=draws)
+
+
+def test_smooth_monte_carlo_gamma_runs_at_the_default_draws():
+    # 10^6 reference draws through three stump bases merge into at most four
+    # atoms per class, so logit gamma at M = 3 needs no coarser grid
+    scen = Scenario.gaussian_1d(0.0, 2.0, 1.0)
+    d = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 1.0, 1),
+                        DecisionStump(0, 1.0, -1)], dim=1)
+    cfg = NPConfig(alpha=0.8, delta=0.1, surrogate=logit())
+    out = run_rate_experiment(scen, d, cfg, [2000], trials=1, seed=2,
+                              oracle_resolution=1e-2)
+    assert math.isfinite(out["gamma_alpha"])
+    assert not out["exact_population"]
+    row = out["rows"][0]
+    assert row["error"] is None and 0.0 < row["half_width"] < 0.01
+
+
 def _eps_bar_runs(scen, d, cfg):
     rate = run_rate_experiment(scen, d, cfg, [4000, 9000], trials=2, seed=4,
                                eps_bar=None, oracle_resolution=1e-2)

@@ -177,8 +177,9 @@ def test_grid_risks_are_whole_matrix_means(monkeypatch, pairs):
 
 
 def test_atom_grid_risks_score_bounded_blocks():
-    # a large reference sample is scored a run of grid points at a time;
-    # a small atom set still scores a 200k-point chunk in one piece
+    # a large atom set is scored a run of grid points at a time; a small
+    # one still scores a 200k-point chunk in one piece.  The 20k rows stay
+    # unmerged: empirical_atoms would collapse them to four atoms
     sizes = []
     base = hinge()
 
@@ -190,7 +191,7 @@ def test_atom_grid_risks_score_bounded_blocks():
     rng = np.random.default_rng(6)
     H = rng.choice([-1.0, 1.0], size=(20_000, 2))
     grid = np.column_stack([np.linspace(0.0, 1.0, 1001), np.linspace(1.0, 0.0, 1001)])
-    atoms = empirical_atoms(H)
+    atoms = WeightedAtoms(H, np.full(H.shape[0], 1.0 / H.shape[0]))
     vals = atoms.phi_risk_grid(grid, s, 1.0)
     assert max(sizes) <= risk._ATOM_BLOCK_PAIRS
     assert sum(sizes) == H.shape[0] * grid.shape[0]
@@ -204,3 +205,29 @@ def test_atom_grid_risks_score_bounded_blocks():
     got = three.phi_risk_grid(chunk, s, -1.0)
     assert sizes == [3 * 200_000]
     np.testing.assert_array_equal(got, three.weights @ base.eval(-(H3 @ chunk.T)))
+
+
+def test_empirical_atoms_merge_identical_rows():
+    # stump rows repeat, so 5000 draws collapse to at most 2^3 atoms whose
+    # risk and Monte Carlo half-width match the unmerged rows
+    rng = np.random.default_rng(9)
+    H = rng.choice([-1.0, 1.0], size=(5000, 3))
+    atoms = empirical_atoms(H)
+    assert atoms.H.shape[0] <= 8 and atoms.n == 5000
+    assert atoms.weights * atoms.n == pytest.approx(
+        [np.sum(np.all(H == row, axis=1)) for row in atoms.H], abs=1e-9)
+    lam = np.array([0.2, 0.5, 0.3])
+    for s in (hinge(), logit()):
+        for sign in (1.0, -1.0):
+            est, hw = atoms.estimate(lam, s, sign)
+            want, want_hw = risk._mc_estimate(s.eval(sign * (H @ lam)))
+            assert abs(est - want) <= 1e-12 and abs(hw - want_hw) <= 1e-12
+            assert abs(atoms.phi_risk(lam, s, sign) - want) <= 1e-12
+    # an exact law has no Monte Carlo error
+    exact = WeightedAtoms(atoms.H, atoms.weights)
+    assert exact.estimate(lam, hinge(), 1.0) == (exact.phi_risk(lam, hinge(), 1.0), 0.0)
+
+
+def test_empirical_atoms_reject_an_empty_sample():
+    with pytest.raises(EmptySample):
+        empirical_atoms(np.empty((0, 2)))
