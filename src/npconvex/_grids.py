@@ -4,15 +4,16 @@ one first-hit scan every grid referee shares.
 Grid points are integer compositions of K into m parts divided by K;
 one enumerator produces them for any m, lexicographic in (lambda_1,
 lambda_2, ...), which is what the oracle tie-break relies on.
-argmin_feasible scans a stream of candidate points for the best
-feasible one, and affine_window shrinks the M = 3 candidate stream to a
-few points per row when the constraint is affine in the weights.
+argmin_feasible scans a stream of candidate points once for the best
+feasible one at each constraint level (one for the oracles, a curve of
+them for gamma_curve), and affine_window shrinks the M = 3 candidate
+stream to a few points per row when the constraint is affine.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,26 +78,31 @@ def iter_grid_chunks(m: int, k: int, chunk: int = 200_000) -> Iterator[np.ndarra
 def argmin_feasible(chunks: Iterable[np.ndarray],
                     constraint_values: Callable[[np.ndarray], np.ndarray],
                     objective_values: Callable[[np.ndarray], np.ndarray],
-                    level: float) -> Tuple[Optional[np.ndarray], float]:
-    """Best point with constraint_values <= level over a stream of chunks.
+                    levels: Sequence[float]) -> List[Tuple[Optional[np.ndarray], float]]:
+    """Per level, the best point with constraint_values <= level, from one
+    pass over a stream of chunks: a (lam, value) pair, or (None, inf).
 
-    Returns (lam, value), or (None, inf) when no point is feasible.  A
-    chunk with a feasible point has the objective scored on all its
-    points, infeasible ones counting as +inf, so a scan's cost follows the
-    chunks and not the shape of the feasible set.  Ties go to the first
-    point in stream order: argmin takes the first index inside a chunk,
-    and a later chunk must improve strictly.
+    A chunk that no level finds feasible is skipped; otherwise both values
+    are scored once on all its points, infeasible ones counting as +inf,
+    so a scan's cost follows the chunks and not the shape of the feasible
+    set.  Ties go to the first point in stream order: argmin takes the
+    first index inside a chunk, and a later chunk must improve strictly.
     """
-    best_lam, best_val = None, math.inf
+    best = [(None, math.inf)] * len(levels)
+    top = max((x for x in levels if not math.isnan(x)), default=None)
+    if top is None:  # no level, or only NaN levels, which nothing meets
+        return best
     for chunk in chunks:
-        feasible = constraint_values(chunk) <= level
-        if not np.any(feasible):
+        con = constraint_values(chunk)
+        if not np.any(con <= top):
             continue
-        vals = np.where(feasible, objective_values(chunk), np.inf)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val, best_lam = float(vals[j]), chunk[j].copy()
-    return best_lam, best_val
+        obj = objective_values(chunk)
+        for i, level in enumerate(levels):
+            vals = np.where(con <= level, obj, np.inf)
+            j = int(np.argmin(vals))
+            if vals[j] < best[i][1]:
+                best[i] = (chunk[j].copy(), float(vals[j]))
+    return best
 
 
 def affine_window(const: float, coeffs: np.ndarray, level: float, k: int) -> np.ndarray:

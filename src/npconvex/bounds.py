@@ -22,13 +22,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grids import grid_count, grid_points, grid_steps, iter_grid_chunks
+from ._grids import (argmin_feasible, grid_count, grid_points, grid_steps,
+                     iter_grid_chunks)
 from ._seeding import rng_for
 from .errors import DomainError, HypothesisFailed
 from .hypothesis import BaseDictionary
 from .np_solver import kappa
-from .risk import (Sample, WeightedAtoms, _as_matrix, empirical_atoms,
-                   phi_risks_from_matrix)
+from .risk import Sample, WeightedAtoms, _require_nonempty, empirical_atoms
 from .surrogate import Surrogate
 
 HOLD_TOL = 1e-12
@@ -187,7 +187,9 @@ def check_rademacher_vertex_identity(dictionary: BaseDictionary, data,
     """
     if dictionary.m > 4:
         raise DomainError(f"identity check supports M <= 4, got {dictionary.m}")
-    H = dictionary.evaluate_matrix(_as_matrix(data))
+    if trials < 1:
+        raise DomainError("need at least one trial")
+    H = dictionary.evaluate_matrix(_require_nonempty(data, "data"))
     n = H.shape[0]
     grid = grid_points(dictionary.m, grid_steps(resolution))
     slack = 2.0 * resolution * float(np.max(np.abs(H), initial=0.0))
@@ -197,9 +199,7 @@ def check_rademacher_vertex_identity(dictionary: BaseDictionary, data,
         v = (sigma @ H) / n           # v_j = R_n(h_j)
         vertex_max = float(np.max(np.abs(v)))
         grid_max = float(np.max(np.abs(grid @ v)))
-        if grid_max > vertex_max + slack + HOLD_TOL:
-            return False
-        if grid_max < vertex_max - HOLD_TOL:
+        if not vertex_max - HOLD_TOL <= grid_max <= vertex_max + slack + HOLD_TOL:
             return False
     return True
 
@@ -227,8 +227,8 @@ def check_sup_deviation(scenario, dictionary: BaseDictionary, s: Surrogate,
     """
     if dictionary.m > 3:
         raise DomainError(f"sup check supports M <= 3, got {dictionary.m}")
-    if trials < 1:
-        raise DomainError("need at least one trial")
+    if trials < 1 or n < 1:
+        raise DomainError(f"need trials >= 1 and n >= 1, got trials={trials}, n={n}")
     kap = kappa(s.lipschitz, dictionary.m, delta)
     threshold = kap / math.sqrt(n)
     grid = grid_points(dictionary.m, grid_steps(resolution))
@@ -240,21 +240,16 @@ def check_sup_deviation(scenario, dictionary: BaseDictionary, s: Surrogate,
         atoms = empirical_atoms(dictionary.evaluate_matrix(X_ref))
     pop = atoms.phi_risk_grid(grid, s, +1.0)
 
-    violations = 0
-    worst = 0.0
+    sups = []
     for trial in range(trials):
         rng = rng_for(seed, "bounds.supdev", trial)
         X = np.asarray(scenario.draw_negatives(rng, n), dtype=float)
-        H = dictionary.evaluate_matrix(X)
-        emp = phi_risks_from_matrix(H, grid, s, +1.0)
-        sup = float(np.max(np.abs(emp - pop)))
-        worst = max(worst, sup)
-        if sup > threshold:
-            violations += 1
+        emp = empirical_atoms(dictionary.evaluate_matrix(X)).phi_risk_grid(grid, s, +1.0)
+        sups.append(float(np.max(np.abs(emp - pop))))
     return {
-        "violation_rate": violations / trials,
+        "violation_rate": sum(sup > threshold for sup in sups) / trials,
         "threshold": threshold,
-        "max_sup": worst,
+        "max_sup": max(sups),
         "trials": trials,
     }
 
@@ -279,8 +274,8 @@ def gamma_curve(source, dictionary: BaseDictionary, s: Surrogate,
     Minimization over a simplex grid (M <= 4); infeasible levels map to
     +inf.  The curve is non-increasing by construction and convex up to
     grid slack.  `source` may be a Sample (empirical measure), a pair of
-    WeightedAtoms, or a scenario with exact population atoms.  Each grid
-    chunk is scored once for all levels; scans of over 2e9 grid points
+    WeightedAtoms, or a scenario with exact population atoms.  One
+    argmin_feasible pass serves all levels; scans of over 2e9 grid points
     times atoms are refused.  The harness's population gamma is this.
     """
     if dictionary.m > 4:
@@ -291,13 +286,11 @@ def gamma_curve(source, dictionary: BaseDictionary, s: Surrogate,
     if cost > 2 * 10 ** 9:
         raise DomainError("gamma oracle needs a coarser resolution or fewer atoms "
                           f"(grid points x atoms = {cost:.1e})")
-    best = [math.inf] * len(x_grid)
-    for grid in iter_grid_chunks(dictionary.m, k):
-        r_minus = minus.phi_risk_grid(grid, s, +1.0)
-        r_plus = plus.phi_risk_grid(grid, s, -1.0)
-        for i, x in enumerate(x_grid):
-            best[i] = min(best[i], float(np.min(r_plus[r_minus <= x], initial=math.inf)))
-    return [(float(x), val) for x, val in zip(x_grid, best)]
+    best = argmin_feasible(iter_grid_chunks(dictionary.m, k),
+                           lambda grid: minus.phi_risk_grid(grid, s, +1.0),
+                           lambda grid: plus.phi_risk_grid(grid, s, -1.0),
+                           [float(x) for x in x_grid])
+    return [(float(x), val) for x, (_, val) in zip(x_grid, best)]
 
 
 def _curve_lookup(curve, x: float) -> float:

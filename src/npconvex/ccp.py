@@ -27,7 +27,7 @@ from .errors import DomainError, EmptySample, Infeasible
 from .hypothesis import (RANGE_TOL, BaseDictionary, FunctionClassifier,
                          SimplexWeights)
 from .np_solver import alpha_kappa, kappa
-from .risk import phi_risk_from_matrix, phi_risks_from_matrix
+from .risk import empirical_atoms, phi_risk_from_matrix
 from .surrogate import Surrogate
 
 
@@ -195,8 +195,9 @@ def grid_oracle_ccp(inst: CCPInstance, resolution: float) -> CCPSolution:
         if inst.m == 3 and inst.linear_coeffs is not None and k > 400:
             chunks = [affine_window(a, b * g_mean, level, k)]
     else:
+        atoms = empirical_atoms(inst.g_matrix)
         def constraint_values(chunk):
-            return phi_risks_from_matrix(inst.g_matrix, chunk, s, +1.0)
+            return atoms.phi_risk_grid(chunk, s, +1.0)
     if inst.linear_coeffs is not None:
         c = inst.linear_coeffs
         def objective_values(chunk):
@@ -204,8 +205,8 @@ def grid_oracle_ccp(inst: CCPInstance, resolution: float) -> CCPSolution:
     else:
         def objective_values(chunk):
             return np.asarray([inst.objective(lam) for lam in chunk])
-    best_lam, best_val = argmin_feasible(chunks, constraint_values,
-                                         objective_values, level)
+    [(best_lam, best_val)] = argmin_feasible(chunks, constraint_values,
+                                             objective_values, [level])
     if best_lam is None:
         raise Infeasible(f"no grid point satisfies the margin constraint {level}")
     return CCPSolution(

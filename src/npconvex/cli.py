@@ -135,6 +135,37 @@ def _given(cfg: dict, *keys) -> dict:
     return {k: cfg[k] for k in keys if k in cfg}
 
 
+_NUMBER, _INTEGER = ("a number", (int, float), False), ("an integer", (int,), False)
+#: the typed keys of an experiment config, at any level: (JSON type the
+#: message names, exact Python types read from it, whether it is a list)
+_KEY_TYPES = {
+    **dict.fromkeys(("alpha", "delta", "tau", "kappa_scale", "eps_bar", "eps",
+                     "oracle_resolution", "f_star", "mu_minus", "mu_plus",
+                     "sigma", "p"), _NUMBER),
+    **dict.fromkeys(("n", "n_minus", "n_plus", "trials", "grid_size", "mc_draws",
+                     "validation_draws"), _INTEGER),
+    **dict.fromkeys(("objective", "tail_thresholds", "thresholds"),
+                    ("a list of numbers", (int, float), True)),
+    "n_grid": ("a list of integers", (int,), True),
+    "include_constant": ("true or false", (bool,), False),
+}
+#: keys whose null keeps the runner's default of None
+_NULLABLE = {"tau", "eps_bar", "f_star", "eps", "tail_thresholds"}
+
+
+def _typed(cfg: dict, where: str = "") -> dict:
+    """cfg, or SchemaError naming a typed key that holds another JSON type;
+    exact types, so true is no number and "false" no boolean."""
+    for key, value in cfg.items():
+        if key not in _KEY_TYPES or (value is None and key in _NULLABLE):
+            continue
+        name, types, is_list = _KEY_TYPES[key]
+        items = value if is_list and isinstance(value, list) else [value]
+        if isinstance(value, list) != is_list or not all(type(v) in types for v in items):
+            raise SchemaError(f"config key {where + key!r} must be {name}, got {value!r}")
+    return cfg
+
+
 def _write_trials_csv(rows, path: Path) -> None:
     keys = sorted({k for r in rows for k in r})
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -145,7 +176,7 @@ def _write_trials_csv(rows, path: Path) -> None:
 
 
 def _scenario_from_config(cfg: dict):
-    if not isinstance(cfg, dict) or "kind" not in cfg:
+    if not isinstance(cfg, dict) or "kind" not in _typed(cfg, "scenario."):
         raise SchemaError("scenario config must be an object with a 'kind'")
     kind = cfg["kind"]
     p = _given(cfg, "p")
@@ -160,13 +191,14 @@ def _scenario_from_config(cfg: dict):
     raise SchemaError(f"unknown scenario kind {kind!r}")
 
 
-def _dictionary_from_config(cfg: dict) -> BaseDictionary:
-    if not isinstance(cfg, dict) or "thresholds" not in cfg:
-        raise SchemaError("dictionary config must be an object with 'thresholds'")
+def _dictionary_from_config(cfg: dict, name: str) -> BaseDictionary:
+    """The stumps of the `name` (dictionary or constraint) config object."""
+    if not isinstance(cfg, dict) or "thresholds" not in _typed(cfg, name + "."):
+        raise SchemaError(f"{name} config must be an object with 'thresholds'")
     polarities = {"both": (1, -1), "positive": (1,), "negative": (-1,)}.get(
-        cfg.get("polarities", "both"))
+        str(cfg.get("polarities", "both")))
     if polarities is None:
-        raise SchemaError("dictionary polarities must be both/positive/negative")
+        raise SchemaError(f"{name} polarities must be both/positive/negative")
     bases = []
     if cfg.get("include_constant", True):
         bases.append(ConstantClassifier(-1.0))
@@ -235,6 +267,7 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _experiment_dispatch(kind: str, cfg: dict, seed: int) -> dict:
+    _typed(cfg)
     if kind == "counterexample":
         return harness.run_counterexample(
             cfg["alpha"], cfg["n_minus"], cfg["n_plus"], cfg["trials"], seed,
@@ -243,11 +276,11 @@ def _experiment_dispatch(kind: str, cfg: dict, seed: int) -> dict:
     scenario = _scenario_from_config(cfg["scenario"])
     if kind == "ccp":
         return harness.run_ccp_feasibility(
-            scenario, _dictionary_from_config(cfg["constraint"]),
+            scenario, _dictionary_from_config(cfg["constraint"], "constraint"),
             cfg["objective"], cfg["alpha"], cfg["delta"], by_name(surrogate),
             cfg["n"], cfg["trials"], cfg.get("validation_draws", 10 ** 5),
             seed, **_given(cfg, "f_star", "eps"))
-    dictionary = _dictionary_from_config(cfg["dictionary"])
+    dictionary = _dictionary_from_config(cfg["dictionary"], "dictionary")
     np_cfg = NPConfig(alpha=cfg["alpha"], delta=cfg["delta"],
                       surrogate=by_name(surrogate))
     if kind == "coverage":

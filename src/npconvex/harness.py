@@ -398,26 +398,17 @@ def run_rate_experiment(scenario, dictionary: BaseDictionary, cfg: NPConfig,
                 sol = solve_np(sample, dictionary, cfg)
             except NPConvexError as err:
                 return {"n": n, "trial": t, "error": type(err).__name__}
-            lam = sol.weights.lam
             eps_val = _eps_bar(eps_bar, sample.negatives, dictionary, cfg, kap)
-            row = {"n": n, "trial": t, "error": None}
-            r2, hw = oracle.type2(lam)
-            row["excess"] = r2 - gamma_alpha
-            row["half_width"] = hw
-            row["eps_bar"] = eps_val
+            r2, hw = oracle.type2(sol.weights.lam)
+            row = {"n": n, "trial": t, "error": None, "excess": r2 - gamma_alpha,
+                   "half_width": hw, "eps_bar": eps_val, "bound": math.nan,
+                   "n0": None, "below_n0": True, "ratio": math.nan}
             if 0.0 <= eps_val < 1.0:
                 report = n0_and_bound(kap, eps_val, cfg.alpha, n, n,
                                       s.value_at_one)
-                row["bound"] = report.thm42_bound
-                row["n0"] = report.n0
-                row["below_n0"] = bool(n < report.n0)
-                row["ratio"] = (row["excess"] / report.thm42_bound
-                                if report.thm42_bound > 0 else math.nan)
-            else:
-                row["bound"] = math.nan
-                row["n0"] = None
-                row["below_n0"] = True
-                row["ratio"] = math.nan
+                bound = report.thm42_bound
+                row.update(bound=bound, n0=report.n0, below_n0=bool(n < report.n0),
+                           ratio=row["excess"] / bound if bound > 0 else math.nan)
             return row
 
         rows.extend(_run_trials(one_trial, trials))
@@ -502,20 +493,13 @@ def run_sampling_scheme(scenario, dictionary: BaseDictionary, cfg: NPConfig,
         r1, hw1 = oracle.type1(lam)
         r2, hw2 = oracle.type2(lam)
         eps_val = _eps_bar(eps_bar, sample.negatives, dictionary, cfg, kap)
-        out["type1"] = r1
-        out["excess"] = r2 - gamma_alpha
-        out["eps_bar"] = eps_val
-        event1 = r1 <= cfg.alpha + hw1
-        if 0.0 <= eps_val < 1.0:
-            bound = pooled_bound(kap, eps_val, cfg.alpha, n, p, s.value_at_one)
-            out["bound"] = bound
-            event2 = out["excess"] <= bound + hw2
-        else:
-            out["bound"] = math.nan
-            event2 = False
-        out["type1_event"] = bool(event1)
-        out["bound_event"] = bool(event2)
-        out["joint"] = bool(event1 and event2)
+        bound = (pooled_bound(kap, eps_val, cfg.alpha, n, p, s.value_at_one)
+                 if 0.0 <= eps_val < 1.0 else math.nan)
+        # a NaN bound fails the comparison, so its event is False
+        event1, event2 = r1 <= cfg.alpha + hw1, r2 - gamma_alpha <= bound + hw2
+        out.update(type1=r1, excess=r2 - gamma_alpha, eps_bar=eps_val, bound=bound,
+                   type1_event=bool(event1), bound_event=bool(event2),
+                   joint=bool(event1 and event2))
         return out
 
     rows = _run_trials(one_trial, trials)
@@ -665,6 +649,8 @@ def np_lemma_oracle(scenario, alpha: float) -> dict:
 
 def oracle_type2_mc(scenario, alpha: float, draws: int, seed: int):
     """Monte Carlo type-II error of the most powerful test, with half-width."""
+    if draws < 2:
+        raise DomainError(f"need at least 2 Monte Carlo draws, got {draws}")
     oracle = np_lemma_oracle(scenario, alpha)
     rng = rng_for(seed, "harness.lemma_oracle")
     if oracle["direction"] == 0:

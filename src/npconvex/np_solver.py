@@ -16,8 +16,8 @@ the M column means of each class's base-value matrix H, read one base
 at a time (O(n + M) memory); the LP is then solved exactly.  Smooth
 surrogates (logit, exponential) hold both (n, M) matrices, because
 every SLSQP iterate evaluates phi on all n margins.  The oracle never
-uses the solver's forms; it scores grid points in cache-sized blocks
-(risk.phi_risks_from_matrix), and at M = 3 with an affine surrogate and
+uses the solver's forms; it scores grid points on each class's merged
+atoms (risk.empirical_atoms), and at M = 3 with an affine surrogate and
 a fine grid it scans only the candidates of _grids.affine_window.
 """
 
@@ -34,8 +34,8 @@ from ._grids import affine_window, argmin_feasible, grid_steps, iter_grid_chunks
 from .errors import (DomainError, EmptySample, Infeasible, OneClassEmpty,
                      SampleTooSmall, UnknownLabel)
 from .hypothesis import BaseDictionary, SimplexWeights
-from .risk import (Sample, _require_nonempty, phi_risk_from_matrix,
-                   phi_risks_from_matrix)
+from .risk import (Sample, _require_nonempty, empirical_atoms,
+                   phi_risk_from_matrix)
 from .surrogate import Surrogate
 
 
@@ -178,12 +178,13 @@ def _solve_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig,
 
 
 def _oracle_scan(H_minus, H_plus, s, level, lam_chunks):
-    """Best feasible grid point under the empirical NP phi-risks."""
+    """(lam, value) of the best feasible grid point on each class's merged atoms."""
+    minus, plus = empirical_atoms(H_minus), empirical_atoms(H_plus)
     return argmin_feasible(
         lam_chunks,
-        lambda lam: phi_risks_from_matrix(H_minus, lam, s, +1.0),
-        lambda lam: phi_risks_from_matrix(H_plus, lam, s, -1.0),
-        level)
+        lambda lam: minus.phi_risk_grid(lam, s, +1.0),
+        lambda lam: plus.phi_risk_grid(lam, s, -1.0),
+        [level])[0]
 
 
 def grid_oracle_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig,

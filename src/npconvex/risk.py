@@ -174,10 +174,10 @@ def phi_risk_from_matrix(H: np.ndarray, lam: np.ndarray, s: Surrogate, sign: flo
                          weights: np.ndarray | None = None) -> float:
     """Weighted mean of phi(sign * H @ lam); uniform weights when None.
 
-    Shared by the grid oracles, the reports, and closed-form population
-    computations (where rows are atoms and weights their probabilities);
-    the solver's smooth forms call phi_risk_from_margins on their
-    memoised margins.
+    One mixture's risk for the reports and closed-form population
+    computations (rows are atoms, weights their probabilities); grids go
+    through WeightedAtoms.phi_risk_grid, and the solver's smooth forms
+    call phi_risk_from_margins on their memoised margins.
     """
     return phi_risk_from_margins(sign * (H @ lam), s, weights)
 
@@ -191,37 +191,10 @@ def phi_risk_from_margins(margins: np.ndarray, s: Surrogate,
     return float(np.dot(weights, vals))
 
 
-# (sample, point) pairs per block of phi_risks_from_matrix: 64 KB
-# temporaries stay in cache and are reused without page faults.
-_GRID_BLOCK_PAIRS = 1 << 13
-
-
-def phi_risks_from_matrix(H: np.ndarray, grid: np.ndarray, s: Surrogate,
-                          sign: float) -> np.ndarray:
-    """np.mean(phi(sign * H @ grid.T), axis=0) bit for bit, in blocks.
-
-    numpy sums two or more columns in row order, so runs of up to 128 grid
-    points take H a block of rows at a time and continue the column sums.
-    A lone point or row is scored whole and blocks keep two rows or more,
-    as numpy sums a lone column pairwise and multiplies a lone row or
-    column through another BLAS routine.
-    """
-    if grid.shape[0] == 1 or H.shape[0] == 1:
-        return np.mean(s.eval(sign * (H @ grid.T)), axis=0)
-    out = []
-    for run in np.array_split(grid, -(-grid.shape[0] // 128)):
-        rows = max(2, _GRID_BLOCK_PAIRS // run.shape[0])
-        total = None
-        for block in np.array_split(H, max(1, H.shape[0] // rows)):
-            vals = s.eval(sign * (block @ run.T))
-            total = np.add.reduce(vals if total is None else np.vstack([total, vals]), axis=0)
-        out.append(total / H.shape[0])
-    return np.concatenate(out)
-
-
-# (atom, point) pairs per run of WeightedAtoms.phi_risk_grid: 32 MB of
-# temporaries; every exact-atom caller scores its <= 200k-point chunk whole
-_ATOM_BLOCK_PAIRS = 1 << 22
+# (atom, point) pairs per run of WeightedAtoms.phi_risk_grid: 128 KB
+# temporaries.  Unmerged rows (a CCP g_matrix, a non-stump dictionary)
+# scored up to twice as slowly in runs of 1 << 16 pairs or more
+_ATOM_BLOCK_PAIRS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -261,12 +234,13 @@ class WeightedAtoms:
     def phi_risk_grid(self, grid: np.ndarray, s: Surrogate, sign: float) -> np.ndarray:
         """Risk at every grid row: weights @ phi(sign * H @ grid.T).
 
-        Scored in runs of grid points that hold at most _ATOM_BLOCK_PAIRS
-        (atom, point) pairs, so memory stays flat for a large reference
-        sample.  A run that covers the grid scores it whole, bit for bit.
+        The one grid-risk kernel of every grid referee, scored in runs of
+        _ATOM_BLOCK_PAIRS // K grid points (at least one) for K atoms, so
+        memory stays flat for any number of atoms.
         """
         run = max(1, _ATOM_BLOCK_PAIRS // self.H.shape[0])
-        return np.concatenate([self.weights @ s.eval(sign * (self.H @ grid[i:i + run].T))
+        # the sign goes on the small grid run: negation is exact either way
+        return np.concatenate([self.weights @ s.eval(self.H @ (sign * grid[i:i + run]).T)
                                for i in range(0, max(1, grid.shape[0]), run)])
 
 

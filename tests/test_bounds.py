@@ -149,6 +149,17 @@ def test_rademacher_vertex_identity():
                                             resolution=0.1)
 
 
+def test_rademacher_vertex_identity_refuses_vacuous_input():
+    # an empty sample or no trial would pass without comparing anything
+    d = BaseDictionary([DecisionStump(0, 0.4, 1), ConstantClassifier(-1.0)], dim=1)
+    with pytest.raises(EmptySample):
+        check_rademacher_vertex_identity(d, np.empty((0, 1)), seed=1, trials=5)
+    data = np.random.default_rng(2).uniform(0, 1, (30, 1))
+    for trials in (0, -1):
+        with pytest.raises(DomainError, match="trial"):
+            check_rademacher_vertex_identity(d, data, seed=1, trials=trials)
+
+
 def test_sup_deviation_small_run():
     scen = Scenario.prop31(0.3)
     d = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 0.3, 1)],
@@ -158,6 +169,14 @@ def test_sup_deviation_small_run():
     assert out["trials"] == 50
     assert out["violation_rate"] <= 0.1
     assert out["max_sup"] <= out["threshold"]
+
+
+def test_sup_deviation_rejects_empty_samples():
+    d = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 0.3, 1)], dim=1)
+    for n in (0, -1):
+        with pytest.raises(DomainError, match="n >= 1"):
+            check_sup_deviation(Scenario.prop31(0.3), d, hinge(), n=n, delta=0.1,
+                                trials=5, seed=3)
 
 
 def test_sup_deviation_monte_carlo_reference_on_custom_csv():
@@ -213,6 +232,7 @@ def test_gamma_curve_at_four_bases_is_the_grid_minimum():
     assert [x for x, _ in curve] == levels
     np.testing.assert_allclose([v for _, v in curve], want, rtol=0.0, atol=1e-12)
     assert math.isinf(curve[0][1]) and math.isfinite(curve[-1][1])
+    assert gamma_curve((minus, plus), d, s, [], resolution=0.05) == []
 
 
 def test_gamma_curve_refuses_oversized_scans_and_empty_classes():

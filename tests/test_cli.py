@@ -394,3 +394,28 @@ def test_experiment_domain_errors_exit_two(tmp_path, capsys):
         path.write_text(json.dumps({**base, **extra}), encoding="utf-8")
         assert main(["experiment", "--kind", "rate", "--config", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "domain"
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("dictionary", "thresholds", ["abc"]),
+    ("dictionary", "thresholds", 0.5),
+    (None, "alpha", "0.3"),
+    ("scenario", "sigma", "1"),
+    (None, "trials", 1.0),
+    ("dictionary", "include_constant", "false"),
+])
+def test_experiment_config_values_of_the_wrong_type_are_schema_errors(
+        tmp_path, capsys, where, key, value):
+    cfg = {"scenario": {"kind": "gaussian_1d", "mu_minus": 0.0, "mu_plus": 2.0,
+                        "sigma": 1.0},
+           "dictionary": {"thresholds": [1.0]}, "alpha": 0.3, "delta": 0.1,
+           "n_grid": [200], "trials": 1}
+    (cfg if where is None else cfg[where])[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["experiment", "--kind", "rate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    report = json.loads(err[0])
+    assert report["error"] == "schema"
+    assert repr(key if where is None else f"{where}.{key}") in report["message"]

@@ -37,11 +37,14 @@ def test_enumerator_rejects_empty_grids():
 
 
 def test_argmin_feasible_keeps_the_first_hit():
-    # points are row ids; row 1 is infeasible (and best), rows 2 and 3 tie
-    # inside one chunk, row 4 ties again in a later chunk: row 2 wins
-    con = np.array([0.0, 9.0, 0.0, 0.0, 0.0])
-    obj = np.array([5.0, 0.0, 1.0, 1.0, 1.0])
-    pts = np.arange(5.0)[:, None]
+    # points are row ids; row 1 is infeasible at both levels (and best).
+    # At level 1 rows 2 and 3 tie inside one chunk and row 4 ties again in
+    # a later chunk: row 2 wins.  At level 6 rows 5 and 6 tie inside one
+    # chunk and row 7 in a later one: row 5 wins
+    con = np.array([0.0, 9.0, 0.0, 0.0, 0.0, 5.0, 5.0, 5.0])
+    obj = np.array([5.0, 0.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
+    pts = np.arange(8.0)[:, None]
+    chunks = [pts[:2], pts[1:2], pts[2:4], pts[4:5], pts[5:7], pts[7:]]
     scored = []
 
     def objective_values(rows):
@@ -51,19 +54,29 @@ def test_argmin_feasible_keeps_the_first_hit():
     def constraint_values(rows):
         return con[rows[:, 0].astype(int)]
 
-    lam, val = argmin_feasible([pts[:2], pts[1:2], pts[2:4], pts[4:]],
-                               constraint_values, objective_values, level=1.0)
-    assert (list(lam), val) == ([2.0], 1.0)
-    # a chunk with a feasible row is scored whole; one without is skipped
-    assert scored == [0.0, 1.0, 2.0, 3.0, 4.0]
+    both = argmin_feasible(chunks, constraint_values, objective_values, [1.0, 6.0])
+    assert [(list(lam), val) for lam, val in both] == [([2.0], 1.0), ([5.0], 0.5)]
+    # a chunk with a row feasible at some level is scored whole, once;
+    # one feasible at no level is skipped
+    assert scored == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+    for level, (lam, val) in zip([1.0, 6.0], both):
+        [(one_lam, one_val)] = argmin_feasible(chunks, constraint_values,
+                                               objective_values, [level])
+        assert one_lam.tobytes() == lam.tobytes() and one_val == val
+    # a NaN level meets no point and hides none from the other levels
+    nan_first = argmin_feasible(chunks, constraint_values, objective_values,
+                                [np.nan, 6.0])
+    assert nan_first[0] == (None, np.inf) and list(nan_first[1][0]) == [5.0]
+    scored.clear()
     assert argmin_feasible([pts[1:2]], constraint_values, objective_values,
-                           level=1.0) == (None, np.inf)
-    assert len(scored) == 5
+                           [1.0]) == [(None, np.inf)]
+    assert argmin_feasible(chunks, constraint_values, objective_values, []) == []
+    assert scored == []
 
 
 def _full_scan(k, constraint_values, objective_values, level):
     return argmin_feasible(iter_grid_chunks(3, k, chunk=4096), constraint_values,
-                           objective_values, level)
+                           objective_values, [level])[0]
 
 
 def _assert_window_matches(scan_lam, scan_val, oracle_lam, oracle_val, flat):

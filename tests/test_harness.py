@@ -355,6 +355,20 @@ def test_oracle_type2_mc_agrees():
     assert abs(est_r - 0.7) < 0.01
 
 
+def test_oracle_type2_mc_needs_two_draws_before_drawing():
+    # one draw has no half-width and none has no mean; both are refused
+    # before the scenario is sampled
+    scen = Scenario.gaussian_1d(0.0, 2.0, 1.0)
+    drawn = []
+    scen.draw_positives = lambda rng, m: drawn.append(m)
+    for draws in (1, 0, -3):
+        with pytest.raises(DomainError, match="draws"):
+            oracle_type2_mc(scen, 0.1, draws=draws, seed=4)
+        with pytest.raises(DomainError, match="draws"):
+            oracle_type2_mc(Scenario.prop31(0.3), 0.3, draws=draws, seed=4)
+    assert drawn == []
+
+
 def test_most_powerful_test_floors_aggregation():
     # no aggregated classifier can beat the likelihood-ratio floor: the
     # coverage runner's true type-II risk (0/1, via the population atoms)

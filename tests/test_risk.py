@@ -17,8 +17,7 @@ from npconvex.risk import (Sample, WeightedAtoms, empirical_01_type1,
                            empirical_01_type2, empirical_atoms,
                            empirical_phi_type1, empirical_phi_type2,
                            exact_risks_prop31, monte_carlo_risk,
-                           phi_risk_from_matrix, phi_risks_from_matrix,
-                           risk_report)
+                           phi_risk_from_matrix, risk_report)
 from npconvex.surrogate import exponential, hinge, logit
 
 
@@ -160,26 +159,10 @@ def test_weighted_atoms_validation():
         WeightedAtoms(np.zeros((2, 2)), np.array([0.7, 0.7]))
 
 
-@pytest.mark.parametrize("pairs", [1, 64, 1 << 13])
-def test_grid_risks_are_whole_matrix_means(monkeypatch, pairs):
-    # runs of points and blocks of rows give the bits of np.mean over the
-    # whole (n, P) matrix, for a lone point and a lone row too
-    monkeypatch.setattr(risk, "_GRID_BLOCK_PAIRS", pairs)
-    rng = np.random.default_rng(4)
-    H = rng.uniform(-1.0, 1.0, (301, 3))
-    grid = rng.dirichlet(np.ones(3), 300)
-    s = logit()
-    for sign in (1.0, -1.0):
-        for rows, pts in ((H, grid), (H, grid[:129]), (H, grid[:2]), (H, grid[:1]),
-                          (H[:1], grid), (H[:2], grid)):
-            want = np.mean(s.eval(sign * (rows @ pts.T)), axis=0)
-            np.testing.assert_array_equal(phi_risks_from_matrix(rows, pts, s, sign), want)
-
-
 def test_atom_grid_risks_score_bounded_blocks():
-    # a large atom set is scored a run of grid points at a time; a small
-    # one still scores a 200k-point chunk in one piece.  The 20k rows stay
-    # unmerged: empirical_atoms would collapse them to four atoms
+    # K atoms are scored _ATOM_BLOCK_PAIRS // K grid points at a time (at
+    # least one), for a large atom set and a small one alike.  The 20k rows
+    # stay unmerged: empirical_atoms would collapse them to four atoms
     sizes = []
     base = hinge()
 
@@ -187,14 +170,17 @@ def test_atom_grid_risks_score_bounded_blocks():
         sizes.append(z.size)
         return base._fn(z)
 
+    def run_sizes(points, k):
+        run = max(1, risk._ATOM_BLOCK_PAIRS // k)
+        return [k * min(run, points - i) for i in range(0, points, run)]
+
     s = dataclasses.replace(base, _fn=recording)
     rng = np.random.default_rng(6)
     H = rng.choice([-1.0, 1.0], size=(20_000, 2))
     grid = np.column_stack([np.linspace(0.0, 1.0, 1001), np.linspace(1.0, 0.0, 1001)])
     atoms = WeightedAtoms(H, np.full(H.shape[0], 1.0 / H.shape[0]))
     vals = atoms.phi_risk_grid(grid, s, 1.0)
-    assert max(sizes) <= risk._ATOM_BLOCK_PAIRS
-    assert sum(sizes) == H.shape[0] * grid.shape[0]
+    assert sizes == run_sizes(grid.shape[0], H.shape[0])
     want = atoms.weights @ base.eval(H @ grid.T)
     np.testing.assert_allclose(vals, want, rtol=0.0, atol=1e-12)
 
@@ -203,8 +189,11 @@ def test_atom_grid_risks_score_bounded_blocks():
     chunk = rng.dirichlet(np.ones(3), 200_000)
     sizes.clear()
     got = three.phi_risk_grid(chunk, s, -1.0)
-    assert sizes == [3 * 200_000]
-    np.testing.assert_array_equal(got, three.weights @ base.eval(-(H3 @ chunk.T)))
+    assert sizes == run_sizes(chunk.shape[0], 3) and len(sizes) > 1
+    run = risk._ATOM_BLOCK_PAIRS // 3
+    want = [three.weights @ base.eval(-(H3 @ chunk[i:i + run].T))
+            for i in range(0, chunk.shape[0], run)]
+    np.testing.assert_array_equal(got, np.concatenate(want))
 
 
 def test_empirical_atoms_merge_identical_rows():
