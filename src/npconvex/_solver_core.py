@@ -45,6 +45,9 @@ the gaps SLSQP reaches (about 1e-9 to 1e-6) and far below the
 statistical margin kappa/sqrt(n) that the constraint level already
 gives up.
 
+scipy is imported on the first SLSQP solve only (minimize below): the
+affine route, the grid oracles and everything else never load it.
+
 Everything here is deterministic given identical inputs; no randomness
 is consumed.
 """
@@ -55,7 +58,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError, Infeasible
 from .risk import phi_risk_from_margins
@@ -199,6 +201,12 @@ def lagrangian_bound(lam: np.ndarray, objective: Form, constraint: Optional[Form
     if np.min(d) > 0.0:
         return np.inf
     return _lp_min(c, d, 0.0)[1]
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 def _slsqp(form: Form, m: int, start: np.ndarray, max_iters: int,

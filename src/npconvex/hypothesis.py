@@ -14,7 +14,8 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BaseRangeError, DimensionMismatch, DomainError, EmptyData
+from .errors import (BaseRangeError, DimensionMismatch, DomainError, EmptyData,
+                     NonFiniteValue)
 
 RANGE_TOL = 1e-9
 SIMPLEX_TOL = 1e-12
@@ -33,6 +34,8 @@ class DecisionStump:
             raise DomainError(f"stump polarity must be +1 or -1, got {self.polarity}")
         if self.axis < 0:
             raise DomainError(f"stump axis must be nonnegative, got {self.axis}")
+        if np.isnan(self.threshold):
+            raise DomainError("stump threshold must not be NaN")
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
         return np.where(X[:, self.axis] <= self.threshold, float(self.polarity), -float(self.polarity))
@@ -121,11 +124,14 @@ class BaseDictionary:
         self._check_dim(X)
         return X
 
-    def _columns(self, X: np.ndarray, reduce: Callable[[np.ndarray], object]) -> list:
+    def _columns(self, X: np.ndarray, reduce: Callable[[np.ndarray], object],
+                 stump: Optional[Callable[[DecisionStump], object]] = None) -> list:
         """[reduce(h_j(X)) for each base j], one base column at a time.
 
-        The one range check on base values: it names the first NaN, or
-        else the first entry of largest magnitude, in row-major order.
+        With `stump`, a base of type exactly DecisionStump yields stump(b)
+        instead; its +-1 values never fail the range check.  The one range
+        check on base values: it names the first NaN, or else the first
+        entry of largest magnitude, in row-major order.
         """
         # column-major, so a base reading one feature scans contiguous memory
         X = np.asfortranarray(self._as_features(X))
@@ -133,6 +139,9 @@ class BaseDictionary:
         rows = np.zeros(self.m, dtype=np.intp)  # first argmax of |h_j(x_i)|
         values = np.zeros(self.m)  # h_j there; NaN wins argmax
         for j, b in enumerate(self.bases):
+            if stump is not None and type(b) is DecisionStump:
+                out.append(stump(b))
+                continue
             col = np.asarray(b.evaluate_batch(X), dtype=float)
             if col.size:
                 rows[j] = np.argmax(np.abs(col))
@@ -149,12 +158,25 @@ class BaseDictionary:
     def column_means(self, X: np.ndarray) -> np.ndarray:
         """The M column means of evaluate_matrix(X), with its range check.
 
-        Scratch memory is O(n): no (n, M) matrix is formed.
+        Scratch memory is O(n): no (n, M) matrix is formed.  A stump's
+        mean comes from one sort of its axis, shared by every stump on
+        that axis: with c = #{x <= threshold}, it is polarity (2c - n) / n,
+        bit for bit np.mean of its +-1 column, whose pairwise sum is an
+        exact integer.  NaN features sort last and count as > threshold.
         """
         X = self._as_features(X)
-        if X.shape[0] == 0:
+        n = X.shape[0]
+        if n == 0:
             raise EmptyData("column means need at least one row")
-        return np.array(self._columns(X, np.mean))
+        sorted_axes = {}
+
+        def stump_mean(b: DecisionStump) -> float:
+            if b.axis not in sorted_axes:
+                sorted_axes[b.axis] = np.sort(X[:, b.axis])
+            c = int(np.searchsorted(sorted_axes[b.axis], b.threshold, side="right"))
+            return float(b.polarity * (2 * c - n)) / n
+
+        return np.array(self._columns(X, np.mean, stump_mean))
 
     def evaluate_matrix(self, X: np.ndarray) -> np.ndarray:
         """(n, M) matrix H with H[i, j] = h_j(x_i); validates the range."""
@@ -258,6 +280,8 @@ def build_stump_dictionary(data: np.ndarray, per_axis_thresholds: int) -> BaseDi
         raise EmptyData("cannot build stumps from an empty data matrix")
     if per_axis_thresholds < 1:
         raise DomainError("per_axis_thresholds must be >= 1")
+    if np.isnan(X).any():  # np.quantile would make every threshold NaN
+        raise NonFiniteValue("cannot build stumps from data containing NaN")
     n, d = X.shape
     levels = np.arange(1, per_axis_thresholds + 1) / (per_axis_thresholds + 1)
     bases = []

@@ -1,8 +1,9 @@
 """The benchmark tracer still binds the program names it wraps.
 
 benchmarks/tracing.install wraps np_solver._oracle_scan, the grid oracles,
-_grids.iter_grid_chunks, bounds.gamma_curve, harness._run_trials and more
-by name, so renaming one of them, or routing an oracle around it, breaks
+_grids.iter_grid_chunks, bounds.gamma_curve, harness._run_trials,
+_solver_core.minimize (SLSQP, whose scipy import is deferred to the first
+call) and more by name, so renaming one of them, or routing an oracle around it, breaks
 the benchmark's per-layer numbers.  install patches module attributes for
 the whole process, so the check runs in a subprocess of its own.
 """
@@ -24,7 +25,7 @@ import tracing
 from npconvex import bounds, ccp, np_solver
 from npconvex.hypothesis import BaseDictionary, ConstantClassifier, DecisionStump
 from npconvex.risk import Sample, WeightedAtoms
-from npconvex.surrogate import hinge
+from npconvex.surrogate import hinge, logit
 
 tr = tracing.Tracer()
 tracing.install(tr)
@@ -41,7 +42,10 @@ H = np.array([[-1.0, 1.0], [-1.0, -1.0]])
 atoms = WeightedAtoms(H, np.array([0.5, 0.5]))
 d2 = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 0.5, 1)], dim=1)
 bounds.gamma_curve((atoms, atoms), d2, hinge(), [0.5], resolution=0.1)
-print(json.dumps({{"counts": dict(tr.counts),
+big = Sample(rng.uniform(0, 1, (4000, 1)), rng.uniform(0.3, 1.3, (4000, 1)))
+smooth = np_solver.NPConfig(alpha=0.8, delta=0.1, surrogate=logit())
+status = np_solver.solve_np(big, d2, smooth).status
+print(json.dumps({{"counts": dict(tr.counts), "status": status,
                    "spans": sorted({{s[1] for s in tr.spans}})}}))
 """
 
@@ -58,4 +62,7 @@ def test_tracer_install_counts_the_grid_referees():
     assert counts["bounds.gamma_points"] == 11
     assert counts["ccp.oracle_points"] == 21
     assert {"np_solver.oracle", "ccp.oracle", "bounds.gamma_curve",
-            "_grids.gen"} <= set(out["spans"])
+            "_grids.gen", "_solver_core.slsqp"} <= set(out["spans"])
+    # the logit solve reaches SLSQP through the wrapped _solver_core.minimize
+    assert out["status"] == "optimal"
+    assert counts["_solver_core.slsqp_runs"] >= 1

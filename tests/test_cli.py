@@ -396,6 +396,18 @@ def test_experiment_domain_errors_exit_two(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err)["error"] == "domain"
 
 
+def test_experiment_nan_threshold_is_a_domain_error(tmp_path, capsys):
+    # json reads NaN; a NaN stump would be the constant -polarity
+    cfg = ('{"scenario": {"kind": "gaussian_1d", "mu_minus": 0.0, "mu_plus": 2.0, '
+           '"sigma": 1.0}, "dictionary": {"thresholds": [1.0, NaN]}, "alpha": 0.3, '
+           '"delta": 0.1, "n_grid": [200], "trials": 1}')
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg, encoding="utf-8")
+    assert main(["experiment", "--kind", "rate", "--config", str(path)]) == 2
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "domain" and "NaN" in report["message"]
+
+
 @pytest.mark.parametrize("where, key, value", [
     ("dictionary", "thresholds", ["abc"]),
     ("dictionary", "thresholds", 0.5),

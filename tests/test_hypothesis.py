@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from npconvex.errors import (BaseRangeError, DimensionMismatch, DomainError,
-                             EmptyData)
+                             EmptyData, NonFiniteValue)
 from npconvex.hypothesis import (BaseDictionary, CombinedClassifier,
                                  ConstantClassifier, DecisionStump,
                                  FunctionClassifier, SimplexWeights,
@@ -26,6 +26,15 @@ def test_stump_validation():
         DecisionStump(0, 0.5, 2)
     with pytest.raises(DomainError):
         DecisionStump(-1, 0.5, 1)
+    with pytest.raises(DomainError, match="NaN"):
+        DecisionStump(0, float("nan"), 1)
+    with pytest.raises(DomainError, match="NaN"):
+        BaseDictionary.from_json({"bases": [{"kind": "stump", "axis": 0,
+                                             "threshold": float("nan"), "polarity": 1}]})
+    # infinite thresholds are constant stumps, and allowed
+    X = np.array([[-np.inf], [0.0], [np.inf]])
+    assert list(DecisionStump(0, np.inf, 1).evaluate_batch(X)) == [1.0, 1.0, 1.0]
+    assert list(DecisionStump(0, -np.inf, 1).evaluate_batch(X)) == [1.0, -1.0, -1.0]
 
 
 def test_constant_validation():
@@ -129,6 +138,18 @@ def test_build_stump_dictionary_dedup_and_determinism():
         build_stump_dictionary(X, 0)
 
 
+def test_build_stump_dictionary_rejects_nan_data():
+    # np.quantile turns one NaN into all-NaN thresholds, each stump then
+    # the constant -polarity
+    Y = np.random.default_rng(4).normal(size=(40, 2))
+    Y[17, 1] = np.nan
+    with pytest.raises(NonFiniteValue):
+        build_stump_dictionary(Y, 3)
+    # infinite features still give stumps
+    Y[17, 1] = np.inf
+    assert build_stump_dictionary(Y, 3).m == 12
+
+
 def test_dictionary_json_round_trip():
     d = BaseDictionary([DecisionStump(0, 0.3, -1), ConstantClassifier(0.5)],
                        dim=1)
@@ -157,6 +178,81 @@ def test_column_means_match_matrix_means():
     np.testing.assert_array_equal(means, d.column_means(np.asfortranarray(X)))
     one = BaseDictionary([DecisionStump(0, 0.5, -1)])
     assert one.column_means(np.array([0.1, 0.9, 0.7])) == pytest.approx([1.0 / 3.0])
+
+
+def _assert_means_bitwise(d, X):
+    H = d.evaluate_matrix(X)
+    got = d.column_means(X)
+    # each column's own np.mean, and, where every column sum is exact,
+    # the matrix mean too
+    for want in (np.array([np.mean(col) for col in H.T]), H.mean(axis=0)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_column_means_are_bitwise_the_matrix_means():
+    rng = np.random.default_rng(11)
+    # duplicate values, with thresholds placed exactly on data values
+    X = rng.integers(-3, 4, size=(501, 2)).astype(float)
+    X[:, 1] += rng.choice([0.0, 0.25], size=501)
+    thresholds = [-3.0, -0.5, 0.0, 0.25, 1.0, 3.25, 7.0]
+    stumps = [DecisionStump(a, t, p) for a in (0, 1) for t in thresholds for p in (1, -1)]
+    _assert_means_bitwise(BaseDictionary(stumps, dim=2), X)
+    _assert_means_bitwise(BaseDictionary(stumps, dim=2), -X)
+    _assert_means_bitwise(build_stump_dictionary(X, 9), X)
+    # signed zeros compare equal
+    Z = np.array([[-0.0], [0.0], [0.0], [1.0]])
+    _assert_means_bitwise(BaseDictionary([DecisionStump(0, 0.0, 1),
+                                          DecisionStump(0, -0.0, -1)]), Z)
+    # infinite thresholds, and infinite features
+    inf = BaseDictionary([DecisionStump(0, np.inf, 1), DecisionStump(0, -np.inf, 1),
+                          DecisionStump(0, np.inf, -1), DecisionStump(0, -np.inf, -1),
+                          DecisionStump(0, 0.0, 1)])
+    _assert_means_bitwise(inf, X[:, :1])
+    _assert_means_bitwise(inf, np.array([[-np.inf], [1.0], [np.inf], [np.inf]]))
+    # NaN features (allowed through the Python API) count as above every
+    # threshold, +inf included
+    W = X.copy()
+    W[::7, 0] = np.nan
+    _assert_means_bitwise(BaseDictionary(stumps, dim=2), W)
+    _assert_means_bitwise(inf, W[:, :1])
+    # a single row
+    for row in (X[:1], W[:1], np.array([[np.nan, 0.25]])):
+        _assert_means_bitwise(BaseDictionary(stumps, dim=2), row)
+    # stumps mixed with a constant and a user function, which keep their
+    # own path (dyadic user values, so that every column sum is exact)
+    Y = rng.normal(size=(333, 2))
+    user = FunctionClassifier(lambda row: float(np.round(np.tanh(row[0] - row[1]) * 8) / 8))
+    mixed = BaseDictionary([ConstantClassifier(-0.5), *build_stump_dictionary(Y, 4).bases,
+                            user], dim=2)
+    for rows in (Y, Y[4:5]):
+        _assert_means_bitwise(mixed, rows)
+    d = _mixed_dictionary(Y)
+    H = d.evaluate_matrix(Y)
+    assert d.column_means(Y).tobytes() == np.array([np.mean(col) for col in H.T]).tobytes()
+
+
+def test_stump_subclasses_keep_their_own_evaluation():
+    class Soft(DecisionStump):
+        def evaluate_batch(self, X):
+            return 0.5 * super().evaluate_batch(X)
+
+    X = np.array([[0.1], [0.4], [0.9]])
+    d = BaseDictionary([Soft(0, 0.5, 1), DecisionStump(0, 0.5, 1)])
+    np.testing.assert_array_equal(d.column_means(X), [1.0 / 6.0, 1.0 / 3.0])
+
+
+def test_column_means_name_a_bad_base_after_the_stumps():
+    X = np.array([[0.2, 1.0], [0.7, -4.0], [0.9, 0.0]])
+    bad = FunctionClassifier(lambda row: float(row[1]), "second feature")
+    d = BaseDictionary([DecisionStump(0, 0.5, 1), ConstantClassifier(0.5),
+                        DecisionStump(1, 0.0, -1), bad], dim=2)
+    with pytest.raises(BaseRangeError) as from_matrix:
+        d.evaluate_matrix(X)
+    with pytest.raises(BaseRangeError) as from_means:
+        d.column_means(X)
+    assert str(from_means.value) == str(from_matrix.value) == (
+        "base 3 returned -4.0, outside [-1, 1]")
 
 
 def test_column_means_errors_match_evaluate_matrix():

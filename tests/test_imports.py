@@ -1,14 +1,19 @@
-"""Source hygiene: every module-level import in the package is used, and
-every private module-level name is read somewhere in the package."""
+"""Source hygiene: every module-level import in the package is used,
+every private module-level name is read somewhere in the package, and
+scipy loads only when an SLSQP solve needs it."""
 
 from __future__ import annotations
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "npconvex"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "npconvex"
 
 
 def unused_imports(source: str) -> list:
@@ -77,3 +82,87 @@ def test_package_reads_every_private_name():
     unread = sorted(f"{path}: {name}" for path, src in sources.items()
                     for name in private_definitions(src) if name not in read)
     assert unread == []
+
+
+def import_time_modules(source: str) -> list:
+    """Modules a module imports when it is itself imported: every import
+    statement outside function bodies (class bodies and top-level if/try
+    blocks run at import time)."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                found.append(child.module)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_the_check_sees_import_time_imports():
+    src = ("import numpy as np\nfrom .risk import Sample\n"
+           "try:\n    import scipy.optimize\nexcept ImportError:\n    pass\n"
+           "class C:\n    from scipy import linalg\n"
+           "def f():\n    from scipy.optimize import minimize\n    return minimize\n")
+    assert import_time_modules(src) == ["numpy", "scipy.optimize", "scipy"]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_does_not_import_scipy_at_import_time(path):
+    # scipy.optimize costs more than half a second to import; only the
+    # SLSQP route needs it, and it imports it on first use
+    modules = import_time_modules((PACKAGE / path).read_text(encoding="utf-8"))
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
+SCIPY_SCRIPT = """
+import json, sys
+sys.path.insert(0, {src!r})
+import numpy as np
+import npconvex
+from npconvex import NPConfig, Sample, np_solver
+from npconvex.cli import main
+from npconvex.hypothesis import BaseDictionary, ConstantClassifier, DecisionStump
+from npconvex.surrogate import hinge, logit
+
+rng = np.random.default_rng(5)
+seen = {{}}
+with open({labeled!r}, "w", encoding="utf-8") as fh:
+    fh.write("x0,y\\n")
+    for x, y in zip(rng.uniform(0, 1, 8000), np.repeat([-1, 1], 4000)):
+        fh.write(f"{{x:.6f}},{{y}}\\n")
+with open({draws!r}, "w", encoding="utf-8") as fh:
+    fh.write("x0\\n" + "".join(f"{{x:.6f}}\\n" for x in rng.uniform(0, 1, 3000)))
+seen["import"] = "scipy.optimize" in sys.modules
+codes = [main(["solve", "--data", {labeled!r}, "--alpha", "0.45", "--delta", "0.1",
+               "--stumps", "2", "--surrogate", "hinge", "--no-timestamp", "--out", {out!r}]),
+         main(["ccp", "--data", {draws!r}, "--alpha", "0.45", "--delta", "0.1",
+               "--stumps", "2", "--surrogate", "hinge", "--objective", "0.5,-0.2,0.1,0.3,-0.4",
+               "--no-timestamp", "--out", {out!r}])]
+sample = Sample(rng.uniform(0, 1, (4000, 1)), rng.uniform(0.3, 1.3, (4000, 1)))
+d = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 0.5, 1)], dim=1)
+np_solver.grid_oracle_np(sample, d, NPConfig(alpha=0.45, delta=0.1, surrogate=hinge()),
+                         resolution=0.05)
+seen["hinge"] = "scipy.optimize" in sys.modules
+sol = np_solver.solve_np(sample, d, NPConfig(alpha=0.8, delta=0.1, surrogate=logit()))
+seen["logit"] = "scipy.optimize" in sys.modules
+print(json.dumps({{"codes": codes, "seen": seen, "status": sol.status}}))
+"""
+
+
+def test_only_a_smooth_solve_loads_scipy(tmp_path):
+    script = SCIPY_SCRIPT.format(src=str(ROOT / "src"), labeled=str(tmp_path / "train.csv"),
+                                 draws=str(tmp_path / "draws.csv"),
+                                 out=str(tmp_path / "report.json"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["codes"] == [0, 0]
+    assert out["seen"] == {"import": False, "hinge": False, "logit": True}
+    assert out["status"] == "optimal"
