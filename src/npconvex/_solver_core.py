@@ -270,18 +270,22 @@ def minimize_simplex(m: int, form: Form, max_iters: int = 500,
     """
     if m < 1:
         raise DomainError("simplex dimension must be >= 1")
-    eye = np.eye(m)
     if isinstance(form, AffineForm):
-        lam = eye[int(np.argmin(form.coeffs))]  # argmin takes the first on ties
+        lam = _vertex(m, np.argmin(form.coeffs))  # argmin takes the first on ties
         return SolveResult(lam, form.value(lam), None, 0, lagrangian_bound(lam, form))
 
     def starts():
         yield np.full(m, 1.0 / m)
-        vertex_vals = np.array([form.value(eye[j]) for j in range(m)])
+        vertex_vals = np.array([form.value(_vertex(m, j)) for j in range(m)])
         for j in np.argsort(vertex_vals, kind="stable")[: min(3, m)]:
-            yield eye[j]
+            yield _vertex(m, j)
 
     return _certified_starts(form, m, starts(), max_iters, threshold=threshold)
+
+
+def _vertex(m: int, j) -> np.ndarray:
+    """Simplex vertex j: row j of the m x m identity, built alone."""
+    return np.eye(1, m, j)[0]
 
 
 #: vertex pairs scored per block in _lp_min (bounds its scratch memory)
@@ -308,7 +312,7 @@ def _lp_min(b: np.ndarray, c: np.ndarray, r: float):
     m = b.size
     feasible = c <= r
     j, best_val = _first_min(np.where(feasible, b, np.inf))
-    best_lam = np.eye(m)[j]
+    best_lam = _vertex(m, j)
     inside, outside = np.flatnonzero(feasible), np.flatnonzero(c > r)
     if outside.size:
         c_out, b_out = c[outside], b[outside]
@@ -321,8 +325,7 @@ def _lp_min(b: np.ndarray, c: np.ndarray, r: float):
             if val < best_val:
                 jj, kk = divmod(p, outside.size)
                 best_val = val
-                best_lam = np.zeros(m)
-                best_lam[rows[jj, 0]] = theta[jj, kk]
+                best_lam = theta[jj, kk] * _vertex(m, rows[jj, 0])
                 best_lam[outside[kk]] = 1.0 - theta[jj, kk]
     return best_lam, best_val
 
@@ -337,7 +340,7 @@ def _affine_solve(objective: AffineForm, constraint: AffineForm, level: float,
         if min_c > r + feas_tol:
             raise Infeasible(f"constraint minimum {constraint.const + min_c} "
                              f"exceeds level {level} + feas_tol")
-        lam = np.eye(m)[int(np.argmin(c))]
+        lam = _vertex(m, np.argmin(c))
         val = objective.value(lam)
     else:
         lam, val = _lp_min(objective.coeffs, c, r)
@@ -372,7 +375,6 @@ def solve_simplex_program(m: int, objective: Form, constraint: Form, level: floa
     if isinstance(objective, AffineForm) and isinstance(constraint, AffineForm):
         return _affine_solve(objective, constraint, level, m, feas_tol)
 
-    eye = np.eye(m)
     probe = None
 
     def probe_lam():
@@ -388,9 +390,9 @@ def solve_simplex_program(m: int, objective: Form, constraint: Form, level: floa
     def starts():
         yield np.full(m, 1.0 / m)
         yield probe_lam()
-        feas = [j for j in range(m) if constraint.value(eye[j]) <= level]
+        feas = [j for j in range(m) if constraint.value(_vertex(m, j)) <= level]
         if feas:
-            yield eye[feas[int(np.argmin([objective.value(eye[j]) for j in feas]))]]
+            yield _vertex(m, feas[int(np.argmin([objective.value(_vertex(m, j)) for j in feas]))])
 
     def polish(lam):
         # the polish ends at a point it scored <= level, or at the probe's

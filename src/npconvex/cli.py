@@ -13,8 +13,8 @@ import argparse
 import csv as csv_mod
 import datetime
 import json
-import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,76 +33,74 @@ def load_csv(path):
     """Parse a UTF-8 CSV with a header row into (X, y) or a bare matrix.
 
     A column named `y` holds labels in {-1, 1}; without one the file is a
-    plain feature matrix (scenario draws) and y comes back as None.
-    Ragged rows, non-numeric cells, or an empty file raise SchemaError;
+    plain feature matrix (scenario draws) and y comes back as None.  Rows
+    go through one C parse, or else a per-cell parse that accepts every
+    spelling float() accepts and names the first bad cell.  Ragged rows,
+    non-numeric cells, an empty or non-UTF-8 file raise SchemaError;
     NaN/inf features raise NonFiniteValue; bad labels raise UnknownLabel.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv_mod.reader(fh)
-            rows = [r for r in reader if r]
+            header = [c.strip() for c in next((r for r in csv_mod.reader(fh) if r), ())]
+            if parsed := header and _loadtxt_block(header, fh):
+                return parsed
+            fh.seek(0)  # the per-cell parse names the first bad cell
+            rows = [r for r in csv_mod.reader(fh) if r]
     except OSError as err:
         raise SchemaError(f"cannot read {path}: {err}")
+    except (UnicodeDecodeError, csv_mod.Error) as err:
+        raise SchemaError(f"{path} is not UTF-8 CSV: {err}")
     if len(rows) < 2:
         raise SchemaError(f"{path} needs a header row and at least one data row")
-    header = [c.strip() for c in rows[0]]
     if len(set(header)) != len(header):
         raise SchemaError(f"{path} has duplicate column names")
     y_col = header.index("y") if "y" in header else None
-    X, y = _parse_block(header, rows[1:], y_col)
-    if X is None:  # the per-cell parse names the first bad cell
-        X, y = _parse_cells(path, header, rows[1:], y_col)
+    X, y = _parse_cells(path, header, rows[1:], y_col)
     if y_col is not None and len(header) == 1:
         raise SchemaError(f"{path} has labels but no feature columns")
     return X, y
 
 
-def _parse_block(header, body, y_col):
-    """(X, y) from one numpy parse of every cell, or (None, None) when a
-    row is ragged, a cell is not a number, a label is bad or a feature is
-    not finite.  numpy parses each cell as float() does."""
-    try:
-        block = np.array(body, dtype=float)
-    except ValueError:
-        return None, None
-    if block.shape != (len(body), len(header)):
-        return None, None
+def _loadtxt_block(header, fh):
+    """(X, y) from one np.loadtxt parse of the rest of fh, or None for the
+    per-cell parse to decide.  numpy splits rows and quoted cells as csv does
+    and parses cells as float() does, but refuses spellings such as 1_000."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        try:
+            block = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        except ValueError:
+            return None
+    if (not block.shape[0] or block.shape[1] != len(header)
+            or len(set(header)) != len(header) or header == ["y"]):
+        return None
+    y_col = header.index("y") if "y" in header else None
     X = block if y_col is None else np.delete(block, y_col, axis=1)
     y = None if y_col is None else block[:, y_col].copy()
     if y is not None and not np.all((y == -1.0) | (y == 1.0)):
-        return None, None
-    if not np.all(np.isfinite(X)):
-        return None, None
-    return X, y
+        return None
+    return (X, y) if np.all(np.isfinite(X)) else None
 
 
 def _parse_cells(path, header, body, y_col):
-    width = len(header)
     feats, labels = [], []
     for lineno, row in enumerate(body, start=2):
-        if len(row) != width:
-            raise SchemaError(
-                f"{path}:{lineno} has {len(row)} cells, expected {width}")
+        if len(row) != len(header):
+            raise SchemaError(f"{path}:{lineno} has {len(row)} cells, expected {len(header)}")
         vals = []
         for name, cell in zip(header, row):
             try:
-                v = float(cell)
+                vals.append(float(cell))
             except ValueError:
-                raise SchemaError(
-                    f"{path}:{lineno} column {name!r}: {cell!r} is not a number")
-            vals.append(v)
+                raise SchemaError(f"{path}:{lineno} column {name!r}: {cell!r} is not a number")
         if y_col is not None:
-            lab = vals.pop(y_col)
-            if lab not in (-1.0, 1.0):
-                raise UnknownLabel(
-                    f"{path}:{lineno}: label must be -1 or 1, got {lab}")
-            labels.append(lab)
-        if not all(math.isfinite(v) for v in vals):
+            labels.append(vals.pop(y_col))
+            if labels[-1] not in (-1.0, 1.0):
+                raise UnknownLabel(f"{path}:{lineno}: label must be -1 or 1, got {labels[-1]}")
+        if not np.isfinite(vals).all():
             raise NonFiniteValue(f"{path}:{lineno} has a non-finite feature")
         feats.append(vals)
-    X = np.asarray(feats, dtype=float)
-    y = np.asarray(labels, dtype=float) if y_col is not None else None
-    return X, y
+    return np.asarray(feats, dtype=float), None if y_col is None else np.asarray(labels)
 
 
 def _require_labels(X, y, path):
@@ -305,7 +303,7 @@ def _cmd_experiment(args) -> int:
         cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except OSError as err:
         raise SchemaError(f"cannot read {args.config}: {err}")
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise SchemaError(f"{args.config} is not valid JSON: {err}")
     if not isinstance(cfg, dict):
         raise SchemaError("experiment config must be a JSON object")

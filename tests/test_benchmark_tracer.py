@@ -5,15 +5,20 @@ _grids.iter_grid_chunks, bounds.gamma_curve, harness._run_trials,
 _solver_core.minimize (SLSQP, whose scipy import is deferred to the first
 call) and more by name, so renaming one of them, or routing an oracle around it, breaks
 the benchmark's per-layer numbers.  install patches module attributes for
-the whole process, so the check runs in a subprocess of its own.
+the whole process, so the check runs in a subprocess of its own.  The CLI
+workload wraps cli.load_csv by name too, inside the solve process that
+benchmarks/trace_cli.py runs.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -66,3 +71,23 @@ def test_tracer_install_counts_the_grid_referees():
     # the logit solve reaches SLSQP through the wrapped _solver_core.minimize
     assert out["status"] == "optimal"
     assert counts["_solver_core.slsqp_runs"] >= 1
+
+
+def test_traced_cli_solve_records_the_csv_load(tmp_path):
+    rng = np.random.default_rng(2)
+    data = tmp_path / "train.csv"
+    rows = ["x0,x1,y"] + [f"{u:.6f},{v:.6f},{lab}" for u, v, lab in
+                          zip(rng.normal(size=2000), rng.normal(size=2000),
+                              np.repeat([-1, 1], 1000))]
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "trace_cli.py"), str(trace), "solve",
+         "--data", str(data), "--alpha", "0.8", "--delta", "0.1", "--no-timestamp"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["solution"]["status"] == "optimal"
+    out = json.loads(trace.read_text(encoding="utf-8"))
+    assert "cli.load_csv" in {span[1] for span in out["spans"]}
+    assert out["counts"]["cli.rows_parsed"] == 2000

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import csv
 import inspect
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from npconvex import harness
-from npconvex.cli import load_csv, main
+from npconvex.cli import _parse_cells, load_csv, main
 from npconvex.hypothesis import ConstantClassifier, DecisionStump
 from npconvex.surrogate import hinge
 
@@ -291,23 +293,136 @@ def test_experiment_dictionaries_check_the_scenario_dimension(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err)["error"] == "dimension_mismatch"
 
 
-def test_load_csv_block_parse_matches_cell_parse(tmp_path):
-    from npconvex.cli import _parse_block, _parse_cells
+def _cell_parse(path):
+    """load_csv's reference: every non-empty csv row through _parse_cells."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [r for r in csv.reader(fh) if r]
+    header = [c.strip() for c in rows[0]]
+    return _parse_cells(path, header, rows[1:], header.index("y") if "y" in header else None)
 
+
+@pytest.fixture()
+def cell_parse_calls(monkeypatch):
+    """The arguments of every _parse_cells call load_csv makes."""
+    from npconvex import cli
+
+    calls = []
+    parse = cli._parse_cells
+    monkeypatch.setattr(cli, "_parse_cells", lambda *a: calls.append(a) or parse(*a))
+    return calls
+
+
+def test_load_csv_block_parse_matches_cell_parse(tmp_path, cell_parse_calls):
     rng = np.random.default_rng(4)
     f = tmp_path / "mixed.csv"
     lines = ["a, y ,b"] + [f"{u:.17g},{lab},\"{v:.17g}\"" for u, lab, v in
                             zip(rng.normal(size=50), rng.choice([-1, 1], 50),
                                 rng.uniform(size=50))]
-    lines[3] = "1_000, +1 , 5."  # float() syntax that numpy parses the same way
+    lines[3] = " +1000 , +1 , 5."  # float() syntax that numpy parses the same way
     f.write_text("\n".join(lines) + "\n\n", encoding="utf-8")
+    X_ref, y_ref = _cell_parse(f)
     X, y = load_csv(f)
-    rows = [line.replace('"', "").split(",") for line in lines[1:]]
-    X_ref, y_ref = _parse_cells(f, ["a", "y", "b"], rows, 1)
-    X_block, y_block = _parse_block(["a", "y", "b"], rows, 1)
-    assert X.tobytes() == X_ref.tobytes() == X_block.tobytes()
-    assert y.tobytes() == y_ref.tobytes() == y_block.tobytes()
+    assert not cell_parse_calls  # the one C parse read the whole block
+    assert X.tobytes() == X_ref.tobytes() and y.tobytes() == y_ref.tobytes()
     assert X.shape == (50, 2) and X[2, 0] == 1000.0 and y[2] == 1.0
+
+
+BY_C, BY_CELLS = "one C parse", "per-cell parse"
+#: file text -> the parse that returns (X, y), or the error class and
+#: message suffix that load_csv raised before it had a C parse
+_PARSE_CASES = {
+    "hash_row": ("x0,y\n0.1,1\n#0.2,-1\n",
+                 ("SchemaError", ":3 column 'x0': '#0.2' is not a number")),
+    "whitespace_row": ("x0,y\n0.1,1\n \n0.2,-1\n", ("SchemaError", ":3 has 1 cells, expected 2")),
+    "whitespace_row_one_column": ("x0\n1\n\t\n2\n",
+                                  ("SchemaError", ":3 column 'x0': '\\t' is not a number")),
+    "blank_rows": ("\nx0,y\n\n0.1,1\n\n\n0.2,-1\n\n", BY_C),
+    "crlf": ("x0,y\r\n0.1,1\r\n0.2,-1\r\n", BY_C),
+    "lone_cr": ("x0,y\r0.1,1\r0.2,-1", BY_C),
+    "quoted": ('"x0","y"\n"0.1","1"\n0.2,"-1"\n', BY_C),
+    "quoted_newline": ('x0,y\n"0.1\n",1\n"\r\n0.2","-1"\n', BY_C),
+    "quoted_newline_in_a_number": ('x0,y\n"0.\n1",1\n',
+                                   ("SchemaError", ":2 column 'x0': '0.\\n1' is not a number")),
+    "underscore": ("x0,y\n1_000,1\n0.2,-1\n", BY_CELLS),
+    "padded_sign": ("x0,y\n +1 , +1 \n-2, -1\n", BY_C),
+    "trailing_comma": ("x0,y\n0.1,1,\n", ("SchemaError", ":2 has 3 cells, expected 2")),
+    "trailing_comma_everywhere": ("x0,y,\n0.1,1,\n",
+                                  ("SchemaError", ":2 column '': '' is not a number")),
+    "bom": ("\ufeffx0,y\n0.1,1\n0.2,-1\n", BY_C),
+    "bom_before_y": ("\ufeffy,x0\n1,0.1\n", BY_C),  # the BOM makes "y" a feature name
+    "header_only": ("x0,y\n\n", ("SchemaError", " needs a header row and at least one data row")),
+    "one_row_one_feature": ("x0\n0.5\n", BY_C),
+    "one_row_labeled": ("x0,y\n0.5,-1\n", BY_C),
+    "overflow_to_inf": ("x0,y\n0.1,1\n1e400,-1\n",
+                        ("NonFiniteValue", ":3 has a non-finite feature")),
+    "duplicate_header": ("x0,x0\n0.1,0.2\n", ("SchemaError", " has duplicate column names")),
+    "labels_only": ("y\n1\n-1\n", ("SchemaError", " has labels but no feature columns")),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(_PARSE_CASES))
+def test_load_csv_c_parse_agrees_with_the_cell_parse(tmp_path, cell_parse_calls, case):
+    from npconvex import errors
+
+    text, outcome = _PARSE_CASES[case]
+    f = tmp_path / "case.csv"
+    f.write_bytes(text.encode("utf-8"))
+    if outcome not in (BY_C, BY_CELLS):
+        with pytest.raises(getattr(errors, outcome[0])) as info:
+            load_csv(f)
+        assert str(info.value) == f"{f}{outcome[1]}"
+        return
+    X, y = load_csv(f)
+    assert len(cell_parse_calls) == (outcome == BY_CELLS)
+    X_ref, y_ref = _cell_parse(f)
+    assert X.shape == X_ref.shape and X.tobytes() == X_ref.tobytes()
+    assert (y is None) == (y_ref is None)
+    if y is not None:
+        assert y.tobytes() == y_ref.tobytes()
+
+
+def test_load_csv_peaks_near_its_output(tmp_path):
+    """The CSV reader holds the parsed block, not a string per cell.
+
+    A 4e4 x 11 labeled CSV (3.5 MB of output arrays) peaked at 39.5 MB of
+    traced allocations (11x the output) when every cell went through
+    csv.reader's list of strings; one np.loadtxt block peaks at 7.5 MB.
+    """
+    rng = np.random.default_rng(5)
+    f = tmp_path / "wide.csv"
+    n, d = 20_000, 10
+    body = np.column_stack([rng.normal(size=(2 * n, d)), np.repeat([-1.0, 1.0], n)])
+    with open(f, "w", encoding="utf-8") as fh:
+        fh.write(",".join([f"x{j}" for j in range(d)] + ["y"]) + "\n")
+        np.savetxt(fh, body, fmt=["%.6f"] * d + ["%d"], delimiter=",")
+    tracemalloc.start()
+    try:
+        X, y = load_csv(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert X.shape == (2 * n, d) and np.array_equal(y, body[:, d])
+    assert peak < 4 * (X.nbytes + y.nbytes)
+
+
+def test_undecodable_or_oversized_input_is_a_schema_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    deep = b"x0,y\n" + b"0.5,1\n" * 5000  # past the first decoded chunk
+    for data in (b"x0,y\n0.1,1\n0.\xff2,-1\n", deep + b"\xff,1\n"):
+        bad.write_bytes(data)
+        assert main(["solve", "--data", str(bad), "--alpha", "0.4", "--delta", "0.1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "schema" and "not UTF-8" in err["message"]
+    # a cell over csv's field size limit reaches the per-cell parse
+    bad.write_text("x0,y\n" + "x" * (csv.field_size_limit() + 1) + ",1\n", encoding="utf-8")
+    assert main(["ccp", "--data", str(bad), "--alpha", "0.4", "--delta", "0.1",
+                 "--objective", "1"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "schema"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"alpha": 0.25, "note": "\xff"}')
+    assert main(["experiment", "--kind", "counterexample", "--config", str(cfg)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "schema"
 
 
 def test_load_csv_names_the_first_bad_line(tmp_path):

@@ -8,6 +8,7 @@ on random instances.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,6 +301,28 @@ def test_hinge_route_reads_column_means_only(monkeypatch):
         phi_risk_from_matrix(H_minus, lam, cfg.surrogate, +1.0), abs=1e-12)
     assert sol.r_plus_phi == pytest.approx(
         phi_risk_from_matrix(H_plus, lam, cfg.surrogate, -1.0), abs=1e-12)
+
+
+def test_wide_hinge_solve_builds_no_identity_matrix():
+    """The affine route keeps O(M) vectors per vertex, not an M x M identity.
+
+    At M = 1001 (d = 10, 50 stumps per axis, 2e3 rows) the traced peak of
+    this solve was 10.7 MB when each vertex was a row of np.eye(M), whose
+    8 M^2 bytes (8.0 MB) alone are twice the bound below; one-hot vertices
+    peak at 2.7 MB.
+    """
+    rng = np.random.default_rng(3)
+    X = np.vstack([rng.normal(0.0, 1.0, (1000, 10)), rng.normal(0.7, 1.0, (1000, 10))])
+    d = BaseDictionary([ConstantClassifier(-1.0), *build_stump_dictionary(X, 50).bases], dim=10)
+    cfg = NPConfig(alpha=0.7, delta=0.1, surrogate=hinge())
+    tracemalloc.start()
+    try:
+        sol = solve_np(Sample(X[:1000], X[1000:]), d, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.m == 1001 and sol.status == "optimal"
+    assert peak < 8 * d.m ** 2 / 2
 
 
 def test_smooth_route_risks_are_the_solved_values():
