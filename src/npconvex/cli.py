@@ -33,14 +33,15 @@ def load_csv(path):
     """Parse a UTF-8 CSV with a header row into (X, y) or a bare matrix.
 
     A column named `y` holds labels in {-1, 1}; without one the file is a
-    plain feature matrix (scenario draws) and y comes back as None.  Rows
-    go through one C parse, or else a per-cell parse that accepts every
-    spelling float() accepts and names the first bad cell.  Ragged rows,
-    non-numeric cells, an empty or non-UTF-8 file raise SchemaError;
-    NaN/inf features raise NonFiniteValue; bad labels raise UnknownLabel.
+    plain feature matrix (scenario draws) and y comes back as None.  A
+    leading BOM is skipped.  Rows go through one C parse, or else a
+    per-cell parse that accepts every spelling float() accepts and names
+    the first bad cell.  Ragged rows, non-numeric cells, an empty or
+    non-UTF-8 file raise SchemaError; NaN/inf features raise
+    NonFiniteValue; bad labels raise UnknownLabel.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             header = [c.strip() for c in next((r for r in csv_mod.reader(fh) if r), ())]
             if parsed := header and _loadtxt_block(header, fh):
                 return parsed

@@ -2,9 +2,11 @@
 
 Each experiment draws seeded trials, runs the production solver, and
 compares measured frequencies against the corresponding probabilistic
-guarantee with 3-standard-error Monte Carlo tolerances.  Exact
-sub-oracles (closed-form risks, interval atoms, exact binomial tails)
-replace Monte Carlo wherever the scenario admits them.
+guarantee with 3-standard-error Monte Carlo tolerances.  The rate and
+sampling runners take population risks and gamma(alpha) from one
+reference (_population_reference): exact interval atoms for the uniform
+construction, the atoms of one Monte Carlo sample otherwise.  Exact
+binomial tails check the realized class counts.
 """
 
 from __future__ import annotations
@@ -67,8 +69,11 @@ class Scenario:
                     p: float = 0.5) -> "Scenario":
         if not sigma > 0.0:
             raise DomainError(f"sigma must be positive, got {sigma}")
-        return cls("gaussian_1d", p, mu_minus=float(mu_minus),
-                   mu_plus=float(mu_plus), sigma=float(sigma))
+        params = dict(mu_minus=float(mu_minus), mu_plus=float(mu_plus),
+                      sigma=float(sigma))
+        if not all(map(math.isfinite, params.values())):
+            raise DomainError(f"Gaussian parameters must be finite, got {params}")
+        return cls("gaussian_1d", p, **params)
 
     @classmethod
     def custom_csv(cls, negatives, positives, p: float = 0.5) -> "Scenario":
@@ -110,9 +115,11 @@ class Scenario:
         """Exact class-conditional law of the base-value vector.
 
         Needs every base to be piecewise constant in the single feature
-        (decision stumps on axis 0 or constants); the law then charges
-        finitely many atoms whose probabilities are interval lengths
-        (uniform) or normal CDF differences.
+        (decision stumps on axis 0 or constants).  The sorted distinct
+        thresholds t_1 < ... < t_K cut the line into intervals (t_i, t_{i+1}],
+        with t_0 = -inf and t_{K+1} = +inf; each charges its CDF difference
+        (uniform or normal) to the base values at its right end, where
+        every stump takes the value it has on the whole interval.
         """
         if side not in ("minus", "plus"):
             raise DomainError(f"side must be 'minus' or 'plus', got {side!r}")
@@ -127,69 +134,43 @@ class Scenario:
             else:
                 raise DomainError(
                     "population atoms need stumps on axis 0 or constants")
-        if self.kind == "prop31":
-            pts = np.unique(np.clip(np.asarray(thresholds, dtype=float), 0.0, 1.0))
-            edges = np.concatenate(([0.0], pts, [1.0]))
-            edges = np.unique(edges)
-            weights = np.diff(edges)
-            reps = (edges[:-1] + edges[1:]) / 2.0
-        else:
-            dist = NormalDist(self.params["mu_minus" if side == "minus"
-                                          else "mu_plus"], self.params["sigma"])
-            pts = np.unique(np.asarray(thresholds, dtype=float))
-            if pts.size == 0:
-                reps = np.array([dist.mean])
-                weights = np.array([1.0])
-            else:
-                cdfs = np.array([dist.cdf(t) for t in pts])
-                weights = np.concatenate(([cdfs[0]], np.diff(cdfs),
-                                          [1.0 - cdfs[-1]]))
-                reps = np.concatenate(([pts[0] - 1.0],
-                                       (pts[:-1] + pts[1:]) / 2.0,
-                                       [pts[-1] + 1.0]))
+        cdf = (NormalDist(self.params["mu_" + side], self.params["sigma"]).cdf
+               if self.kind == "gaussian_1d" else lambda t: min(max(t, 0.0), 1.0))
+        cuts = np.unique(np.asarray(thresholds, dtype=float))
+        weights = np.diff([0.0, *map(cdf, cuts), 1.0])
+        reps = np.append(cuts, np.inf)
         keep = weights > 0.0
         weights = weights[keep] / float(np.sum(weights[keep]))
         H = dictionary.evaluate_matrix(reps[keep].reshape(-1, 1))
         return WeightedAtoms(H=H, weights=weights)
 
 
-class _TrueRiskOracle:
-    """Population risks and the gamma value for the experiment runners.
+def _population_reference(scenario, dictionary: BaseDictionary, s, alpha: float,
+                          resolution: float, mc_draws: int, seed: int):
+    """Population (minus, plus) atoms and gamma(alpha) for the runners.
 
     Closed-form interval atoms for the uniform construction; otherwise the
     merged atoms of one large shared reference sample, whose estimates
     carry nonzero half-widths.  Other scenarios may well admit exact atoms
     too, but the experiments deliberately stay Monte Carlo there so the
-    harness treats every generative law the same way.  gamma is
-    bounds.gamma_curve at one level.
+    harness treats every generative law the same way.  An infinite
+    gamma(alpha) leaves no excess risk to score and raises Infeasible.
     """
-
-    def __init__(self, scenario, dictionary: BaseDictionary, surrogate,
-                 mc_draws: int, seed: int):
-        if mc_draws < 2:
-            raise DomainError(f"need at least 2 Monte Carlo draws, got {mc_draws}")
-        self.s = surrogate
-        self.dictionary = dictionary
-        if getattr(scenario, "kind", None) == "prop31":
-            self.minus = scenario.population_atoms(dictionary, "minus")
-            self.plus = scenario.population_atoms(dictionary, "plus")
-        else:
-            rng = rng_for(seed, "harness.reference")
-            Xm = scenario.draw_negatives(rng, mc_draws)
-            Xp = scenario.draw_positives(rng, mc_draws)
-            self.minus = empirical_atoms(dictionary.evaluate_matrix(Xm))
-            self.plus = empirical_atoms(dictionary.evaluate_matrix(Xp))
-
-    def type1(self, lam):
-        return self.minus.estimate(lam, self.s, +1.0)
-
-    def type2(self, lam):
-        return self.plus.estimate(lam, self.s, -1.0)
-
-    def gamma(self, level: float, resolution: float) -> float:
-        curve = gamma_curve((self.minus, self.plus), self.dictionary, self.s,
-                            [level], resolution)
-        return curve[0][1]
+    if mc_draws < 2:
+        raise DomainError(f"need at least 2 Monte Carlo draws, got {mc_draws}")
+    if getattr(scenario, "kind", None) == "prop31":
+        atoms = (scenario.population_atoms(dictionary, "minus"),
+                 scenario.population_atoms(dictionary, "plus"))
+    else:
+        rng = rng_for(seed, "harness.reference")
+        Xm = scenario.draw_negatives(rng, mc_draws)
+        Xp = scenario.draw_positives(rng, mc_draws)
+        atoms = (empirical_atoms(dictionary.evaluate_matrix(Xm)),
+                 empirical_atoms(dictionary.evaluate_matrix(Xp)))
+    gamma_alpha = gamma_curve(atoms, dictionary, s, [alpha], resolution)[0][1]
+    if not math.isfinite(gamma_alpha):
+        raise Infeasible(f"gamma({alpha}) is infinite for this instance")
+    return (*atoms, gamma_alpha)
 
 
 def _eps_bar(eps_bar, negatives, dictionary, cfg: NPConfig, kap: float) -> float:
@@ -374,7 +355,8 @@ def run_rate_experiment(scenario, dictionary: BaseDictionary, cfg: NPConfig,
     """Excess phi-type-II risk against the two-term 1/sqrt(n) bound.
 
     Per (n, trial): solve with n^- = n^+ = n, measure
-    R-phi-plus(lambda-tilde) - gamma(alpha), and compare with the bound.
+    R-phi-plus(lambda-tilde) - gamma(alpha), both on _population_reference,
+    and compare with the bound.
     eps_bar = None estimates epsilon-bar per trial from the probe upper
     bound; pass the analytic value when the instance has one.  Rows with
     n below the n0 threshold are flagged and excluded from the assertion.
@@ -383,10 +365,8 @@ def run_rate_experiment(scenario, dictionary: BaseDictionary, cfg: NPConfig,
         raise DomainError("need at least one trial and one sample size")
     s = cfg.surrogate
     kap = kappa(s.lipschitz, dictionary.m, cfg.delta)
-    oracle = _TrueRiskOracle(scenario, dictionary, s, mc_draws, seed)
-    gamma_alpha = oracle.gamma(cfg.alpha, oracle_resolution)
-    if not math.isfinite(gamma_alpha):
-        raise Infeasible(f"gamma({cfg.alpha}) is infinite for this instance")
+    minus, plus, gamma_alpha = _population_reference(
+        scenario, dictionary, s, cfg.alpha, oracle_resolution, mc_draws, seed)
 
     rows = []
     for n in n_grid:
@@ -399,7 +379,7 @@ def run_rate_experiment(scenario, dictionary: BaseDictionary, cfg: NPConfig,
             except NPConvexError as err:
                 return {"n": n, "trial": t, "error": type(err).__name__}
             eps_val = _eps_bar(eps_bar, sample.negatives, dictionary, cfg, kap)
-            r2, hw = oracle.type2(sol.weights.lam)
+            r2, hw = plus.estimate(sol.weights.lam, s, -1.0)
             row = {"n": n, "trial": t, "error": None, "excess": r2 - gamma_alpha,
                    "half_width": hw, "eps_bar": eps_val, "bound": math.nan,
                    "n0": None, "below_n0": True, "ratio": math.nan}
@@ -439,7 +419,7 @@ def run_rate_experiment(scenario, dictionary: BaseDictionary, cfg: NPConfig,
         "asserted_rows": len(asserted),
         "all_within_bound": bool(all_within),
         "slope": slope,
-        "exact_population": oracle.minus.n is None,
+        "exact_population": minus.n is None,
     }
 
 
@@ -452,17 +432,18 @@ def run_sampling_scheme(scenario, dictionary: BaseDictionary, cfg: NPConfig,
     """Pooled sampling: draw n labeled points, split, solve, check events.
 
     The joint event is {true phi-type-I <= alpha} and {excess <= the
-    sqrt2-inflated bound}; its frequency is compared against
-    1 - 2 delta - exp(-n(1-p)^2/2) - exp(-np^2/2) minus 3 SE.  Realized
-    class counts are cross-checked against exact binomial tails.
+    sqrt2-inflated bound}, both scored on _population_reference; its
+    frequency is compared against 1 - 2 delta - exp(-n(1-p)^2/2) -
+    exp(-np^2/2) minus 3 SE.  Realized class counts are cross-checked
+    against exact binomial tails.
     """
     if trials < 1 or n < 2:
         raise DomainError("need at least one trial and n >= 2")
     p = scenario.p
     s = cfg.surrogate
     kap = kappa(s.lipschitz, dictionary.m, cfg.delta)
-    oracle = _TrueRiskOracle(scenario, dictionary, s, mc_draws, seed)
-    gamma_alpha = oracle.gamma(cfg.alpha, oracle_resolution)
+    minus, plus, gamma_alpha = _population_reference(
+        scenario, dictionary, s, cfg.alpha, oracle_resolution, mc_draws, seed)
 
     eps_for_n0 = eps_bar if eps_bar is not None else 0.0
     n0 = n0_and_bound(kap, eps_for_n0, cfg.alpha, n, n, s.value_at_one).n0
@@ -490,8 +471,8 @@ def run_sampling_scheme(scenario, dictionary: BaseDictionary, cfg: NPConfig,
             out["joint"] = False
             return out
         lam = sol.weights.lam
-        r1, hw1 = oracle.type1(lam)
-        r2, hw2 = oracle.type2(lam)
+        r1, hw1 = minus.estimate(lam, s, +1.0)
+        r2, hw2 = plus.estimate(lam, s, -1.0)
         eps_val = _eps_bar(eps_bar, sample.negatives, dictionary, cfg, kap)
         bound = (pooled_bound(kap, eps_val, cfg.alpha, n, p, s.value_at_one)
                  if 0.0 <= eps_val < 1.0 else math.nan)
@@ -614,18 +595,15 @@ def np_lemma_oracle(scenario, alpha: float) -> dict:
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     kind = getattr(scenario, "kind", None)
-    if kind == "prop31":
-        return {"threshold": 1.0, "randomization": alpha,
-                "type2_error": 1.0 - alpha, "direction": 0}
-    if kind != "gaussian_1d":
+    if kind not in ("prop31", "gaussian_1d"):
         raise UnknownScenario(
             f"no closed-form likelihood ratio for scenario kind {kind!r}")
+    if kind == "prop31" or scenario.params["mu_minus"] == scenario.params["mu_plus"]:
+        return {"threshold": 1.0, "randomization": alpha,
+                "type2_error": 1.0 - alpha, "direction": 0}
     mu_m = scenario.params["mu_minus"]
     mu_p = scenario.params["mu_plus"]
     sigma = scenario.params["sigma"]
-    if mu_m == mu_p:
-        return {"threshold": 1.0, "randomization": alpha,
-                "type2_error": 1.0 - alpha, "direction": 0}
     std = NormalDist()
 
     def ratio(x: float) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import inspect
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -295,7 +296,7 @@ def test_experiment_dictionaries_check_the_scenario_dimension(tmp_path, capsys):
 
 def _cell_parse(path):
     """load_csv's reference: every non-empty csv row through _parse_cells."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [r for r in csv.reader(fh) if r]
     header = [c.strip() for c in rows[0]]
     return _parse_cells(path, header, rows[1:], header.index("y") if "y" in header else None)
@@ -349,7 +350,8 @@ _PARSE_CASES = {
     "trailing_comma_everywhere": ("x0,y,\n0.1,1,\n",
                                   ("SchemaError", ":2 column '': '' is not a number")),
     "bom": ("\ufeffx0,y\n0.1,1\n0.2,-1\n", BY_C),
-    "bom_before_y": ("\ufeffy,x0\n1,0.1\n", BY_C),  # the BOM makes "y" a feature name
+    "bom_before_y": ("\ufeffy,x0\n1,0.1\n", BY_C),  # the BOM is not part of "y"
+    "bom_before_y_cells": ("\ufeffy,x0\n1,1_000\n", BY_CELLS),
     "header_only": ("x0,y\n\n", ("SchemaError", " needs a header row and at least one data row")),
     "one_row_one_feature": ("x0\n0.5\n", BY_C),
     "one_row_labeled": ("x0,y\n0.5,-1\n", BY_C),
@@ -509,6 +511,38 @@ def test_experiment_domain_errors_exit_two(tmp_path, capsys):
         path.write_text(json.dumps({**base, **extra}), encoding="utf-8")
         assert main(["experiment", "--kind", "rate", "--config", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "domain"
+
+
+@pytest.mark.parametrize("key, value", [("mu_minus", math.nan), ("mu_plus", math.inf),
+                                        ("sigma", math.inf)])
+def test_experiment_non_finite_gaussian_parameter_is_a_domain_error(
+        tmp_path, capsys, key, value):
+    # json reads NaN and Infinity; NaN negatives sit above every threshold,
+    # so a NaN mean once reported full coverage
+    scenario = {"kind": "gaussian_1d", "mu_minus": 0.0, "mu_plus": 2.0, "sigma": 1.0}
+    cfg = {"scenario": {**scenario, key: value}, "dictionary": {"thresholds": [1.0]},
+           "alpha": 0.3, "delta": 0.1, "n_minus": 100, "n_plus": 100, "trials": 2,
+           "mc_draws": 1000}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["experiment", "--kind", "coverage", "--config", str(path)]) == 2
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "domain" and "finite" in report["message"]
+
+
+@pytest.mark.parametrize("kind, extra", [("rate", {"n_grid": [200]}),
+                                         ("sampling", {"n": 200})])
+def test_experiment_with_infinite_gamma_is_infeasible(tmp_path, capsys, kind, extra):
+    # logit phi-type-I risk is at least phi(-1) = 0.452 on [-1, 1]-valued
+    # bases, so no aggregate meets alpha = 0.4 and there is no excess to score
+    cfg = {"scenario": {"kind": "prop31", "alpha": 0.3},
+           "dictionary": {"thresholds": [0.3]}, "alpha": 0.4, "delta": 0.1,
+           "surrogate": "logit", "trials": 2, "oracle_resolution": 1e-2, **extra}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["experiment", "--kind", kind, "--config", str(path)]) == 1
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "infeasible" and "gamma(0.4)" in report["message"]
 
 
 def test_experiment_nan_threshold_is_a_domain_error(tmp_path, capsys):

@@ -19,6 +19,7 @@ from npconvex.hypothesis import (BaseDictionary, ConstantClassifier,
                                  DecisionStump)
 from npconvex.np_solver import (NPConfig, alpha_kappa, feasibility_probe,
                                 kappa)
+from npconvex.risk import empirical_atoms
 from npconvex.surrogate import hinge, logit
 
 
@@ -29,6 +30,12 @@ def test_scenario_validation():
         Scenario.prop31(0.3, p=1.0)
     with pytest.raises(DomainError):
         Scenario.gaussian_1d(0.0, 2.0, 0.0)
+    # a NaN mean would draw only NaN negatives, which every stump scores
+    # as above its threshold
+    for params in ((math.nan, 2.0, 1.0), (0.0, math.inf, 1.0),
+                   (-math.inf, 2.0, 1.0), (0.0, 2.0, math.inf)):
+        with pytest.raises(DomainError, match="finite"):
+            Scenario.gaussian_1d(*params)
     with pytest.raises(DomainError):
         Scenario.custom_csv(np.empty((0, 1)), np.ones((3, 1)))
 
@@ -103,6 +110,32 @@ def test_gaussian_population_atoms_match_monte_carlo():
     H = d.evaluate_matrix(X)
     mc = float(np.mean(s.eval(-(H @ lam))))
     assert abs(exact - mc) < 0.01
+
+
+@pytest.mark.parametrize("scen", [Scenario.prop31(0.3),
+                                  Scenario.gaussian_1d(0.0, 2.0, 1.0)],
+                         ids=["prop31", "gaussian_1d"])
+@pytest.mark.parametrize("side", ["minus", "plus"])
+def test_population_atoms_match_monte_carlo_at_extreme_thresholds(scen, side):
+    # every interval takes its stumps' values at its right end, so a stump
+    # at -inf reads -polarity on (-inf, -1]; a representative at -inf read
+    # +polarity there, and the first stump's exact Gaussian hinge type-I
+    # risk came out positive where Monte Carlo gives 0
+    d = BaseDictionary([DecisionStump(0, -math.inf, 1), DecisionStump(0, -1.0, -1),
+                        DecisionStump(0, 0.5, 1), DecisionStump(0, 0.5, -1),
+                        DecisionStump(0, 2.0, 1), DecisionStump(0, math.inf, -1),
+                        ConstantClassifier(0.3)], dim=1)
+    exact = scen.population_atoms(d, side)
+    draw = scen.draw_negatives if side == "minus" else scen.draw_positives
+    mc = empirical_atoms(d.evaluate_matrix(draw(np.random.default_rng(6), 2 * 10 ** 5)))
+    exact_law = {tuple(h): w for h, w in zip(exact.H, exact.weights)}
+    mc_law = {tuple(h): w for h, w in zip(mc.H, mc.weights)}
+    for row in exact_law.keys() | mc_law.keys():
+        assert abs(exact_law.get(row, 0.0) - mc_law.get(row, 0.0)) < 0.005, row
+    sign = 1.0 if side == "minus" else -1.0
+    for lam in np.vstack([np.eye(d.m), np.full(d.m, 1.0 / d.m)]):
+        assert exact.phi_risk(lam, hinge(), sign) == pytest.approx(
+            mc.phi_risk(lam, hinge(), sign), abs=0.01)
 
 
 def test_population_atoms_reject_general_bases():
@@ -228,9 +261,11 @@ def test_gamma_oracle_is_independent_of_the_solver(monkeypatch):
 
     monkeypatch.setattr(core, "risk_form", forbidden)
     d = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 1.0, 1)], dim=1)
-    oracle = harness._TrueRiskOracle(Scenario.gaussian_1d(0.0, 2.0, 1.0), d,
-                                     hinge(), mc_draws=5000, seed=3)
-    assert math.isfinite(oracle.gamma(0.5, 1e-2))
+    minus, plus, gamma_alpha = harness._population_reference(
+        Scenario.gaussian_1d(0.0, 2.0, 1.0), d, hinge(), 0.5, 1e-2,
+        mc_draws=5000, seed=3)
+    assert math.isfinite(gamma_alpha)
+    assert minus.n == plus.n == 5000
 
 
 def test_runners_reject_fewer_than_two_mc_draws(monkeypatch):
