@@ -40,10 +40,11 @@ and gap = objective_value - lower_bound, clipped at 0.  Two routes:
 SolveResult.status reads the gap alone, never SLSQP's success flag:
 "optimal" when it is at most GAP_TOL, "uncertified" otherwise.
 
-GAP_TOL is a fixed absolute tolerance, not a setting: it sits far above
-the gaps SLSQP reaches (about 1e-9 to 1e-6) and far below the
+GAP_TOL, FEAS_TOL and MAX_ITERS are fixed constants, not settings.
+GAP_TOL sits far above the gaps SLSQP reaches (about 1e-9 to 1e-6),
+FEAS_TOL is rounding-level slack, and both lie far below the
 statistical margin kappa/sqrt(n) that the constraint level already
-gives up.
+gives up.  The feas_tol and max_iters keywords below default to them.
 
 scipy is imported on the first SLSQP solve only (minimize below): the
 affine route, the grid oracles and everything else never load it.
@@ -65,6 +66,10 @@ from .surrogate import Surrogate
 
 #: a start whose certified gap is at most this ends the multi-start loop
 GAP_TOL = 1e-5
+#: slack allowed above the constraint level before a program is Infeasible
+FEAS_TOL = 1e-8
+#: iteration cap of one SLSQP run
+MAX_ITERS = 500
 
 
 @dataclass(frozen=True)
@@ -259,7 +264,7 @@ def _certified_starts(objective: Form, m: int, starts, max_iters: int,
     return SolveResult(*best, cval, iters, lower)
 
 
-def minimize_simplex(m: int, form: Form, max_iters: int = 500,
+def minimize_simplex(m: int, form: Form, max_iters: int = MAX_ITERS,
                      threshold: Optional[float] = None) -> SolveResult:
     """Global minimum of a convex Form over the simplex.
 
@@ -363,7 +368,8 @@ def _polish_feasibility(lam: np.ndarray, lam_feas: np.ndarray, constraint: Form,
 
 
 def solve_simplex_program(m: int, objective: Form, constraint: Form, level: float,
-                          *, feas_tol: float = 1e-8, max_iters: int = 500) -> SolveResult:
+                          *, feas_tol: float = FEAS_TOL,
+                          max_iters: int = MAX_ITERS) -> SolveResult:
     """Minimize objective over the simplex s.t. constraint <= level.
 
     Raises Infeasible when the constraint minimum exceeds level + feas_tol.

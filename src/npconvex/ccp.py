@@ -147,8 +147,7 @@ def linear_objective(coeffs) -> dict:
     }
 
 
-def solve_ccp(inst: CCPInstance, feas_tol: float = 1e-8,
-              max_iters: int = 500) -> CCPSolution:
+def solve_ccp(inst: CCPInstance) -> CCPSolution:
     """Minimize the objective s.t. mean phi(F(lambda, xi_i)) <= alpha - kappa/sqrt(n)."""
     s = inst.surrogate
     kap = kappa(s.lipschitz, inst.m, inst.delta)
@@ -159,8 +158,7 @@ def solve_ccp(inst: CCPInstance, feas_tol: float = 1e-8,
         objective = core.AffineForm(const=0.0, coeffs=inst.linear_coeffs)
     else:
         objective = core.SmoothForm(fn=inst.objective, grad_fn=inst.objective_grad)
-    res = core.solve_simplex_program(inst.m, objective, constraint, level,
-                                     feas_tol=feas_tol, max_iters=max_iters)
+    res = core.solve_simplex_program(inst.m, objective, constraint, level)
     lam = res.lam
     return CCPSolution(
         weights=SimplexWeights(lam),

@@ -232,8 +232,7 @@ def _cmd_solve(args) -> int:
     sample = split_pooled((X, y))
     dictionary = _stump_dictionary(X, args)
     cfg = NPConfig(alpha=args.alpha, delta=args.delta,
-                   surrogate=by_name(args.surrogate),
-                   feas_tol=args.feas_tol, max_iters=args.max_iters)
+                   surrogate=by_name(args.surrogate))
     return _program_report(args, dictionary, solve_np(sample, dictionary, cfg))
 
 
@@ -253,8 +252,7 @@ def _cmd_ccp(args) -> int:
                        surrogate=by_name(args.surrogate),
                        g_matrix=dictionary.evaluate_matrix(X),
                        **linear_objective(coeffs))
-    sol = solve_ccp(inst, feas_tol=args.feas_tol, max_iters=args.max_iters)
-    return _program_report(args, dictionary, sol, objective=coeffs)
+    return _program_report(args, dictionary, solve_ccp(inst), objective=coeffs)
 
 
 def _cmd_verify_lemmas(args) -> int:
@@ -353,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-axis threshold count for the dictionary")
         p.add_argument("--no-constant", action="store_true",
                        help="do not prepend the constant base -1")
-        p.add_argument("--feas-tol", type=float, default=1e-8)
-        p.add_argument("--max-iters", type=int, default=500)
         return p
 
     program("solve", _cmd_solve, "solve one classification program",

@@ -12,7 +12,6 @@ binomial tails check the realized class counts.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from statistics import NormalDist
@@ -447,12 +446,6 @@ def run_sampling_scheme(scenario, dictionary: BaseDictionary, cfg: NPConfig,
 
     eps_for_n0 = eps_bar if eps_bar is not None else 0.0
     n0 = n0_and_bound(kap, eps_for_n0, cfg.alpha, n, n, s.value_at_one).n0
-    n_required = 2.0 * n0 / (1.0 - p)
-    if n <= n_required:
-        warnings.warn(
-            f"n = {n} is at or below the validity threshold 2*n0/(1-p) = "
-            f"{n_required:.1f}; the corollary bound is not guaranteed",
-            UserWarning)
 
     if tail_thresholds is None:
         tail_thresholds = (n * (1.0 - p) / 2.0, n * (1.0 - p),
@@ -509,7 +502,7 @@ def run_sampling_scheme(scenario, dictionary: BaseDictionary, cfg: NPConfig,
         "meets_threshold":
             bool(joint_freq >= threshold - _three_se(threshold, trials)),
         "n0": n0,
-        "meets_n0_precondition": bool(n > n_required),
+        "meets_n0_precondition": bool(n > 2.0 * n0 / (1.0 - p)),
         "tails": tails,
         "solver_errors": dict(Counter(r["error"] for r in rows if r["error"])),
         "gamma_alpha": gamma_alpha,

@@ -248,19 +248,6 @@ class CombinedClassifier:
             raise BaseRangeError(f"combined value exceeds [-1, 1] by {over}")
         return np.clip(out, -1.0, 1.0)
 
-    def evaluate(self, x) -> float:
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        else:
-            raise DimensionMismatch("evaluate expects a single feature vector")
-        return float(self.evaluate_batch(arr)[0])
-
-    def predict_sign(self, x) -> int:
-        return 1 if self.evaluate(x) >= 0.0 else -1
-
     def predict_sign_batch(self, X: np.ndarray) -> np.ndarray:
         vals = self.evaluate_batch(X)
         return np.where(vals >= 0.0, 1, -1)

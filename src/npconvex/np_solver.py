@@ -44,16 +44,12 @@ class NPConfig:
     alpha: float
     delta: float
     surrogate: Surrogate
-    feas_tol: float = 1e-8
-    max_iters: int = 500
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.delta < 1.0:
             raise DomainError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.feas_tol <= 0 or self.max_iters < 1:
-            raise DomainError("tolerances must be positive and max_iters >= 1")
 
 
 @dataclass
@@ -142,7 +138,7 @@ def _class_form(X, dictionary: BaseDictionary, s: Surrogate, sign: float) -> cor
 def _min_type1(negatives, dictionary: BaseDictionary, cfg: NPConfig):
     """(lam, value): the unconstrained minimum of the empirical phi-type-I risk."""
     form = _class_form(negatives, dictionary, cfg.surrogate, +1.0)
-    res = core.minimize_simplex(dictionary.m, form, cfg.max_iters)
+    res = core.minimize_simplex(dictionary.m, form)
     return res.lam, res.objective_value
 
 
@@ -160,9 +156,7 @@ def _solve_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig,
     kap = kappa(s.lipschitz, dictionary.m, cfg.delta)
     level = alpha_kappa(cfg.alpha, kappa_scale * kap, sample.n_minus)
 
-    res = core.solve_simplex_program(
-        dictionary.m, objective, constraint, level,
-        feas_tol=cfg.feas_tol, max_iters=cfg.max_iters)
+    res = core.solve_simplex_program(dictionary.m, objective, constraint, level)
     return NPSolution(
         weights=SimplexWeights(res.lam),
         kappa=kap,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -261,8 +262,10 @@ def test_criterion_08_pooled_sampling_scheme():
     cfg = NPConfig(alpha=0.5, delta=0.2, surrogate=hinge())
     n = 2 * 10 ** 4
     # n sits below the 2*n0/(1-p) validity threshold 24544, which the
-    # runner reports as a warning while still executing the experiment
-    with pytest.warns(UserWarning):
+    # runner reports in its summary, not as a warning, while still
+    # executing the experiment
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         out = run_sampling_scheme(scen, d, cfg, n=n, trials=100, seed=SEED,
                                   eps_bar=0.0)
     elapsed = time.monotonic() - t0

@@ -169,7 +169,7 @@ def test_feasible_smooth_solve_runs_one_slsqp_and_no_probe(monkeypatch):
     assert len(runs) == 1
     assert sol.status == "optimal"
     assert 0.0 <= sol.gap <= core.GAP_TOL
-    assert sol.r_minus_phi <= sol.alpha_kappa + cfg.feas_tol
+    assert sol.r_minus_phi <= sol.alpha_kappa + core.FEAS_TOL
 
 
 def test_unconstrained_smooth_minimum_stops_at_the_center(monkeypatch):

@@ -580,3 +580,43 @@ def test_experiment_config_values_of_the_wrong_type_are_schema_errors(
     report = json.loads(err[0])
     assert report["error"] == "schema"
     assert repr(key if where is None else f"{where}.{key}") in report["message"]
+
+
+@pytest.mark.parametrize("flag, value", [("--feas-tol", "1e-6"), ("--max-iters", "10")])
+def test_solver_tolerances_are_not_options(labeled_csv, draws_csv, capsys, flag, value):
+    # the engine's tolerances are fixed constants; a NaN or infinite
+    # --feas-tol once let a logit solve over its level report "optimal"
+    for argv in (["solve", "--data", str(labeled_csv)],
+                 ["ccp", "--data", str(draws_csv), "--stumps", "1",
+                  "--objective", "0.3,-0.1,0.2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--alpha", "0.45", "--delta", "0.1", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
+def test_logit_solve_below_phi_of_minus_one_is_infeasible(labeled_csv, tmp_path, capsys):
+    # logit phi-type-I risk is at least phi(-1) = 0.4519 on [-1, 1]-valued
+    # bases, above this alpha_kappa, so the program has no feasible point
+    out = tmp_path / "solve.json"
+    rc = main(["solve", "--data", str(labeled_csv), "--alpha", "0.45",
+               "--delta", "0.1", "--surrogate", "logit", "--out", str(out)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "infeasible"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_sampling_below_the_n0_threshold_reports_it_in_the_summary_only(tmp_path, capsys):
+    cfg = {"scenario": {"kind": "prop31", "alpha": 0.3},
+           "dictionary": {"thresholds": [0.3]}, "alpha": 0.4, "delta": 0.1,
+           "n": 2000, "trials": 2, "oracle_resolution": 1e-2}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["experiment", "--kind", "sampling", "--config", str(path),
+                 "--no-timestamp", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    assert summary["meets_n0_precondition"] is False
+    assert summary["n0"] > 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from statistics import NormalDist
 
 import numpy as np
@@ -305,7 +306,8 @@ def test_smooth_monte_carlo_gamma_runs_at_the_default_draws():
 def _eps_bar_runs(scen, d, cfg):
     rate = run_rate_experiment(scen, d, cfg, [4000, 9000], trials=2, seed=4,
                                eps_bar=None, oracle_resolution=1e-2)
-    with pytest.warns(UserWarning):  # n is below the corollary's threshold
+    with warnings.catch_warnings():  # n below the threshold is no warning
+        warnings.simplefilter("error")
         pooled = run_sampling_scheme(scen, d, cfg, 8000, trials=2, seed=4,
                                      eps_bar=None, oracle_resolution=1e-2)
     return rate, pooled

@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from npconvex import _solver_core as core
 from npconvex.errors import (BaseRangeError, DomainError, EmptySample,
                              Infeasible, OneClassEmpty, SampleTooSmall,
                              UnknownLabel)
@@ -180,7 +181,7 @@ def test_solver_matches_grid_oracle():
             continue
         ref = grid_oracle_np(sample, d, cfg, resolution=1e-3)
         assert sol.r_plus_phi <= ref.r_plus_phi + 1e-3
-        assert sol.r_minus_phi <= sol.alpha_kappa + cfg.feas_tol
+        assert sol.r_minus_phi <= sol.alpha_kappa + core.FEAS_TOL
         hits += 1
     assert hits >= 8
 
@@ -224,7 +225,7 @@ def test_smooth_surrogates_match_oracle():
         sol = solve_np(sample, d, cfg)
         ref = grid_oracle_np(sample, d, cfg, resolution=1e-3)
         assert sol.r_plus_phi <= ref.r_plus_phi + 1e-3
-        assert sol.r_minus_phi <= sol.alpha_kappa + cfg.feas_tol
+        assert sol.r_minus_phi <= sol.alpha_kappa + core.FEAS_TOL
 
 
 def test_solver_deterministic():
@@ -271,7 +272,7 @@ def test_stump_dictionary_end_to_end():
     d = build_stump_dictionary(np.vstack([neg, pos]), 3)
     cfg = NPConfig(alpha=0.6, delta=0.1, surrogate=hinge())
     sol = solve_np(Sample(neg, pos), d, cfg)
-    assert sol.r_minus_phi <= sol.alpha_kappa + cfg.feas_tol
+    assert sol.r_minus_phi <= sol.alpha_kappa + core.FEAS_TOL
     assert 0.0 <= sol.r_plus_phi <= 2.0
 
 
@@ -349,12 +350,10 @@ def test_exponential_solve_survives_simplex_drift():
     cfg = NPConfig(alpha=0.8, delta=0.1, surrogate=exponential())
     sol = solve_np(Sample(neg, pos), d, cfg)
     assert sol.status == "optimal"
-    assert sol.r_minus_phi <= sol.alpha_kappa + cfg.feas_tol
+    assert sol.r_minus_phi <= sol.alpha_kappa + core.FEAS_TOL
 
 
 def test_grid_oracle_is_independent_of_the_solver(monkeypatch):
-    from npconvex import _solver_core as core
-
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle must not share the solver's code path")
 
