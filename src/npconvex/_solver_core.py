@@ -114,10 +114,12 @@ def affine_risk_form(means: np.ndarray, s: Surrogate, sign: float) -> AffineForm
     return AffineForm(const=a, coeffs=(b * sign) * np.asarray(means, dtype=float))
 
 
-def risk_form(H: np.ndarray, s: Surrogate, sign: float,
+def risk_form(H, s: Surrogate, sign: float,
               weights: Optional[np.ndarray] = None) -> Form:
     """The map lam -> weighted mean of phi(sign * H @ lam) as a Form.
 
+    H is an (n, M) matrix, or a linear operator with shape, matvec(lam)
+    = H @ lam and rmatvec(v) = H.T @ v, such as BaseDictionary.operator.
     Affine surrogates collapse to an exact AffineForm (affine_risk_form).
     Smooth forms evaluate at the cleaned mixture _clean_simplex(lam):
     SLSQP iterates leave the simplex by float dust, and the cleaned
@@ -125,14 +127,18 @@ def risk_form(H: np.ndarray, s: Surrogate, sign: float,
     gradient at one cleaned mixture share one product H @ lam: the form
     keeps the margins of the last mixture it saw (one n-vector).
     """
-    H = np.asarray(H, dtype=float)
+    if hasattr(H, "rmatvec"):
+        matvec, rmatvec = H.matvec, H.rmatvec
+    else:
+        H = np.asarray(H, dtype=float)
+        matvec, rmatvec = (lambda lam: H @ lam), (lambda v: H.T @ v)
     n = H.shape[0]
     if weights is None:
         w = np.full(n, 1.0 / n)
     else:
         w = np.asarray(weights, dtype=float)
     if s.affine_coefficients is not None:
-        return affine_risk_form(w @ H, s, sign)
+        return affine_risk_form(rmatvec(w), s, sign)
 
     last = [None]  # (cleaned lam bytes, margins), swapped whole
 
@@ -141,7 +147,7 @@ def risk_form(H: np.ndarray, s: Surrogate, sign: float,
         key = lam.tobytes()
         hit = last[0]
         if hit is None or hit[0] != key:
-            hit = (key, sign * (H @ lam))
+            hit = (key, sign * matvec(lam))
             last[0] = hit
         return hit[1]
 
@@ -150,7 +156,7 @@ def risk_form(H: np.ndarray, s: Surrogate, sign: float,
                                      weights=None if weights is None else w)
 
     def grad_fn(lam: np.ndarray) -> np.ndarray:
-        return sign * (H.T @ (w * s.derivative(margins(lam))))
+        return sign * rmatvec(w * s.derivative(margins(lam)))
 
     return SmoothForm(fn=fn, grad_fn=grad_fn)
 

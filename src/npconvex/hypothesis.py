@@ -163,6 +163,10 @@ class BaseDictionary:
         that axis: with c = #{x <= threshold}, it is polarity (2c - n) / n,
         bit for bit np.mean of its +-1 column, whose pairwise sum is an
         exact integer.  NaN features sort last and count as > threshold.
+        Counts from the per-row bins of `operator` are bitwise equal but
+        slower, as binning every row costs more than one sort and M
+        searches: 27 ms against 10 ms at n = 4e4, d = 10, M = 1001 on a
+        2-vCPU x86 machine.
         """
         X = self._as_features(X)
         n = X.shape[0]
@@ -182,6 +186,37 @@ class BaseDictionary:
         """(n, M) matrix H with H[i, j] = h_j(x_i); validates the range."""
         return np.column_stack(self._columns(X, lambda col: col))
 
+    def operator(self, X: np.ndarray) -> "DictionaryOperator":
+        """evaluate_matrix(X) as a linear operator, with its range check.
+
+        Stumps never form a column: each axis keeps its sorted distinct
+        thresholds and one bin per row, O(n d + M) memory in all.  A
+        constant keeps its value.  Every other base is a column of a
+        dense block; all but stumps are evaluated through _columns.
+        """
+        X = self._as_features(X)
+        cols = self._columns(X, lambda col: col, lambda b: None)
+        consts, dense, by_axis = [], [], {}
+        for j, (b, col) in enumerate(zip(self.bases, cols)):
+            if col is None:
+                by_axis.setdefault(b.axis, []).append(j)
+            else:
+                (consts if type(b) is ConstantClassifier else dense).append(j)
+        axes = []
+        for axis, idx in sorted(by_axis.items()):
+            stumps = [self.bases[j] for j in idx]
+            t, k = np.unique([b.threshold for b in stumps], return_inverse=True)
+            # row i reads +polarity on stump j iff bins[i] <= k[j]; NaN lands in bin t.size
+            bins = np.searchsorted(t, X[:, axis], side="left")
+            pol = np.array([b.polarity for b in stumps], dtype=float)
+            axes.append((np.array(idx, dtype=np.intp), pol, k, bins, t.size))
+        return DictionaryOperator(
+            (X.shape[0], self.m),
+            (np.array(consts, dtype=np.intp), np.array([self.bases[j].value for j in consts])),
+            (np.array(dense, dtype=np.intp),
+             np.column_stack([cols[j] for j in dense]) if dense else None),
+            axes)
+
     def to_json(self) -> dict:
         return {"dim": self.dim, "bases": [b.to_json() for b in self.bases]}
 
@@ -198,6 +233,58 @@ class BaseDictionary:
             else:
                 raise DomainError(f"unknown base kind {kind!r} in dictionary JSON")
         return BaseDictionary(bases, dim=obj.get("dim"))
+
+
+class DictionaryOperator:
+    """The products H @ lam and H.T @ v of H = evaluate_matrix(X), from
+    BaseDictionary.operator, without forming H's stump or constant columns.
+
+    On one axis, with k[j] the rank of stump j's threshold and bins[i]
+    the number of thresholds below x_i, h_j(x_i) = pol[j] (2 [bins[i] <=
+    k[j]] - 1).  So H @ lam adds table[bins], table[b] = 2 (sum of
+    pol lam over ranks >= b) - (sum of pol lam), and stump j's entry of
+    H.T @ v is pol[j] (2 (sum of v over bins <= k[j]) - sum v).  A
+    constant c adds c lam_j to every row, and its entry is c sum v (as
+    an (n, 1) column in a BLAS product, which BLAS threads, it cost more
+    than all the stumps).  Other bases form a dense block of matrix
+    products.  Sums run in another order than in H @ lam, so results
+    agree with the dense ones to rounding, and bit for bit when every
+    base is in the dense block.
+    """
+
+    def __init__(self, shape, consts, dense, axes):
+        self.shape = shape
+        self._consts = consts  # (columns, values)
+        self._dense = dense  # (columns, (n, len(columns)) block or None)
+        self._axes = axes  # (stump columns, polarities, ranks, bins, #thresholds) per axis
+
+    def matvec(self, lam: np.ndarray) -> np.ndarray:
+        idx, block = self._dense
+        if block is None:
+            out = np.zeros(self.shape[0])
+        else:
+            out = block @ lam[idx]
+        idx, values = self._consts
+        if idx.size:
+            out += float(values @ lam[idx])
+        for idx, pol, k, bins, size in self._axes:
+            # suffix[size] = 0: no stump has rank size
+            suffix = np.cumsum(np.bincount(k, pol * lam[idx], minlength=size + 1)[::-1])[::-1]
+            out += (2.0 * suffix - suffix[0])[bins]
+        return out
+
+    def rmatvec(self, v: np.ndarray) -> np.ndarray:
+        out = np.empty(self.shape[1])
+        idx, block = self._dense
+        if block is not None:
+            out[idx] = block.T @ v
+        idx, values = self._consts
+        if idx.size:
+            out[idx] = values * np.sum(v)
+        for idx, pol, k, bins, size in self._axes:
+            below = np.cumsum(np.bincount(bins, v, minlength=size + 1))
+            out[idx] = pol * (2.0 * below[k] - below[-1])
+        return out
 
 
 @dataclass(frozen=True)
@@ -274,7 +361,12 @@ def build_stump_dictionary(data: np.ndarray, per_axis_thresholds: int) -> BaseDi
     bases = []
     seen = set()
     for axis in range(d):
-        thresholds = np.quantile(X[:, axis], levels)
+        with np.errstate(invalid="ignore"):  # its lerp meets inf - inf and 0 * inf
+            thresholds = np.quantile(X[:, axis], levels)
+        if np.isnan(thresholds).any():
+            raise NonFiniteValue(
+                f"cannot build stumps on axis {axis}: a quantile level interpolates "
+                "with an infinite value")
         for t in thresholds:
             for polarity in (1, -1):
                 key = (axis, float(t), polarity)

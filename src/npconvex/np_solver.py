@@ -14,11 +14,13 @@ probe and the harness's type-I minima: when phi is affine on [-1, 1]
 (hinge), both risks are affine in the weights and their only data are
 the M column means of each class's base-value matrix H, read one base
 at a time (O(n + M) memory); the LP is then solved exactly.  Smooth
-surrogates (logit, exponential) hold both (n, M) matrices, because
-every SLSQP iterate evaluates phi on all n margins.  The oracle never
-uses the solver's forms; it scores grid points on each class's merged
-atoms (risk.empirical_atoms), and at M = 3 with an affine surrogate and
-a fine grid it scans only the candidates of _grids.affine_window.
+surrogates (logit, exponential) evaluate phi on all n margins at every
+SLSQP iterate, through BaseDictionary.operator: its products never form
+a stump's column and cost O(n d + M) for stumps on d axes.  The oracle
+never uses the solver's forms; it scores grid points on each class's
+merged atoms (risk.empirical_atoms), and at M = 3 with an affine
+surrogate and a fine grid it scans only the candidates of
+_grids.affine_window.
 """
 
 from __future__ import annotations
@@ -128,11 +130,13 @@ def _class_form(X, dictionary: BaseDictionary, s: Surrogate, sign: float) -> cor
     """lam -> mean of phi(sign * h_lam(x)) over the rows of X, as a Form.
 
     An affine phi needs only the column means of H (O(n + M) memory); a
-    smooth phi holds the (n, M) matrix H for its value and gradient.
+    smooth phi takes its value and gradient through
+    dictionary.operator(X): O(n d + M) memory for stumps on d axes and
+    constants, plus an (n, M') block for the M' bases of other kinds.
     """
     if s.affine_coefficients is not None:
         return core.affine_risk_form(dictionary.column_means(X), s, sign)
-    return core.risk_form(dictionary.evaluate_matrix(X), s, sign)
+    return core.risk_form(dictionary.operator(X), s, sign)
 
 
 def _min_type1(negatives, dictionary: BaseDictionary, cfg: NPConfig):

@@ -73,6 +73,43 @@ def test_tracer_install_counts_the_grid_referees():
     assert counts["_solver_core.slsqp_runs"] >= 1
 
 
+SMOOTH_SCRIPT = """
+import json, sys
+sys.path[:0] = [{benchmarks!r}, {src!r}]
+import numpy as np
+import tracing
+from npconvex import hypothesis, np_solver
+from npconvex.risk import Sample
+from npconvex.surrogate import logit
+
+tr = tracing.Tracer()
+tracing.install(tr)
+rng = np.random.default_rng(1)
+neg, pos = rng.normal(0.0, 1.0, (3000, 2)), rng.normal(0.7, 1.0, (3000, 2))
+stumps = hypothesis.build_stump_dictionary(np.vstack([neg, pos]), 3).bases
+d = hypothesis.BaseDictionary([hypothesis.ConstantClassifier(-1.0), *stumps], dim=2)
+cfg = np_solver.NPConfig(alpha=0.8, delta=0.1, surrogate=logit())
+status = np_solver.solve_np(Sample(neg, pos), d, cfg).status
+print(json.dumps({{"counts": dict(tr.counts), "status": status}}))
+"""
+
+
+def test_tracer_counts_the_smooth_risk_forms():
+    # the wrapper around _solver_core.risk_form reads np.shape(H)[0] of
+    # whatever _class_form passes it, now a BaseDictionary.operator
+    script = SMOOTH_SCRIPT.format(benchmarks=str(ROOT / "benchmarks"), src=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    counts = out["counts"]
+    assert out["status"] == "optimal"
+    assert counts["risk.value_calls"] > 0 and counts["risk.grad_calls"] > 0
+    # each value or gradient call reads one class of 3000 rows
+    assert counts["risk.matvec_rows"] == 3000 * (counts["risk.value_calls"]
+                                                 + counts["risk.grad_calls"])
+
+
 def test_traced_cli_solve_records_the_csv_load(tmp_path):
     rng = np.random.default_rng(2)
     data = tmp_path / "train.csv"

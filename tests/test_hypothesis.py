@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,22 @@ def test_build_stump_dictionary_rejects_nan_data():
     # infinite features still give stumps
     Y[17, 1] = np.inf
     assert build_stump_dictionary(Y, 3).m == 12
+
+
+def test_build_stump_dictionary_names_the_axis_of_an_undefined_quantile():
+    # np.quantile's lerp meets inf - inf here: it warned and made a NaN
+    # threshold, which DecisionStump rejected as if the user had passed it
+    X = np.array([[0.0, 5.0], [1.0, 6.0], [np.inf, 7.0], [np.inf, 8.0]])
+    for data, axis in ((X, 0), (X[:, ::-1], 1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match=f"axis {axis}"):
+                build_stump_dictionary(data, 3)
+    # quantiles that stay finite next to an infinite value still work, warning-free
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = build_stump_dictionary(np.array([[0.0], [1.0], [2.0], [np.inf]]), 1)
+    assert [b.threshold for b in d.bases] == [1.5, 1.5]
 
 
 def test_dictionary_json_round_trip():
@@ -298,3 +316,75 @@ def test_column_means_errors_match_evaluate_matrix():
         assert H.shape == (0, dictionary.m)
         with pytest.raises(EmptyData):
             dictionary.column_means(np.zeros((0, 2)))
+
+
+def _tanh_of(axis):
+    return lambda row: 0.0 if np.isnan(row[axis]) else float(np.tanh(row[axis]))
+
+
+def _random_mixed_dictionary(rng, d):
+    """Stumps on any axis (both polarities, duplicate and +-inf
+    thresholds), constants and a user function, in a shuffled order."""
+    grid = np.array([-np.inf, -1.0, -0.5, 0.0, 0.5, 1.0, np.inf])
+    bases = [DecisionStump(int(a), float(rng.choice(grid)), int(rng.choice([-1, 1])))
+             for a in rng.integers(0, d, size=int(rng.integers(0, 25)))]
+    bases += [ConstantClassifier(float(c)) for c in rng.uniform(-1, 1, rng.integers(1, 3))]
+    if rng.random() < 0.5:
+        bases.append(FunctionClassifier(_tanh_of(d - 1), "tanh"))
+    return BaseDictionary([bases[i] for i in rng.permutation(len(bases))], dim=d)
+
+
+def _random_features(rng, n, d):
+    """Features on the threshold grid, +-inf and NaN, among normal draws."""
+    X = rng.normal(size=(n, d))
+    special = rng.random((n, d))
+    X[special < 0.3] = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=int(np.sum(special < 0.3)))
+    X[special > 0.95] = np.inf
+    X[(special > 0.9) & (special <= 0.95)] = -np.inf
+    X[(special > 0.85) & (special <= 0.9)] = np.nan
+    return X
+
+
+def test_operator_matches_the_dense_matrix():
+    rng = np.random.default_rng(17)
+    for trial in range(60):
+        d = int(rng.integers(1, 4))
+        dictionary = _random_mixed_dictionary(rng, d)
+        X = _random_features(rng, int(rng.integers(1, 300)), d)
+        H = dictionary.evaluate_matrix(X)
+        op = dictionary.operator(X)
+        assert op.shape == H.shape
+        for _ in range(3):
+            lam = rng.dirichlet(np.ones(dictionary.m))
+            v = rng.normal(size=X.shape[0])
+            np.testing.assert_allclose(op.matvec(lam), H @ lam, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(op.rmatvec(v), H.T @ v, rtol=0, atol=1e-12)
+
+
+def test_operator_without_stumps_or_constants_is_the_matrix_product():
+    rng = np.random.default_rng(5)
+    X = _random_features(rng, 400, 2)
+    dictionary = BaseDictionary([
+        FunctionClassifier(_tanh_of(0)), FunctionClassifier(_tanh_of(1)),
+        FunctionClassifier(lambda row: 0.5)], dim=2)
+    H = dictionary.evaluate_matrix(X)
+    op = dictionary.operator(X)
+    for _ in range(5):
+        lam = rng.dirichlet(np.ones(3))
+        v = rng.normal(size=400)
+        assert op.matvec(lam).tobytes() == (H @ lam).tobytes()
+        assert op.rmatvec(v).tobytes() == (H.T @ v).tobytes()
+
+
+def test_operator_range_errors_match_evaluate_matrix():
+    X = np.array([[0.2, 1.0], [0.7, -4.0], [0.9, 0.0]])
+    for value in (3.0, np.nan):
+        d = BaseDictionary([DecisionStump(0, 0.5, 1), ConstantClassifier(0.5),
+                            FunctionClassifier(lambda row, v=value: v if row[1] < 0 else 0.0),
+                            DecisionStump(1, 0.0, -1)], dim=2)
+        with pytest.raises(BaseRangeError) as from_matrix:
+            d.evaluate_matrix(X)
+        with pytest.raises(BaseRangeError) as from_operator:
+            d.operator(X)
+        assert str(from_operator.value) == str(from_matrix.value) == (
+            f"base 2 returned {value!r}, outside [-1, 1]")

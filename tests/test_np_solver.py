@@ -339,6 +339,32 @@ def test_smooth_route_risks_are_the_solved_values():
         phi_risk_from_matrix(H_plus, lam, cfg.surrogate, -1.0), abs=1e-12)
 
 
+def test_smooth_solves_never_build_the_base_matrix(monkeypatch):
+    # the smooth route reads stumps through BaseDictionary.operator; the
+    # grid oracle, the solver's referee, still builds H
+    rng = np.random.default_rng(6)
+    X = np.vstack([rng.normal(0.0, 1.0, (1500, 2)), rng.normal(0.8, 1.0, (1500, 2))])
+    d = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 0.3, 1),
+                        DecisionStump(1, -0.2, -1)], dim=2)
+    sample = Sample(X[:1500], X[1500:])
+    cfg = NPConfig(alpha=0.8, delta=0.1, surrogate=logit())
+    calls = []
+    evaluate = BaseDictionary.evaluate_matrix
+
+    def spy(self, X):
+        calls.append(np.shape(X))
+        return evaluate(self, X)
+
+    monkeypatch.setattr(BaseDictionary, "evaluate_matrix", spy)
+    sol = solve_np(sample, d, cfg)
+    probe = feasibility_probe(sample.negatives, d, cfg, 0.9)
+    assert calls == []
+    assert sol.status == "optimal" and probe["argmin"].m == d.m
+    oracle = grid_oracle_np(sample, d, cfg, resolution=0.01)
+    assert calls == [(1500, 2), (1500, 2)]
+    assert oracle.r_plus_phi >= sol.r_plus_phi - core.GAP_TOL
+
+
 def test_exponential_solve_survives_simplex_drift():
     # SLSQP iterates leave the simplex by ~1e-12 here; evaluating phi at
     # the raw iterate used to raise DomainError for a margin just above 1
@@ -358,6 +384,7 @@ def test_grid_oracle_is_independent_of_the_solver(monkeypatch):
         raise AssertionError("the oracle must not share the solver's code path")
 
     monkeypatch.setattr(BaseDictionary, "column_means", forbidden)
+    monkeypatch.setattr(BaseDictionary, "operator", forbidden)
     monkeypatch.setattr(core, "_affine_solve", forbidden)
     monkeypatch.setattr(core, "risk_form", forbidden)
     rng = np.random.default_rng(21)
