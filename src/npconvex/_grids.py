@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import DomainError
 
+#: rows per chunk of iter_grid_chunks (bounds a grid scan's memory)
+CHUNK_ROWS = 200_000
+
 
 def _check(m: int, k: int) -> None:
     if m < 1 or k < 1:
@@ -59,16 +62,16 @@ def grid_points(m: int, k: int) -> np.ndarray:
     return np.vstack(list(_blocks(m, k))) / k
 
 
-def iter_grid_chunks(m: int, k: int, chunk: int = 200_000) -> Iterator[np.ndarray]:
+def iter_grid_chunks(m: int, k: int) -> Iterator[np.ndarray]:
     """Yield grid points in lexicographic order without materializing the
-    whole grid; memory stays near `chunk` rows (a yield may run over by
-    one block)."""
+    whole grid; memory stays near CHUNK_ROWS rows (a yield may run over
+    by one block)."""
     _check(m, k)
     buf, size = [], 0
     for block in _blocks(m, k):
         buf.append(block)
         size += block.shape[0]
-        if size >= chunk:
+        if size >= CHUNK_ROWS:
             yield np.vstack(buf) / k
             buf, size = [], 0
     if buf:

@@ -30,21 +30,21 @@ and gap = objective_value - lower_bound, clipped at 0.  Two routes:
   it decides Infeasible, or when the first start does not certify,
   because its minimizer is the second start; the best feasible vertex is
   the third.  The probe stops early only at a start that certifies and
-  also settles the decision: its value is within level + feas_tol, or
+  also settles the decision: its value is within level + FEAS_TOL, or
   its lower bound lies above that.  A start ending above the level by
-  more than feas_tol / 2 is polished: a bisection along the segment
+  more than FEAS_TOL / 2 is polished: a bisection along the segment
   toward the probe's minimizer, which by convexity restores the
-  constraint to within feas_tol without leaving the simplex.  When no
+  constraint to within FEAS_TOL without leaving the simplex.  When no
   start certifies, the best start by value wins.
 
 SolveResult.status reads the gap alone, never SLSQP's success flag:
 "optimal" when it is at most GAP_TOL, "uncertified" otherwise.
 
-GAP_TOL, FEAS_TOL and MAX_ITERS are fixed constants, not settings.
-GAP_TOL sits far above the gaps SLSQP reaches (about 1e-9 to 1e-6),
-FEAS_TOL is rounding-level slack, and both lie far below the
-statistical margin kappa/sqrt(n) that the constraint level already
-gives up.  The feas_tol and max_iters keywords below default to them.
+GAP_TOL, FEAS_TOL and MAX_ITERS are fixed constants, not settings,
+read where they are used.  GAP_TOL sits far above the gaps SLSQP
+reaches (about 1e-9 to 1e-6), FEAS_TOL is rounding-level slack, and
+both lie far below the statistical margin kappa/sqrt(n) that the
+constraint level already gives up.
 
 scipy is imported on the first SLSQP solve only (minimize below): the
 affine route, the grid oracles and everything else never load it.
@@ -220,7 +220,7 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def _slsqp(form: Form, m: int, start: np.ndarray, max_iters: int,
+def _slsqp(form: Form, m: int, start: np.ndarray,
            constraint: Optional[Form] = None, level: float = 0.0):
     cons = [{"type": "eq", "fun": lambda l: float(np.sum(l) - 1.0),
              "jac": lambda l: np.ones(m)}]
@@ -234,12 +234,12 @@ def _slsqp(form: Form, m: int, start: np.ndarray, max_iters: int,
         method="SLSQP",
         bounds=[(0.0, 1.0)] * m,
         constraints=cons,
-        options={"maxiter": max_iters, "ftol": 1e-12},
+        options={"maxiter": MAX_ITERS, "ftol": 1e-12},
     )
     return _clean_simplex(res.x), int(res.nit)
 
 
-def _certified_starts(objective: Form, m: int, starts, max_iters: int,
+def _certified_starts(objective: Form, m: int, starts,
                       constraint: Optional[Form] = None, level: float = 0.0,
                       repair: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                       threshold: Optional[float] = None) -> SolveResult:
@@ -255,7 +255,7 @@ def _certified_starts(objective: Form, m: int, starts, max_iters: int,
     lower = -np.inf
     iters = 0
     for s0 in starts:
-        lam, nit = _slsqp(objective, m, s0, max_iters, constraint, level)
+        lam, nit = _slsqp(objective, m, s0, constraint, level)
         iters += nit
         if repair is not None:
             lam = repair(lam)
@@ -270,7 +270,7 @@ def _certified_starts(objective: Form, m: int, starts, max_iters: int,
     return SolveResult(*best, cval, iters, lower)
 
 
-def minimize_simplex(m: int, form: Form, max_iters: int = MAX_ITERS,
+def minimize_simplex(m: int, form: Form,
                      threshold: Optional[float] = None) -> SolveResult:
     """Global minimum of a convex Form over the simplex.
 
@@ -291,7 +291,7 @@ def minimize_simplex(m: int, form: Form, max_iters: int = MAX_ITERS,
         for j in np.argsort(vertex_vals, kind="stable")[: min(3, m)]:
             yield _vertex(m, j)
 
-    return _certified_starts(form, m, starts(), max_iters, threshold=threshold)
+    return _certified_starts(form, m, starts(), threshold=threshold)
 
 
 def _vertex(m: int, j) -> np.ndarray:
@@ -343,7 +343,8 @@ def _lp_min(b: np.ndarray, c: np.ndarray, r: float):
 
 def _affine_solve(objective: AffineForm, constraint: AffineForm, level: float,
                   m: int, feas_tol: float) -> SolveResult:
-    """Exact optimum of the affine program; it is its own lower bound."""
+    """Exact optimum of the affine program; it is its own lower bound.
+    feas_tol is FEAS_TOL, a parameter as benchmarks/tracing.py wraps it."""
     c = constraint.coeffs
     r = level - constraint.const
     min_c = float(np.min(c))
@@ -373,19 +374,18 @@ def _polish_feasibility(lam: np.ndarray, lam_feas: np.ndarray, constraint: Form,
     return (1.0 - hi) * lam + hi * lam_feas
 
 
-def solve_simplex_program(m: int, objective: Form, constraint: Form, level: float,
-                          *, feas_tol: float = FEAS_TOL,
-                          max_iters: int = MAX_ITERS) -> SolveResult:
+def solve_simplex_program(m: int, objective: Form, constraint: Form,
+                          level: float) -> SolveResult:
     """Minimize objective over the simplex s.t. constraint <= level.
 
-    Raises Infeasible when the constraint minimum exceeds level + feas_tol.
+    Raises Infeasible when the constraint minimum exceeds level + FEAS_TOL.
     The status is "optimal" when the returned point's Lagrangian gap is at
     most GAP_TOL and "uncertified" when no start closed it.
     """
     if m < 1:
         raise DomainError("simplex dimension must be >= 1")
     if isinstance(objective, AffineForm) and isinstance(constraint, AffineForm):
-        return _affine_solve(objective, constraint, level, m, feas_tol)
+        return _affine_solve(objective, constraint, level, m, FEAS_TOL)
 
     probe = None
 
@@ -393,8 +393,8 @@ def solve_simplex_program(m: int, objective: Form, constraint: Form, level: floa
         """The constraint minimizer; Infeasible when even it misses the level."""
         nonlocal probe
         if probe is None:
-            probe = minimize_simplex(m, constraint, max_iters, threshold=level + feas_tol)
-            if probe.objective_value > level + feas_tol:
+            probe = minimize_simplex(m, constraint, threshold=level + FEAS_TOL)
+            if probe.objective_value > level + FEAS_TOL:
                 raise Infeasible(f"constraint minimum {probe.objective_value} "
                                  f"exceeds level {level} + feas_tol")
         return probe.lam
@@ -408,12 +408,12 @@ def solve_simplex_program(m: int, objective: Form, constraint: Form, level: floa
 
     def polish(lam):
         # the polish ends at a point it scored <= level, or at the probe's
-        # minimizer bit for bit, which probe_lam checked against level + feas_tol
-        if constraint.value(lam) > level + feas_tol * 0.5:
+        # minimizer bit for bit, which probe_lam checked against level + FEAS_TOL
+        if constraint.value(lam) > level + FEAS_TOL * 0.5:
             lam = _polish_feasibility(lam, probe_lam(), constraint, level)
         return lam
 
-    res = _certified_starts(objective, m, starts(), max_iters, constraint, level, polish)
+    res = _certified_starts(objective, m, starts(), constraint, level, polish)
     if probe is not None:
         res.iterations += probe.iterations
     return res

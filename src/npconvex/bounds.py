@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from ._seeding import rng_for
 from .errors import DomainError, HypothesisFailed
 from .hypothesis import BaseDictionary
 from .np_solver import kappa
-from .risk import Sample, WeightedAtoms, _require_nonempty, empirical_atoms
+from .risk import WeightedAtoms, _require_nonempty, empirical_atoms
 from .surrogate import Surrogate
 
 HOLD_TOL = 1e-12
@@ -36,6 +35,8 @@ HOLD_TOL = 1e-12
 MAX_EXACT_N = 100_000
 #: absorbs float fuzz in thresholds like n*q that are mathematically integral
 THRESHOLD_SNAP = 1e-9
+#: draws in the Monte Carlo population reference of check_sup_deviation
+MC_REFERENCE = 10 ** 6
 
 
 @dataclass
@@ -59,8 +60,8 @@ class LemmaCheckResult:
 def binomial_tail_exact(n: int, q: float, t: float) -> float:
     """P(Bin(n, q) >= t) by exact term-by-term summation.
 
-    The largest term in the tail is computed exactly (integer binomial
-    coefficient times exact rational powers of q, rounded once to float);
+    The largest term in the tail is computed exactly (q = a/b is a dyadic
+    rational, so the term is one integer ratio, rounded once to float);
     the remaining terms follow by the ratio recurrence and are added with
     compensated summation.  Relative error stays below about 1e-13 for
     every n up to the cap.
@@ -82,9 +83,9 @@ def binomial_tail_exact(n: int, q: float, t: float) -> float:
         return 1.0
     n = int(n)
     mode = min(max(k0, int((n + 1) * q)), n)
-    q_exact = Fraction(q)
-    anchor = float(math.comb(n, mode) * q_exact ** mode
-                   * (1 - q_exact) ** (n - mode))
+    a, b = float(q).as_integer_ratio()
+    # int / int is correctly rounded, as float(Fraction) is
+    anchor = math.comb(n, mode) * a ** mode * (b - a) ** (n - mode) / b ** n
     ratio_up = q / (1.0 - q)
     terms = [anchor]
     tk = anchor
@@ -216,14 +217,14 @@ def _population_atoms(scenario, dictionary, side: str) -> Optional[WeightedAtoms
 
 def check_sup_deviation(scenario, dictionary: BaseDictionary, s: Surrogate,
                         n: int, delta: float, trials: int, seed: int,
-                        resolution: float = 1e-3, mc_reference: int = 10 ** 6) -> dict:
+                        resolution: float = 1e-3) -> dict:
     """Empirical violation rate of sup |(P_n - P)(phi o h_lambda)| > kappa/sqrt(n).
 
     Samples are drawn from the scenario's negative class-conditional.  The
     population term comes from exact interval atoms when the scenario and
-    dictionary admit them, otherwise from the merged atoms of one large
-    Monte Carlo reference sample (empirical_atoms).  The supremum over the
-    simplex is taken on a grid (M <= 3).
+    dictionary admit them, otherwise from the merged atoms of one
+    reference sample of MC_REFERENCE draws (empirical_atoms).  The
+    supremum over the simplex is taken on a grid (M <= 3).
     """
     if dictionary.m > 3:
         raise DomainError(f"sup check supports M <= 3, got {dictionary.m}")
@@ -236,7 +237,7 @@ def check_sup_deviation(scenario, dictionary: BaseDictionary, s: Surrogate,
     atoms = _population_atoms(scenario, dictionary, "minus")
     if atoms is None:
         rng_ref = rng_for(seed, "bounds.supdev.reference")
-        X_ref = np.asarray(scenario.draw_negatives(rng_ref, mc_reference), dtype=float)
+        X_ref = np.asarray(scenario.draw_negatives(rng_ref, MC_REFERENCE), dtype=float)
         atoms = empirical_atoms(dictionary.evaluate_matrix(X_ref))
     pop = atoms.phi_risk_grid(grid, s, +1.0)
 
@@ -254,33 +255,26 @@ def check_sup_deviation(scenario, dictionary: BaseDictionary, s: Surrogate,
     }
 
 
-def _atoms_pair(source, dictionary: BaseDictionary) -> Tuple[WeightedAtoms, WeightedAtoms]:
-    if isinstance(source, Sample):
-        return (empirical_atoms(dictionary.evaluate_matrix(source.negatives)),
-                empirical_atoms(dictionary.evaluate_matrix(source.positives)))
-    if isinstance(source, tuple) and len(source) == 2 \
-            and all(isinstance(a, WeightedAtoms) for a in source):
-        return source
-    fn = getattr(source, "population_atoms", None)
-    if fn is not None:
-        return fn(dictionary, "minus"), fn(dictionary, "plus")
-    raise DomainError(f"cannot derive risk atoms from {source!r}")
-
-
-def gamma_curve(source, dictionary: BaseDictionary, s: Surrogate,
+def gamma_curve(atoms, dictionary: BaseDictionary, s: Surrogate,
                 x_grid: Sequence[float], resolution: float = 1e-3) -> list:
     """gamma(x) = minimal phi-type-II risk subject to phi-type-I <= x.
 
     Minimization over a simplex grid (M <= 4); infeasible levels map to
     +inf.  The curve is non-increasing by construction and convex up to
-    grid slack.  `source` may be a Sample (empirical measure), a pair of
-    WeightedAtoms, or a scenario with exact population atoms.  One
-    argmin_feasible pass serves all levels; scans of over 2e9 grid points
-    times atoms are refused.  The harness's population gamma is this.
+    grid slack.  `atoms` is the (minus, plus) pair of WeightedAtoms of
+    the dictionary's bases: for a sample, (empirical_atoms(
+    dictionary.evaluate_matrix(negatives)), ...), and for a scenario,
+    its population_atoms for "minus" and "plus".  One argmin_feasible
+    pass serves all levels; scans of over 2e9 grid points times atoms
+    are refused.  The harness's population gamma is this.
     """
     if dictionary.m > 4:
         raise DomainError(f"gamma oracle supports M <= 4, got {dictionary.m}")
-    minus, plus = _atoms_pair(source, dictionary)
+    if not (isinstance(atoms, tuple) and len(atoms) == 2
+            and all(isinstance(a, WeightedAtoms) for a in atoms)):
+        raise DomainError("gamma_curve needs a (minus, plus) pair of WeightedAtoms, "
+                          f"got {type(atoms).__name__}")
+    minus, plus = atoms
     k = grid_steps(resolution)
     cost = grid_count(dictionary.m, k) * max(minus.H.shape[0], plus.H.shape[0])
     if cost > 2 * 10 ** 9:

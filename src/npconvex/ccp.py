@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -57,8 +57,8 @@ def evaluate_constraint_bases(constraint_bases, draws) -> np.ndarray:
 class CCPInstance:
     """One empirical chance-constrained problem.
 
-    Provide either `g_matrix` (pre-evaluated g_j(xi_i) columns) or both
-    `constraint_bases` (see evaluate_constraint_bases) and `sample`.  The
+    `g_matrix` holds the evaluated g_j(xi_i) columns, as
+    evaluate_constraint_bases(constraint_bases, draws) returns them.  The
     objective is a value oracle with a (sub)gradient oracle
     `objective_grad`, which the solver's certificate needs; pass
     `linear_coeffs` instead when f(lambda) = linear_coeffs @ lambda, which
@@ -72,8 +72,6 @@ class CCPInstance:
     objective_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     linear_coeffs: Optional[np.ndarray] = None
     g_matrix: Optional[np.ndarray] = None
-    constraint_bases: Optional[Union[BaseDictionary, Sequence[Callable]]] = None
-    sample: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 0.5:
@@ -81,17 +79,15 @@ class CCPInstance:
         if not 0.0 < self.delta < 0.5:
             raise DomainError(f"delta must lie in (0, 1/2), got {self.delta}")
         if self.g_matrix is None:
-            if self.constraint_bases is None or self.sample is None:
-                raise DomainError("need g_matrix, or constraint_bases with sample")
-            self.g_matrix = evaluate_constraint_bases(self.constraint_bases, self.sample)
-        else:
-            self.g_matrix = np.asarray(self.g_matrix, dtype=float)
-            if self.g_matrix.ndim != 2 or self.g_matrix.shape[0] < 1:
-                raise DomainError("g_matrix must be a nonempty (n, M) matrix")
-            if not np.all(np.isfinite(self.g_matrix)):
-                raise DomainError("g_matrix contains non-finite entries")
-            if float(np.max(np.abs(self.g_matrix))) > 1.0 + RANGE_TOL:
-                raise DomainError("g_matrix entries must lie in [-1, 1]")
+            raise DomainError("need g_matrix; evaluate_constraint_bases(bases, draws) "
+                              "gives it")
+        self.g_matrix = np.asarray(self.g_matrix, dtype=float)
+        if self.g_matrix.ndim != 2 or self.g_matrix.shape[0] < 1:
+            raise DomainError("g_matrix must be a nonempty (n, M) matrix")
+        if not np.all(np.isfinite(self.g_matrix)):
+            raise DomainError("g_matrix contains non-finite entries")
+        if float(np.max(np.abs(self.g_matrix))) > 1.0 + RANGE_TOL:
+            raise DomainError("g_matrix entries must lie in [-1, 1]")
         if self.linear_coeffs is None and self.objective_grad is None:
             raise DomainError("need objective_grad or linear_coeffs for the objective")
         if self.linear_coeffs is not None:

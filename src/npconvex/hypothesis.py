@@ -343,8 +343,10 @@ class CombinedClassifier:
 def build_stump_dictionary(data: np.ndarray, per_axis_thresholds: int) -> BaseDictionary:
     """Stumps at empirical quantiles of each feature axis.
 
-    Thresholds sit at the k/(T+1) quantiles, k = 1..T.  Both polarities
-    are emitted for every threshold, ordered axis-major, threshold-minor,
+    Thresholds sit at the k/(T+1) quantiles, k = 1..T; where numpy's
+    lerp meets an infinity (NaN), the value both neighbouring order
+    statistics share, else NonFiniteValue.  Both polarities are emitted
+    for every threshold, ordered axis-major, threshold-minor,
     polarity-last (+1 before -1); exact duplicates are dropped.
     """
     X = np.asarray(data, dtype=float)
@@ -363,10 +365,15 @@ def build_stump_dictionary(data: np.ndarray, per_axis_thresholds: int) -> BaseDi
     for axis in range(d):
         with np.errstate(invalid="ignore"):  # its lerp meets inf - inf and 0 * inf
             thresholds = np.quantile(X[:, axis], levels)
-        if np.isnan(thresholds).any():
-            raise NonFiniteValue(
-                f"cannot build stumps on axis {axis}: a quantile level interpolates "
-                "with an infinite value")
+        undefined = np.isnan(thresholds)
+        if undefined.any():
+            lower = np.quantile(X[:, axis], levels[undefined], method="lower")
+            if not np.array_equal(lower, np.quantile(X[:, axis], levels[undefined],
+                                                     method="higher")):
+                raise NonFiniteValue(
+                    f"cannot build stumps on axis {axis}: a quantile level interpolates "
+                    "with an infinite value")
+            thresholds[undefined] = lower
         for t in thresholds:
             for polarity in (1, -1):
                 key = (axis, float(t), polarity)

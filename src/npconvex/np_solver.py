@@ -292,19 +292,14 @@ def pooled_bound(kappa_value: float, eps_bar: float, alpha: float, n: int, p: fl
 
 
 def split_pooled(pooled) -> Sample:
-    """Partition a pooled labeled sample into the two class samples.
-
-    Accepts (X, y) arrays or an iterable of (x, y) pairs; y in {-1, +1}.
-    """
-    if isinstance(pooled, tuple) and len(pooled) == 2:
-        X = np.asarray(pooled[0], dtype=float)
-        y = np.asarray(pooled[1])
-    else:
-        rows = list(pooled)
-        if not rows:
-            raise EmptySample("pooled sample is empty")
-        X = np.asarray([np.atleast_1d(r[0]) for r in rows], dtype=float)
-        y = np.asarray([r[1] for r in rows])
+    """Partition a pooled labeled sample, the pair (X, y) of a feature
+    matrix (or 1-D feature vector) and its labels in {-1, +1}, into the
+    two class samples."""
+    if not (isinstance(pooled, tuple) and len(pooled) == 2):
+        raise DomainError("split_pooled needs the pair (X, y), "
+                          f"got {type(pooled).__name__}")
+    X = np.asarray(pooled[0], dtype=float)
+    y = np.asarray(pooled[1])
     if X.ndim == 1:
         X = X.reshape(-1, 1)
     if X.shape[0] == 0:

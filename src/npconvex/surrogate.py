@@ -16,7 +16,7 @@ functionals linear in the mixing weights can be solved exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -30,8 +30,6 @@ _LN2 = math.log(2.0)
 LOGIT_LIPSCHITZ = math.e / ((1.0 + math.e) * _LN2)
 #: log2(1 + e)
 LOGIT_VALUE_AT_ONE = math.log1p(math.e) / _LN2
-
-VALID_KINDS = ("hinge", "logit", "exponential", "custom")
 
 
 def _check_domain(z: np.ndarray) -> None:
@@ -51,7 +49,6 @@ class Surrogate:
     _deriv: Callable[[np.ndarray], np.ndarray]
     #: (a, b) with phi(z) = a + b*z on all of [-1, 1], or None
     affine_coefficients: Optional[Tuple[float, float]] = None
-    _table: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
 
     def eval(self, z):
         """phi(z) for a scalar or array z; DomainError outside [-1, 1]."""
@@ -72,17 +69,6 @@ class Surrogate:
             return float(out)
         return out
 
-    def to_json(self) -> dict:
-        if self.kind == "custom":
-            zs, vs = self._table
-            return {
-                "kind": "custom",
-                "lipschitz": self.lipschitz,
-                "grid": list(map(float, zs)),
-                "values": list(map(float, vs)),
-            }
-        return {"kind": self.kind}
-
 
 def hinge() -> Surrogate:
     return Surrogate(
@@ -95,13 +81,18 @@ def hinge() -> Surrogate:
     )
 
 
+def _logit_deriv(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z)
+    return e / ((1.0 + e) * _LN2)
+
+
 def logit() -> Surrogate:
     return Surrogate(
         kind="logit",
         lipschitz=LOGIT_LIPSCHITZ,
         value_at_one=LOGIT_VALUE_AT_ONE,
         _fn=lambda z: np.log1p(np.exp(z)) / _LN2,
-        _deriv=lambda z: np.exp(z) / ((1.0 + np.exp(z)) * _LN2),
+        _deriv=_logit_deriv,
     )
 
 
@@ -169,7 +160,6 @@ def custom(grid, values, lipschitz: float) -> Surrogate:
         value_at_one=float(np.interp(1.0, zs, vs)),
         _fn=lambda z: np.interp(z, zs, vs),
         _deriv=segment_slope,
-        _table=(zs, vs),
     )
 
 

@@ -244,9 +244,28 @@ def test_gamma_curve_refuses_oversized_scans_and_empty_classes():
     d5 = BaseDictionary([ConstantClassifier(-1.0)] * 5, dim=1)
     with pytest.raises(DomainError, match="M <= 4"):
         gamma_curve((atoms, atoms), d5, hinge(), [0.5], resolution=0.1)
-    empty = Sample(np.empty((0, 1)), np.ones((3, 1)))
+    # an empty class has no atoms: the pair cannot be built
     with pytest.raises(EmptySample):
-        gamma_curve(empty, d, hinge(), [0.5], resolution=0.1)
+        gamma_curve((empirical_atoms(d.evaluate_matrix(np.empty((0, 1)))), atoms),
+                    d, hinge(), [0.5], resolution=0.1)
+
+
+def test_gamma_curve_takes_only_a_pair_of_atoms():
+    d = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 0.5, 1)], dim=1)
+    rng = np.random.default_rng(3)
+    sample = Sample(rng.uniform(0, 1, (40, 1)), rng.uniform(0.3, 1.3, (40, 1)))
+    scen = Scenario.prop31(0.3)
+    minus = empirical_atoms(d.evaluate_matrix(sample.negatives))
+    for source in (sample, scen, [minus, minus], (minus,)):
+        with pytest.raises(DomainError, match=r"a \(minus, plus\) pair of WeightedAtoms"):
+            gamma_curve(source, d, hinge(), [0.5], resolution=0.1)
+    # the replacement calls: the empirical atoms of a sample, the
+    # population atoms of a scenario
+    pair = (minus, empirical_atoms(d.evaluate_matrix(sample.positives)))
+    exact = (scen.population_atoms(d, "minus"), scen.population_atoms(d, "plus"))
+    for atoms in (pair, exact):
+        [(x, val)] = gamma_curve(atoms, d, hinge(), [0.5], resolution=0.1)
+        assert x == 0.5 and math.isfinite(val)
 
 
 def _uniform_pair_atoms(alpha):

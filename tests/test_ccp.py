@@ -159,6 +159,23 @@ def test_instance_validation():
                         g_matrix=np.zeros((3, 2)), **linear_objective(bad))
 
 
+def test_instance_takes_only_evaluated_columns():
+    # g_matrix is the one input form; bases and draws go through
+    # evaluate_constraint_bases first
+    bases = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 0.5, 1)])
+    draws = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(DomainError, match="need g_matrix; evaluate_constraint_bases"):
+        CCPInstance(alpha=0.25, delta=0.1, surrogate=hinge(),
+                    **linear_objective([1.0, 0.0]))
+    with pytest.raises(TypeError, match="constraint_bases"):
+        CCPInstance(alpha=0.25, delta=0.1, surrogate=hinge(), constraint_bases=bases,
+                    sample=draws, **linear_objective([1.0, 0.0]))
+    inst = CCPInstance(alpha=0.25, delta=0.1, surrogate=hinge(),
+                       g_matrix=evaluate_constraint_bases(bases, draws),
+                       **linear_objective([1.0, 0.0]))
+    np.testing.assert_array_equal(inst.g_matrix, bases.evaluate_matrix(draws[:, None]))
+
+
 def test_evaluate_constraint_bases():
     bases = [lambda x: -1.0, lambda x: 2.0 * float(x) - 1.0]
     G = evaluate_constraint_bases(bases, np.array([0.0, 0.5, 1.0]))
@@ -214,8 +231,9 @@ def test_every_base_kind_goes_through_evaluate_matrix(monkeypatch):
     for bases in (per_row, batch):
         evaluate_constraint_bases(bases, draws)
         chance_feasibility_estimate([0.5, 0.5], bases, draws, alpha=0.1)
-        CCPInstance(alpha=0.25, delta=0.1, surrogate=hinge(), constraint_bases=bases,
-                    sample=draws, **linear_objective([1.0, 0.0]))
+        CCPInstance(alpha=0.25, delta=0.1, surrogate=hinge(),
+                    g_matrix=evaluate_constraint_bases(bases, draws),
+                    **linear_objective([1.0, 0.0]))
     assert len(calls) == 6
     assert all(isinstance(b, FunctionClassifier) for d in calls[:3] for b in d.bases)
     assert all(d is batch for d in calls[3:])

@@ -61,7 +61,7 @@ def test_certificate_properties_against_the_grid_oracle(seed, m, n, kind, quanti
     def solve():
         return core.solve_simplex_program(
             m, core.risk_form(H_plus, s, -1.0), core.risk_form(H_minus, s, +1.0),
-            level, feas_tol=FEAS_TOL)
+            level)
 
     res = solve()
     assert res.gap >= 0.0
@@ -189,11 +189,12 @@ def test_infeasible_first_start_runs_the_probe_once(monkeypatch):
     level = s.eval(-1.0) + 2e-3
     con, obj = core.risk_form(H_minus, s, +1.0), core.risk_form(H_plus, s, -1.0)
     center = np.full(3, 1.0 / 3)
-    lam, _ = core._slsqp(obj, 3, center, 2, constraint=con, level=level)
+    monkeypatch.setattr(core, "MAX_ITERS", 2)
+    lam, _ = core._slsqp(obj, 3, center, constraint=con, level=level)
     assert con.value(lam) > level + FEAS_TOL
     runs = _spy(monkeypatch, "_slsqp")
     probes = _spy(monkeypatch, "minimize_simplex")
-    res = core.solve_simplex_program(3, obj, con, level, feas_tol=FEAS_TOL, max_iters=2)
+    res = core.solve_simplex_program(3, obj, con, level)
     assert runs[0][2].tobytes() == center.tobytes()
     assert len(probes) == 1
     assert res.constraint_value <= level + FEAS_TOL
@@ -221,15 +222,16 @@ def test_probe_decides_infeasible_only_when_the_stop_settles_it(monkeypatch):
         grad_fn=lambda l: scale * (c + 20.0 * (l[1] + l[2]) * np.array([0.0, 1.0, 1.0])))
     obj = core.SmoothForm(fn=lambda l: float(np.sum((l - t) ** 2)),
                           grad_fn=lambda l: 2.0 * (l - t))
-    center = core.minimize_simplex(3, con, max_iters=2)
+    monkeypatch.setattr(core, "MAX_ITERS", 2)
+    center = core.minimize_simplex(3, con)
     assert center.gap <= core.GAP_TOL
     assert center.objective_value > 0.5 + FEAS_TOL
     runs = _spy(monkeypatch, "_slsqp")
-    probe = core.minimize_simplex(3, con, max_iters=2, threshold=0.5 + FEAS_TOL)
+    probe = core.minimize_simplex(3, con, threshold=0.5 + FEAS_TOL)
     # the center did not settle it; the best vertex e0 did
     assert [r[2].tobytes() for r in runs] == [np.full(3, 1 / 3).tobytes(), np.eye(3)[0].tobytes()]
     assert probe.objective_value <= 0.5 + FEAS_TOL
-    res = core.solve_simplex_program(3, obj, con, 0.5, feas_tol=FEAS_TOL, max_iters=2)
+    res = core.solve_simplex_program(3, obj, con, 0.5)
     assert res.constraint_value <= 0.5 + FEAS_TOL
 
 
@@ -253,7 +255,7 @@ def test_uncertified_solve_says_so():
     H_minus, H_plus, s = _program(1, 3, 65, "custom")
     con, obj = core.risk_form(H_minus, s, +1.0), core.risk_form(H_plus, s, -1.0)
     level = float(np.median([con.value(e) for e in np.eye(3)]))
-    res = core.solve_simplex_program(3, obj, con, level, feas_tol=FEAS_TOL)
+    res = core.solve_simplex_program(3, obj, con, level)
     assert res.gap > core.GAP_TOL
     assert res.status == "uncertified"
     assert res.constraint_value <= level + FEAS_TOL
@@ -269,7 +271,7 @@ def test_level_missed_within_feas_tol_returns_the_probe_minimizer(monkeypatch):
     H_minus, H_plus, s = _program(4, 3, 200, "logit")
     con, obj = core.risk_form(H_minus, s, +1.0), core.risk_form(H_plus, s, -1.0)
     level = s.eval(-1.0) - 0.75 * FEAS_TOL
-    center, _ = core._slsqp(obj, 3, np.full(3, 1 / 3), 500, constraint=con, level=level)
+    center, _ = core._slsqp(obj, 3, np.full(3, 1 / 3), constraint=con, level=level)
     assert con.value(center) > level + 0.5 * FEAS_TOL
     probes = []
     minimize_simplex = core.minimize_simplex
@@ -279,7 +281,7 @@ def test_level_missed_within_feas_tol_returns_the_probe_minimizer(monkeypatch):
         return probes[-1]
 
     monkeypatch.setattr(core, "minimize_simplex", spy)
-    res = core.solve_simplex_program(3, obj, con, level, feas_tol=FEAS_TOL)
+    res = core.solve_simplex_program(3, obj, con, level)
     assert len(probes) == 1
     assert level < probes[0].objective_value <= level + FEAS_TOL
     assert res.lam.tobytes() == probes[0].lam.tobytes()

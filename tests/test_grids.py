@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from npconvex import _grids
 from npconvex._grids import (argmin_feasible, grid_count, grid_points,
                              iter_grid_chunks)
 from npconvex.ccp import CCPInstance, grid_oracle_ccp, linear_objective
@@ -19,11 +20,12 @@ from npconvex.surrogate import hinge
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("k", [1, 2, 3, 7])
-def test_enumerator_matches_product_reference(m, k):
+def test_enumerator_matches_product_reference(m, k, monkeypatch):
     want = np.array([p for p in itertools.product(range(k + 1), repeat=m)
                      if sum(p) == k]) / k
     np.testing.assert_array_equal(grid_points(m, k), want)
-    chunks = list(iter_grid_chunks(m, k, chunk=4))
+    monkeypatch.setattr(_grids, "CHUNK_ROWS", 4)
+    chunks = list(iter_grid_chunks(m, k))
     np.testing.assert_array_equal(np.vstack(chunks), want)
     assert all(c.shape[0] >= 4 for c in chunks[:-1])
     assert grid_count(m, k) == want.shape[0]
@@ -75,8 +77,10 @@ def test_argmin_feasible_keeps_the_first_hit():
 
 
 def _full_scan(k, constraint_values, objective_values, level):
-    return argmin_feasible(iter_grid_chunks(3, k, chunk=4096), constraint_values,
-                           objective_values, [level])[0]
+    with pytest.MonkeyPatch.context() as mp:  # many chunks, many cross-chunk ties
+        mp.setattr(_grids, "CHUNK_ROWS", 4096)
+        return argmin_feasible(iter_grid_chunks(3, k), constraint_values,
+                               objective_values, [level])[0]
 
 
 def _assert_window_matches(scan_lam, scan_val, oracle_lam, oracle_val, flat):

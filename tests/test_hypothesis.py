@@ -164,7 +164,16 @@ def test_build_stump_dictionary_names_the_axis_of_an_undefined_quantile():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         d = build_stump_dictionary(np.array([[0.0], [1.0], [2.0], [np.inf]]), 1)
+        # where the lerp is NaN the lower and higher order statistics agree:
+        # at interpolation weight 0, or between two equal infinities
+        at_weight_0 = build_stump_dictionary(np.array([[0.0], [1.0], [np.inf]]), 1)
+        two_infs = build_stump_dictionary(np.array([[-np.inf], [-np.inf], [0.0], [1.0]]), 3)
     assert [b.threshold for b in d.bases] == [1.5, 1.5]
+    assert [b.threshold for b in at_weight_0.bases] == [1.0, 1.0]
+    assert [b.threshold for b in two_infs.bases] == [-np.inf, -np.inf, 0.25, 0.25]
+    # the level-1/2 quantile of [0, 1, inf, inf] lies between 1 and inf
+    with pytest.raises(NonFiniteValue, match="axis 0"):
+        build_stump_dictionary(np.array([[0.0], [1.0], [np.inf], [np.inf]]), 1)
 
 
 def test_dictionary_json_round_trip():

@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in the package is used,
-every private module-level name is read somewhere in the package, and
-scipy loads only when an SLSQP solve needs it."""
+every private module-level name is read somewhere in the package, every
+public module-level constant is read in the package, its tests or its
+benchmarks, and scipy loads only when an SLSQP solve needs it."""
 
 from __future__ import annotations
 
@@ -46,16 +47,30 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports((PACKAGE / path).read_text(encoding="utf-8")) == []
 
 
-def private_definitions(source: str) -> list:
-    """Private functions, classes and constants a module defines at top level."""
+def top_level_names(source: str, constants_only: bool = False) -> list:
+    """Names a module binds at top level: by assignment, and unless
+    constants_only, by def and class."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.append(node.name)
+            if not constants_only:
+                names.append(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.extend(t.id for t in targets if isinstance(t, ast.Name))
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return names
+
+
+def private_definitions(source: str) -> list:
+    """Private functions, classes and constants a module defines at top level."""
+    return [n for n in top_level_names(source)
+            if n.startswith("_") and not n.startswith("__")]
+
+
+def public_constants(source: str) -> list:
+    """Public names a module binds by top-level assignment."""
+    return [n for n in top_level_names(source, constants_only=True)
+            if not n.startswith("_")]
 
 
 def names_read(source: str) -> set:
@@ -81,6 +96,27 @@ def test_package_reads_every_private_name():
     read = set().union(*(names_read(src) for src in sources.values()))
     unread = sorted(f"{path}: {name}" for path, src in sources.items()
                     for name in private_definitions(src) if name not in read)
+    assert unread == []
+
+
+def test_the_check_sees_unread_public_constants():
+    src = ("LIMIT = 3\nKINDS: tuple = ('a',)\n_PRIVATE = 4\n__all__ = []\n"
+           "def f():\n    return LIMIT\nclass C:\n    SIZE = 5\n")
+    assert public_constants(src) == ["LIMIT", "KINDS"]
+    assert "LIMIT" in names_read(src) and "KINDS" not in names_read(src)
+    assert "KINDS" in names_read("from m import KINDS\nprint(KINDS)")
+    assert "KINDS" in names_read("import m\nprint(m.KINDS)")
+
+
+def test_every_public_constant_is_read():
+    # a constant nothing reads is a setting no caller uses
+    sources = {p: p.read_text(encoding="utf-8")
+               for folder in (PACKAGE, ROOT / "tests", ROOT / "benchmarks")
+               for p in folder.glob("*.py")}
+    read = set().union(*(names_read(src) for src in sources.values()))
+    unread = sorted(f"{path.name}: {name}" for path, src in sources.items()
+                    if path.parent == PACKAGE
+                    for name in public_constants(src) if name not in read)
     assert unread == []
 
 

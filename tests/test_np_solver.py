@@ -244,15 +244,19 @@ def test_split_pooled():
     s = split_pooled((X, y))
     assert s.n_minus == 2 and s.n_plus == 2
     assert list(s.positives[:, 0]) == [0.1, 0.3]
-    pairs = [(np.array([0.5]), 1), (np.array([0.6]), -1)]
-    s2 = split_pooled(pairs)
-    assert s2.n_plus == 1
+    s2 = split_pooled((np.array([0.5, 0.6]), [1, -1]))  # a 1-D X is one feature
+    assert s2.n_plus == 1 and s2.positives.tolist() == [[0.5]]
     with pytest.raises(UnknownLabel):
         split_pooled((X, np.array([1.0, 0.0, 1.0, -1.0])))
     with pytest.raises(OneClassEmpty):
         split_pooled((X, np.ones(4)))
     with pytest.raises(EmptySample):
-        split_pooled([])
+        split_pooled((np.empty((0, 1)), np.empty(0)))
+    # (X, y) is the one input form: a list of (x, y) pairs is refused
+    pairs = [(np.array([0.5]), 1), (np.array([0.6]), -1)]
+    for pooled in (pairs, [], (X, y, y)):
+        with pytest.raises(DomainError, match=r"the pair \(X, y\)"):
+            split_pooled(pooled)
 
 
 def test_solution_json_round_trip():
