@@ -103,36 +103,28 @@ def binomial_tail_exact(n: int, q: float, t: float) -> float:
     return min(1.0, math.fsum(terms))
 
 
+def _verdict(parameters: dict, exact: float, bound: float) -> LemmaCheckResult:
+    """The lemma holds when exact >= bound - HOLD_TOL; slack is exact - bound."""
+    return LemmaCheckResult(parameters=parameters, exact_value=exact,
+                            bound_value=bound, holds=bool(exact >= bound - HOLD_TOL),
+                            worst_slack=exact - bound)
+
+
 def check_lemma_bin(n: int, q: float, t: float) -> LemmaCheckResult:
     """P(N >= t) >= 1 - exp(-n q^2 / 2) for 0 < t <= nq/2."""
     if not 0.0 < q < 1.0:
         raise DomainError(f"q must lie in (0, 1), got {q}")
     if not 0.0 < t <= n * q / 2.0 + THRESHOLD_SNAP:
         raise DomainError(f"need 0 < t <= nq/2 = {n * q / 2.0}, got t = {t}")
-    exact = binomial_tail_exact(n, q, t)
-    bound = 1.0 - math.exp(-n * q * q / 2.0)
-    return LemmaCheckResult(
-        parameters={"n": n, "q": q, "t": t},
-        exact_value=exact,
-        bound_value=bound,
-        holds=bool(exact >= bound - HOLD_TOL),
-        worst_slack=exact - bound,
-    )
+    return _verdict({"n": n, "q": q, "t": t}, binomial_tail_exact(n, q, t),
+                    1.0 - math.exp(-n * q * q / 2.0))
 
 
 def check_lemma_bin2(n: int, q: float) -> LemmaCheckResult:
     """P(N >= nq) >= min(q, 1/4) for 0 < q <= 1/2."""
     if not 0.0 < q <= 0.5:
         raise DomainError(f"q must lie in (0, 1/2], got {q}")
-    exact = binomial_tail_exact(n, q, n * q)
-    bound = min(q, 0.25)
-    return LemmaCheckResult(
-        parameters={"n": n, "q": q},
-        exact_value=exact,
-        bound_value=bound,
-        holds=bool(exact >= bound - HOLD_TOL),
-        worst_slack=exact - bound,
-    )
+    return _verdict({"n": n, "q": q}, binomial_tail_exact(n, q, n * q), min(q, 0.25))
 
 
 def sweep_binomial_lemmas(n_max: int = 200, q_points: int = 50,
@@ -140,37 +132,40 @@ def sweep_binomial_lemmas(n_max: int = 200, q_points: int = 50,
     """Exhaustive lemma checks over n in [1, n_max] and a q grid in (0, 1/2].
 
     For every (n, q) the exceed-mean lemma is checked once and the tail
-    lemma on t_points values spread over (0, nq/2].  Returns worst slacks
-    and the (empty, if all good) list of violations.
+    lemma on t_points values spread over (0, nq/2], n_max * q_points *
+    (1 + t_points) checks in all.  Returns worst slacks and the (empty,
+    if all good) list of violations.  All three sizes must be at least 1
+    and n_max at most MAX_EXACT_N; DomainError otherwise, before any tail
+    is summed.
     """
+    if min(n_max, q_points, t_points) < 1:
+        raise DomainError("n_max, q_points and t_points must be >= 1, got "
+                          f"{n_max}, {q_points}, {t_points}")
+    if n_max > MAX_EXACT_N:
+        raise DomainError(
+            f"exact summation capped at n = {MAX_EXACT_N}, got n_max = {n_max}")
     qs = np.arange(1, q_points + 1) / (2.0 * q_points)
     violations = []
-    worst_bin = None
-    worst_bin2 = None
-    checks = 0
+    worst = {}
+
+    def record(key: str, res: LemmaCheckResult) -> None:
+        if not res.holds:
+            violations.append(res.to_json())
+        if key not in worst or res.worst_slack < worst[key].worst_slack:
+            worst[key] = res
+
     for n in range(1, n_max + 1):
         for q in qs:
-            res2 = check_lemma_bin2(n, float(q))
-            checks += 1
-            if not res2.holds:
-                violations.append(res2.to_json())
-            if worst_bin2 is None or res2.worst_slack < worst_bin2.worst_slack:
-                worst_bin2 = res2
+            record("worst_bin2", check_lemma_bin2(n, float(q)))
             half = n * q / 2.0
             for i in range(1, t_points + 1):
-                t = half * i / t_points
-                res = check_lemma_bin(n, float(q), float(t))
-                checks += 1
-                if not res.holds:
-                    violations.append(res.to_json())
-                if worst_bin is None or res.worst_slack < worst_bin.worst_slack:
-                    worst_bin = res
+                record("worst_bin", check_lemma_bin(n, float(q), float(half * i / t_points)))
     return {
-        "checks": checks,
+        "checks": n_max * q_points * (1 + t_points),
         "violations": violations,
         "all_hold": not violations,
-        "worst_bin": worst_bin.to_json(),
-        "worst_bin2": worst_bin2.to_json(),
+        "worst_bin": worst["worst_bin"].to_json(),
+        "worst_bin2": worst["worst_bin2"].to_json(),
     }
 
 

@@ -30,7 +30,7 @@ from .np_solver import (NPConfig, _min_type1, _solve_np, alpha_kappa,
                         eps_bar_upper, kappa, n0_and_bound, pooled_bound,
                         solve_np, split_pooled)
 from .risk import (Sample, WeightedAtoms, _as_matrix, _mc_estimate,
-                   empirical_atoms)
+                   empirical_atoms, exact_risks_prop31)
 
 
 def _three_se(p: float, trials: int) -> float:
@@ -199,7 +199,8 @@ def run_counterexample(alpha: float, n_minus: int, n_plus: int, trials: int,
     strengthened program (R-hat-minus < tau, tau <= alpha) is exhaustive.
     Whenever the empirical negative mass of [0, alpha] reaches alpha, the
     feasible set collapses to lambda > 1/2 and the solution's excess true
-    type-II risk equals alpha exactly.
+    type-II risk equals alpha exactly.  True risks come from
+    exact_risks_prop31; the summary counts are taken from the trial rows.
     """
     if not 0.0 < alpha <= 0.5:
         raise DomainError(f"alpha must lie in (0, 1/2], got {alpha}")
@@ -212,12 +213,6 @@ def run_counterexample(alpha: float, n_minus: int, n_plus: int, trials: int,
             f"strengthened level tau must lie in (0, alpha], got {tau}")
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     low = grid <= 0.5          # R-hat-minus = alpha_hat there, 0 beyond
-    best_feasible_type2 = 1.0 - alpha
-
-    event_count = 0
-    binding_count = 0
-    max_excess_err = 0.0
-    excess_by_trial = np.empty(trials)
     rows = []
     chunk = max(1, 10 ** 6 // max(n_minus, n_plus))
     done = 0
@@ -235,21 +230,17 @@ def run_counterexample(alpha: float, n_minus: int, n_plus: int, trials: int,
             feasible = r_minus < tau
             idx = int(np.argmin(np.where(feasible, r_plus, np.inf)))
             lam_hat = grid[idx]
-            true_plus = 1.0 if lam_hat >= 0.5 else 1.0 - alpha
-            excess = true_plus - best_feasible_type2
-            excess_by_trial[done + i] = excess
-            event = bool(alpha_hat[i] >= alpha)
-            binding = bool(lam_hat > 0.5)
-            if event:
-                event_count += 1
-            if binding:
-                binding_count += 1
-                max_excess_err = max(max_excess_err, abs(excess - alpha))
+            # gamma(alpha) = 1 - alpha, reached by every lambda < 1/2
+            excess = exact_risks_prop31(lam_hat, alpha)[1] - (1.0 - alpha)
             rows.append({"trial": done + i, "alpha_hat": float(alpha_hat[i]),
-                         "lam_hat": float(lam_hat), "event": event,
-                         "binding": binding, "excess": float(excess)})
+                         "lam_hat": float(lam_hat),
+                         "event": bool(alpha_hat[i] >= alpha),
+                         "binding": bool(lam_hat > 0.5), "excess": float(excess)})
         done += b
 
+    event_count = sum(r["event"] for r in rows)
+    binding_excess = [r["excess"] for r in rows if r["binding"]]
+    max_excess_err = max((abs(e - alpha) for e in binding_excess), default=0.0)
     freq = event_count / trials
     exact_prob = binomial_tail_exact(n_minus, alpha, alpha * n_minus)
     lower = min(alpha, 0.25)
@@ -262,10 +253,10 @@ def run_counterexample(alpha: float, n_minus: int, n_plus: int, trials: int,
         "trials": trials,
         "event_count": event_count,
         "event_frequency": freq,
-        "binding_count": binding_count,
+        "binding_count": len(binding_excess),
         "max_excess_error_on_binding": max_excess_err,
         "excess_exact_on_binding": bool(max_excess_err <= 1e-12),
-        "mean_excess": float(np.mean(excess_by_trial)),
+        "mean_excess": float(np.mean([r["excess"] for r in rows])),
         "exact_event_probability": exact_prob,
         "matches_exact_probability":
             bool(abs(freq - exact_prob) <= _three_se(exact_prob, trials)),

@@ -130,29 +130,22 @@ class BaseDictionary:
 
         With `stump`, a base of type exactly DecisionStump yields stump(b)
         instead; its +-1 values never fail the range check.  The one range
-        check on base values: it names the first NaN, or else the first
-        entry of largest magnitude, in row-major order.
+        check on base values: each column is checked as it is evaluated,
+        and the first failing base raises, naming its first NaN, or else
+        its first entry of largest magnitude.  Later bases are not called.
         """
         # column-major, so a base reading one feature scans contiguous memory
         X = np.asfortranarray(self._as_features(X))
         out = []
-        rows = np.zeros(self.m, dtype=np.intp)  # first argmax of |h_j(x_i)|
-        values = np.zeros(self.m)  # h_j there; NaN wins argmax
         for j, b in enumerate(self.bases):
             if stump is not None and type(b) is DecisionStump:
                 out.append(stump(b))
                 continue
             col = np.asarray(b.evaluate_batch(X), dtype=float)
-            if col.size:
-                rows[j] = np.argmax(np.abs(col))
-                values[j] = col[rows[j]]
+            if not np.max(np.abs(col), initial=0.0) <= 1.0 + RANGE_TOL:  # NaN fails too
+                bad = float(col[np.argmax(np.abs(col))])  # argmax picks the first NaN
+                raise BaseRangeError(f"base {j} returned {bad!r}, outside [-1, 1]")
             out.append(reduce(col))
-        peaks = np.abs(values)
-        peak = float(np.max(peaks))
-        if not peak <= 1.0 + RANGE_TOL:  # NaN fails too
-            ties = np.flatnonzero((peaks == peak) | np.isnan(peaks))
-            j = int(ties[np.argmin(rows[ties])])
-            raise BaseRangeError(f"base {j} returned {float(values[j])!r}, outside [-1, 1]")
         return out
 
     def column_means(self, X: np.ndarray) -> np.ndarray:

@@ -86,12 +86,7 @@ class NPSolution:
 @dataclass
 class BoundReport:
     n0: int
-    eps_bar_upper: float
     thm42_bound: float
-
-    def to_json(self) -> dict:
-        return {"n0": self.n0, "eps_bar_upper": self.eps_bar_upper,
-                "thm42_bound": self.thm42_bound}
 
 
 def kappa(L: float, M: int, delta: float) -> float:
@@ -270,7 +265,7 @@ def n0_and_bound(kappa_value: float, eps_bar: float, alpha: float, n_minus: int,
     n0 = int(math.ceil((4.0 * kappa_value / denom) ** 2))
     bound = (4.0 * phi_at_one * kappa_value / (denom * math.sqrt(n_minus))
              + 2.0 * kappa_value / math.sqrt(n_plus))
-    return BoundReport(n0=max(n0, 1), eps_bar_upper=eps_bar, thm42_bound=bound)
+    return BoundReport(max(n0, 1), bound)
 
 
 def pooled_bound(kappa_value: float, eps_bar: float, alpha: float, n: int, p: float,
@@ -294,7 +289,7 @@ def pooled_bound(kappa_value: float, eps_bar: float, alpha: float, n: int, p: fl
 def split_pooled(pooled) -> Sample:
     """Partition a pooled labeled sample, the pair (X, y) of a feature
     matrix (or 1-D feature vector) and its labels in {-1, +1}, into the
-    two class samples."""
+    two class samples.  y must be 1-D with one label per row of X."""
     if not (isinstance(pooled, tuple) and len(pooled) == 2):
         raise DomainError("split_pooled needs the pair (X, y), "
                           f"got {type(pooled).__name__}")
@@ -302,6 +297,9 @@ def split_pooled(pooled) -> Sample:
     y = np.asarray(pooled[1])
     if X.ndim == 1:
         X = X.reshape(-1, 1)
+    if y.shape != X.shape[:1]:
+        raise DomainError(f"split_pooled needs one label per row: X has shape "
+                          f"{X.shape}, y has shape {y.shape}")
     if X.shape[0] == 0:
         raise EmptySample("pooled sample is empty")
     y = y.astype(float)

@@ -32,10 +32,14 @@ LOGIT_LIPSCHITZ = math.e / ((1.0 + math.e) * _LN2)
 LOGIT_VALUE_AT_ONE = math.log1p(math.e) / _LN2
 
 
-def _check_domain(z: np.ndarray) -> None:
-    if z.size and float(np.max(np.abs(z))) > 1.0 + DOMAIN_TOL:
-        bad = float(z.flat[int(np.argmax(np.abs(z)))])
+def _apply(f: Callable[[np.ndarray], np.ndarray], z):
+    """f(z) for a scalar or array z in [-1, 1]; DomainError outside it."""
+    arr = np.asarray(z, dtype=float)
+    if arr.size and float(np.max(np.abs(arr))) > 1.0 + DOMAIN_TOL:
+        bad = float(arr.flat[int(np.argmax(np.abs(arr)))])
         raise DomainError(f"surrogate argument {bad!r} outside [-1, 1]")
+    out = f(arr)
+    return float(out) if np.ndim(z) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -52,22 +56,12 @@ class Surrogate:
 
     def eval(self, z):
         """phi(z) for a scalar or array z; DomainError outside [-1, 1]."""
-        arr = np.asarray(z, dtype=float)
-        _check_domain(arr)
-        out = self._fn(arr)
-        if np.ndim(z) == 0:
-            return float(out)
-        return out
+        return _apply(self._fn, z)
 
     def derivative(self, z):
         """phi'(z); for a tabulated loss, the slope of the table segment
         containing z (the right-hand one at a knot), a subgradient."""
-        arr = np.asarray(z, dtype=float)
-        _check_domain(arr)
-        out = self._deriv(arr)
-        if np.ndim(z) == 0:
-            return float(out)
-        return out
+        return _apply(self._deriv, z)
 
 
 def hinge() -> Surrogate:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import inspect
 import json
 import math
@@ -177,6 +178,38 @@ def test_verify_lemmas_report(tmp_path):
     report = json.loads(out.read_text())
     assert report["sweep"]["all_hold"]
     assert report["sweep"]["checks"] == 30 * 8 * 3
+
+
+@pytest.mark.parametrize("sizes", [["--n-max", "0"], ["--q-points", "0"],
+                                   ["--t-points", "0"], ["--n-max", "-3"],
+                                   ["--n-max", "100001"]])
+def test_verify_lemmas_rejects_empty_or_oversized_sweeps(capsys, sizes):
+    # an empty sweep used to end in a traceback, and an n_max above the exact
+    # summation cap ran every smaller n before the cap refused it
+    assert main(["verify-lemmas", *sizes, "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "domain"
+
+
+@pytest.mark.parametrize("argv, config, digest", [
+    (["verify-lemmas", "--n-max", "40", "--q-points", "10", "--t-points", "4"], None,
+     "5dcce868dcc88d14a7989eb4aa6f75bdf7b9366df6e1cf5d4aac86526bf1f258"),
+    (["experiment", "--kind", "counterexample", "--seed", "3"],
+     {"alpha": 0.25, "n_minus": 200, "n_plus": 200, "trials": 40},
+     "6d83011b725b21d84b6a96442bbe0ba492f13317b8be79f28a313deac30c4700"),
+])
+def test_verification_reports_are_pinned(tmp_path, capsys, argv, config, digest):
+    # both reports come from pure-Python or element-wise numpy arithmetic, so
+    # their bytes do not depend on the BLAS; a change that moves them must
+    # update the digest and say why
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = [*argv, "--config", str(path)]
+    assert main([*argv, "--no-timestamp"]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == digest
 
 
 def test_experiment_counterexample(tmp_path):

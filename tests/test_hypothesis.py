@@ -297,13 +297,18 @@ def test_column_means_errors_match_evaluate_matrix():
             d.column_means(X)
         assert str(from_means.value) == str(from_matrix.value)
 
-    # NaN fails the range check too, and wins over a larger finite value
+    # NaN fails the range check too and, within one column, wins over a
+    # larger finite value in any row; across columns the first failing
+    # base is the one named
     def nan_at(i):
-        return lambda row: np.nan if row[0] == X[i, 0] else 0.0
+        return lambda row: np.nan if row[0] == X[i, 0] else float(row[0])
 
-    for columns in ((bad, nan_at(2)), (nan_at(2), nan_at(1)), (nan_at(1), bad)):
+    for columns, named in (((nan_at(2), bad), "base 0 returned nan"),
+                           ((nan_at(1), nan_at(2)), "base 0 returned nan"),
+                           ((lambda row: 0.0, nan_at(1)), "base 1 returned nan"),
+                           ((bad, nan_at(1)), "base 0 returned -3.0")):
         d = BaseDictionary([FunctionClassifier(fn) for fn in columns])
-        with pytest.raises(BaseRangeError, match="nan") as from_matrix:
+        with pytest.raises(BaseRangeError, match=f"^{named}, ") as from_matrix:
             d.evaluate_matrix(X)
         with pytest.raises(BaseRangeError) as from_means:
             d.column_means(X)
@@ -325,6 +330,24 @@ def test_column_means_errors_match_evaluate_matrix():
         assert H.shape == (0, dictionary.m)
         with pytest.raises(EmptyData):
             dictionary.column_means(np.zeros((0, 2)))
+
+
+def test_first_base_out_of_range_is_named_and_later_bases_are_not_called():
+    X = np.array([[0.0], [1.0]])
+    calls = []
+
+    def spy(row):
+        calls.append(row)
+        return 0.0
+
+    d = BaseDictionary([FunctionClassifier(lambda row: 3.0),
+                        FunctionClassifier(lambda row: np.nan),
+                        FunctionClassifier(spy)])
+    for evaluate in (d.evaluate_matrix, d.column_means, d.operator):
+        with pytest.raises(BaseRangeError,
+                           match=r"^base 0 returned 3\.0, outside \[-1, 1\]$"):
+            evaluate(X)
+    assert calls == []
 
 
 def _tanh_of(axis):

@@ -259,6 +259,16 @@ def test_split_pooled():
             split_pooled(pooled)
 
 
+def test_split_pooled_needs_one_label_per_row():
+    # these raised numpy's IndexError, or split a column of labels silently
+    y_column = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+    for X, y in ((np.zeros((4, 1)), np.array([1.0, -1.0, 1.0])),
+                 (np.zeros((4, 2)), y_column), (np.zeros((4, 1)), y_column)):
+        with pytest.raises(DomainError, match=rf"X has shape \({X.shape[0]}, "
+                                              rf"{X.shape[1]}\), y has shape"):
+            split_pooled((X, y))
+
+
 def test_solution_json_round_trip():
     d = BaseDictionary([DecisionStump(0, 0.5, 1)])
     sample = _point_sample(0.8, 0.3, n=500)
