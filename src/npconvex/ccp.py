@@ -15,7 +15,6 @@ as FunctionClassifier bases.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -242,8 +241,9 @@ def ccp_bound(kappa_value: float, eps: float, alpha: float, n: int,
               phi_at_one: float) -> float:
     """Excess objective bound 4 phi(1) kappa / ((1 - eps) alpha sqrt(n)).
 
-    Warns (and still returns the bound) when n is below the sample-size
-    threshold (4 kappa / ((1 - eps) alpha))^2 required by the guarantee.
+    The guarantee needs n at least (4 kappa / ((1 - eps) alpha))^2, the
+    n0 of np_solver.n0_and_bound; below it the bound is returned all the
+    same, uncertified and without a warning.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
@@ -253,10 +253,4 @@ def ccp_bound(kappa_value: float, eps: float, alpha: float, n: int,
         raise DomainError(f"n must be >= 1, got {n}")
     if kappa_value <= 0 or phi_at_one <= 0:
         raise DomainError("kappa and phi(1) must be positive")
-    threshold = (4.0 * kappa_value / ((1.0 - eps) * alpha)) ** 2
-    if n < threshold:
-        warnings.warn(
-            f"n = {n} is below the guarantee threshold {threshold:.1f}; "
-            "the returned bound is not certified at this sample size",
-            UserWarning, stacklevel=2)
     return 4.0 * phi_at_one * kappa_value / ((1.0 - eps) * alpha * math.sqrt(n))

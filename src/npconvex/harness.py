@@ -25,7 +25,7 @@ from .ccp import (CCPInstance, _as_dictionary, ccp_bound,
                   chance_feasibility_estimate, evaluate_constraint_bases,
                   linear_objective, solve_ccp)
 from .errors import DomainError, Infeasible, NPConvexError, UnknownScenario
-from .hypothesis import BaseDictionary, ConstantClassifier, DecisionStump
+from .hypothesis import BaseDictionary
 from .np_solver import (NPConfig, _min_type1, _solve_np, alpha_kappa,
                         eps_bar_upper, kappa, n0_and_bound, pooled_bound,
                         solve_np, split_pooled)
@@ -84,6 +84,8 @@ class Scenario:
         return cls("custom_csv", p, negatives=neg, positives=pos)
 
     def _draw(self, rng, n: int, side: str) -> np.ndarray:
+        if n < 0:
+            raise DomainError(f"cannot draw a sample of negative size {n}")
         if self.kind == "prop31":
             return rng.random((n, 1))
         if self.kind == "gaussian_1d":
@@ -113,29 +115,22 @@ class Scenario:
                          side: str) -> WeightedAtoms:
         """Exact class-conditional law of the base-value vector.
 
-        Needs every base to be piecewise constant in the single feature
-        (decision stumps on axis 0 or constants).  The sorted distinct
-        thresholds t_1 < ... < t_K cut the line into intervals (t_i, t_{i+1}],
-        with t_0 = -inf and t_{K+1} = +inf; each charges its CDF difference
-        (uniform or normal) to the base values at its right end, where
-        every stump takes the value it has on the whole interval.
+        Needs the dictionary's plan to hold only stock stumps on axis 0 and
+        stock constants.  Their sorted distinct thresholds t_1 < ... < t_K
+        cut the line into intervals (t_i, t_{i+1}], with t_0 = -inf and
+        t_{K+1} = +inf; each charges its CDF difference (uniform or normal)
+        to the base values at its right end, where every stump takes the
+        value it has on the whole interval.
         """
         if side not in ("minus", "plus"):
             raise DomainError(f"side must be 'minus' or 'plus', got {side!r}")
         if self.kind == "custom_csv":
             raise DomainError("custom scenario has no closed-form population")
-        thresholds = []
-        for base in dictionary.bases:
-            if isinstance(base, ConstantClassifier):
-                continue
-            if isinstance(base, DecisionStump) and base.axis == 0:
-                thresholds.append(base.threshold)
-            else:
-                raise DomainError(
-                    "population atoms need stumps on axis 0 or constants")
+        if dictionary._opaque.size or any(g.axis != 0 for g in dictionary._stumps):
+            raise DomainError("population atoms need stumps on axis 0 or constants")
         cdf = (NormalDist(self.params["mu_" + side], self.params["sigma"]).cdf
                if self.kind == "gaussian_1d" else lambda t: min(max(t, 0.0), 1.0))
-        cuts = np.unique(np.asarray(thresholds, dtype=float))
+        cuts = dictionary._stumps[0].thresholds if dictionary._stumps else np.empty(0)
         weights = np.diff([0.0, *map(cdf, cuts), 1.0])
         reps = np.append(cuts, np.inf)
         keep = weights > 0.0
@@ -206,6 +201,8 @@ def run_counterexample(alpha: float, n_minus: int, n_plus: int, trials: int,
         raise DomainError(f"alpha must lie in (0, 1/2], got {alpha}")
     if min(n_minus, n_plus, trials) < 1:
         raise DomainError("n_minus, n_plus, trials must be >= 1")
+    if grid_size < 1:
+        raise DomainError(f"grid_size must be >= 1, got {grid_size}")
     if tau is None:
         tau = alpha - 1.0 / math.sqrt(n_minus)
     if not 0.0 < tau <= alpha:
@@ -513,16 +510,19 @@ def run_ccp_feasibility(scenario, constraint_bases, objective_coeffs,
     linear objective, then estimate the true violation probability on
     fresh draws.  When f_star (the optimum over the population
     surrogate-feasible set) and the instance's epsilon are supplied,
-    objective gaps are compared against the 1/sqrt(n) bound.
+    objective gaps are compared against the 1/sqrt(n) bound, and the
+    summary reports the bound's sample-size threshold n0 and whether n
+    meets it; nothing is written to stderr.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
     bases = _as_dictionary(constraint_bases, 2)
     obj = linear_objective(objective_coeffs)
     kap = kappa(surrogate.lipschitz, bases.m, delta)
-    bound = None
+    bound = n0 = None
     if f_star is not None and eps is not None:
         bound = ccp_bound(kap, eps, alpha, n, surrogate.value_at_one)
+        n0 = n0_and_bound(kap, eps, alpha, n, n, surrogate.value_at_one).n0
 
     def one_trial(t: int):
         rng = rng_for(seed, "harness.ccp.draw", t)
@@ -559,6 +559,8 @@ def run_ccp_feasibility(scenario, constraint_bases, objective_coeffs,
         "mean_violation_rate":
             float(np.mean([r.get("violation_rate", 1.0) for r in rows])),
     }
+    if n0 is not None:
+        summary.update(n0=n0, meets_n0_precondition=bool(n >= n0))
     if gaps:
         summary["max_gap"] = float(np.max(gaps))
         summary["bound"] = bound

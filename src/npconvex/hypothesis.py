@@ -9,13 +9,14 @@ and the error indicator 1(h(X) >= 0) agree exactly.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (BaseRangeError, DimensionMismatch, DomainError, EmptyData,
-                     NonFiniteValue)
+                     NonFiniteValue, SchemaError)
 
 RANGE_TOL = 1e-9
 SIMPLEX_TOL = 1e-12
@@ -94,26 +95,41 @@ class FunctionClassifier:
         raise DomainError(f"user function base {self.name!r} is not serializable")
 
 
+#: the stock stumps of one axis, in base order: their base indexes, float
+#: polarities, threshold ranks and sorted distinct float thresholds
+_AxisStumps = namedtuple("_AxisStumps", "axis columns polarities ranks thresholds")
+
+
 class BaseDictionary:
-    """Immutable collection of M >= 1 base classifiers."""
+    """Immutable collection of M >= 1 base classifiers, with the column
+    plan its readers share: the feature dimension the bases need, the stock
+    stumps by axis, the stock constants, and the opaque rest.  Stock means
+    type exactly DecisionStump or ConstantClassifier: a subclass is opaque."""
 
     def __init__(self, bases: Sequence, dim: Optional[int] = None):
         if len(bases) < 1:
             raise DomainError("a dictionary needs at least one base classifier")
         self.bases: Tuple = tuple(bases)
         self.dim = dim
+        self._min_dim = max(b.min_dim() for b in self.bases)
+        by_axis, consts, opaque = {}, [], []
+        for j, b in enumerate(self.bases):
+            if type(b) is DecisionStump:
+                by_axis.setdefault(b.axis, []).append(j)
+            else:
+                (consts if type(b) is ConstantClassifier else opaque).append(j)
+        self._constants = (np.array(consts, dtype=np.intp),
+                           np.array([self.bases[j].value for j in consts], dtype=float))
+        self._opaque = np.array(opaque, dtype=np.intp)
+        self._stumps = []
+        for axis, idx in sorted(by_axis.items()):
+            t, k = np.unique([float(self.bases[j].threshold) for j in idx], return_inverse=True)
+            pol = np.array([self.bases[j].polarity for j in idx], dtype=float)
+            self._stumps.append(_AxisStumps(axis, np.array(idx, dtype=np.intp), pol, k, t))
 
     @property
     def m(self) -> int:
         return len(self.bases)
-
-    def _check_dim(self, X: np.ndarray) -> None:
-        d = X.shape[1]
-        if self.dim is not None and d != self.dim:
-            raise DimensionMismatch(f"data has dimension {d}, dictionary expects {self.dim}")
-        need = max(b.min_dim() for b in self.bases)
-        if d < need:
-            raise DimensionMismatch(f"data has dimension {d}, dictionary needs at least {need}")
 
     def _as_features(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -121,111 +137,109 @@ class BaseDictionary:
             X = X.reshape(-1, 1)
         if X.ndim != 2:
             raise DimensionMismatch(f"expected a 2-D feature matrix, got ndim={X.ndim}")
-        self._check_dim(X)
+        d = X.shape[1]
+        if self.dim is not None and d != self.dim:
+            raise DimensionMismatch(f"data has dimension {d}, dictionary expects {self.dim}")
+        if d < self._min_dim:
+            raise DimensionMismatch(f"data has dimension {d}, dictionary needs at least "
+                                    f"{self._min_dim}")
         return X
 
-    def _columns(self, X: np.ndarray, reduce: Callable[[np.ndarray], object],
-                 stump: Optional[Callable[[DecisionStump], object]] = None) -> list:
-        """[reduce(h_j(X)) for each base j], one base column at a time.
+    def _columns(self, X: np.ndarray, columns: Sequence[int]):
+        """Yield h_j(X) for each base index j of `columns`, in that order.
 
-        With `stump`, a base of type exactly DecisionStump yields stump(b)
-        instead; its +-1 values never fail the range check.  The one range
-        check on base values: each column is checked as it is evaluated,
-        and the first failing base raises, naming its first NaN, or else
-        its first entry of largest magnitude.  Later bases are not called.
+        The one range check on base values: each column is checked as it
+        is evaluated, and the first failing base raises, naming its first
+        NaN, or else its first entry of largest magnitude.  Later bases
+        are not called.  X comes from _as_features.
         """
         # column-major, so a base reading one feature scans contiguous memory
-        X = np.asfortranarray(self._as_features(X))
-        out = []
-        for j, b in enumerate(self.bases):
-            if stump is not None and type(b) is DecisionStump:
-                out.append(stump(b))
-                continue
-            col = np.asarray(b.evaluate_batch(X), dtype=float)
+        X = np.asfortranarray(X)
+        for j in columns:
+            col = np.asarray(self.bases[j].evaluate_batch(X), dtype=float)
             if not np.max(np.abs(col), initial=0.0) <= 1.0 + RANGE_TOL:  # NaN fails too
                 bad = float(col[np.argmax(np.abs(col))])  # argmax picks the first NaN
                 raise BaseRangeError(f"base {j} returned {bad!r}, outside [-1, 1]")
-            out.append(reduce(col))
-        return out
+            yield col
 
     def column_means(self, X: np.ndarray) -> np.ndarray:
         """The M column means of evaluate_matrix(X), with its range check.
 
-        Scratch memory is O(n): no (n, M) matrix is formed.  A stump's
-        mean comes from one sort of its axis, shared by every stump on
-        that axis: with c = #{x <= threshold}, it is polarity (2c - n) / n,
+        Scratch memory is O(n): no (n, M) matrix is formed.  Opaque and
+        constant columns are averaged by np.mean.  The stumps of one axis
+        share one sort of it and one search of their distinct thresholds:
+        with c = #{x <= threshold}, a stump's mean is polarity (2c - n) / n,
         bit for bit np.mean of its +-1 column, whose pairwise sum is an
         exact integer.  NaN features sort last and count as > threshold.
-        Counts from the per-row bins of `operator` are bitwise equal but
-        slower, as binning every row costs more than one sort and M
-        searches: 27 ms against 10 ms at n = 4e4, d = 10, M = 1001 on a
-        2-vCPU x86 machine.
+        Counts from the row bins of `operator` are bitwise equal but slower:
+        22-26 ms against 5-6 ms at n = 4e4, d = 10, M = 1001 on a 2-vCPU
+        x86 machine.
         """
         X = self._as_features(X)
         n = X.shape[0]
         if n == 0:
             raise EmptyData("column means need at least one row")
-        sorted_axes = {}
-
-        def stump_mean(b: DecisionStump) -> float:
-            if b.axis not in sorted_axes:
-                sorted_axes[b.axis] = np.sort(X[:, b.axis])
-            c = int(np.searchsorted(sorted_axes[b.axis], b.threshold, side="right"))
-            return float(b.polarity * (2 * c - n)) / n
-
-        return np.array(self._columns(X, np.mean, stump_mean))
+        out = np.empty(self.m)
+        evaluated = np.concatenate([self._opaque, self._constants[0]])
+        out[evaluated] = [np.mean(col) for col in self._columns(X, evaluated)]
+        for g in self._stumps:
+            counts = np.searchsorted(np.sort(X[:, g.axis]), g.thresholds, side="right")
+            out[g.columns] = g.polarities * (2 * counts[g.ranks] - n) / n
+        return out
 
     def evaluate_matrix(self, X: np.ndarray) -> np.ndarray:
-        """(n, M) matrix H with H[i, j] = h_j(x_i); validates the range."""
-        return np.column_stack(self._columns(X, lambda col: col))
+        """(n, M) matrix H[i, j] = h_j(x_i), by each base's own evaluate_batch; range-checked."""
+        return np.column_stack(list(self._columns(self._as_features(X), range(self.m))))
 
     def operator(self, X: np.ndarray) -> "DictionaryOperator":
         """evaluate_matrix(X) as a linear operator, with its range check.
 
-        Stumps never form a column: each axis keeps its sorted distinct
-        thresholds and one bin per row, O(n d + M) memory in all.  A
-        constant keeps its value.  Every other base is a column of a
-        dense block; all but stumps are evaluated through _columns.
+        Per call, each stump axis gets one bin per row, and the opaque
+        bases are evaluated into a dense block: O(n d + M) memory beyond
+        that block.  Stock stumps and constants are never evaluated.
         """
         X = self._as_features(X)
-        cols = self._columns(X, lambda col: col, lambda b: None)
-        consts, dense, by_axis = [], [], {}
-        for j, (b, col) in enumerate(zip(self.bases, cols)):
-            if col is None:
-                by_axis.setdefault(b.axis, []).append(j)
-            else:
-                (consts if type(b) is ConstantClassifier else dense).append(j)
-        axes = []
-        for axis, idx in sorted(by_axis.items()):
-            stumps = [self.bases[j] for j in idx]
-            t, k = np.unique([b.threshold for b in stumps], return_inverse=True)
-            # row i reads +polarity on stump j iff bins[i] <= k[j]; NaN lands in bin t.size
-            bins = np.searchsorted(t, X[:, axis], side="left")
-            pol = np.array([b.polarity for b in stumps], dtype=float)
-            axes.append((np.array(idx, dtype=np.intp), pol, k, bins, t.size))
-        return DictionaryOperator(
-            (X.shape[0], self.m),
-            (np.array(consts, dtype=np.intp), np.array([self.bases[j].value for j in consts])),
-            (np.array(dense, dtype=np.intp),
-             np.column_stack([cols[j] for j in dense]) if dense else None),
-            axes)
+        block = (np.column_stack(list(self._columns(X, self._opaque)))
+                 if self._opaque.size else None)
+        # row i reads +polarity on stump j iff bins[i] <= ranks[j]; NaN lands in bin #thresholds
+        axes = [(g, np.searchsorted(g.thresholds, X[:, g.axis], side="left"))
+                for g in self._stumps]
+        return DictionaryOperator((X.shape[0], self.m), self._constants,
+                                  (self._opaque, block), axes)
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "bases": [b.to_json() for b in self.bases]}
 
     @staticmethod
     def from_json(obj: dict) -> "BaseDictionary":
+        """The dictionary of to_json(), with exact JSON types: an axis and a
+        polarity are integers, a threshold and a value numbers, never
+        booleans, and dim a positive integer or null.  A wrong type or a
+        missing key raises SchemaError naming the base and the key."""
+        dim = obj.get("dim")
+        if dim is not None and not (type(dim) is int and dim >= 1):
+            raise SchemaError(f"dictionary JSON 'dim' must be a positive integer or null, "
+                              f"got {dim!r}")
         bases = []
-        for entry in obj.get("bases", []):
+        for i, entry in enumerate(obj.get("bases", [])):
+            if not isinstance(entry, dict):
+                raise SchemaError(f"dictionary JSON base {i} must be an object, got {entry!r}")
+
+            def read(key, types=(int, float), name="a number"):
+                if type(entry.get(key)) not in types:
+                    raise SchemaError(f"dictionary JSON base {i} {key!r} must be {name}, got "
+                                      + (repr(entry[key]) if key in entry else "nothing"))
+                return entry[key]
             kind = entry.get("kind")
             if kind == "stump":
-                bases.append(DecisionStump(int(entry["axis"]), float(entry["threshold"]),
-                                           int(entry["polarity"])))
+                bases.append(DecisionStump(read("axis", (int,), "an integer"),
+                                           float(read("threshold")),
+                                           read("polarity", (int,), "an integer")))
             elif kind == "constant":
-                bases.append(ConstantClassifier(float(entry["value"])))
+                bases.append(ConstantClassifier(float(read("value"))))
             else:
                 raise DomainError(f"unknown base kind {kind!r} in dictionary JSON")
-        return BaseDictionary(bases, dim=obj.get("dim"))
+        return BaseDictionary(bases, dim=dim)
 
 
 class DictionaryOperator:
@@ -249,20 +263,18 @@ class DictionaryOperator:
         self.shape = shape
         self._consts = consts  # (columns, values)
         self._dense = dense  # (columns, (n, len(columns)) block or None)
-        self._axes = axes  # (stump columns, polarities, ranks, bins, #thresholds) per axis
+        self._axes = axes  # (_AxisStumps, bins) per axis
 
     def matvec(self, lam: np.ndarray) -> np.ndarray:
         idx, block = self._dense
-        if block is None:
-            out = np.zeros(self.shape[0])
-        else:
-            out = block @ lam[idx]
+        out = np.zeros(self.shape[0]) if block is None else block @ lam[idx]
         idx, values = self._consts
         if idx.size:
             out += float(values @ lam[idx])
-        for idx, pol, k, bins, size in self._axes:
-            # suffix[size] = 0: no stump has rank size
-            suffix = np.cumsum(np.bincount(k, pol * lam[idx], minlength=size + 1)[::-1])[::-1]
+        for g, bins in self._axes:
+            # suffix[#thresholds] = 0: no stump has that rank
+            suffix = np.cumsum(np.bincount(g.ranks, g.polarities * lam[g.columns],
+                                           minlength=g.thresholds.size + 1)[::-1])[::-1]
             out += (2.0 * suffix - suffix[0])[bins]
         return out
 
@@ -274,9 +286,9 @@ class DictionaryOperator:
         idx, values = self._consts
         if idx.size:
             out[idx] = values * np.sum(v)
-        for idx, pol, k, bins, size in self._axes:
-            below = np.cumsum(np.bincount(bins, v, minlength=size + 1))
-            out[idx] = pol * (2.0 * below[k] - below[-1])
+        for g, bins in self._axes:
+            below = np.cumsum(np.bincount(bins, v, minlength=g.thresholds.size + 1))
+            out[g.columns] = g.polarities * (2.0 * below[g.ranks] - below[-1])
         return out
 
 

@@ -307,15 +307,18 @@ def test_criterion_09_ccp_chance_feasibility():
     # f*_phi = 1 - alpha = 0.75 for the objective f(lam) = lam1; the
     # population constraint minimum is 0, so the analytic eps is 0 and
     # is passed as 1e-12 to stay inside the bound's open domain, which
-    # also puts n = 10^4 below the guarantee threshold: a warning
+    # also puts n = 10^4 below the guarantee threshold n0 = 30220, which
+    # the runner reports in its summary, not as a warning
     scen = Scenario.prop31(0.25)
     bases = BaseDictionary([ConstantClassifier(-1.0), _AffineXi()])
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         out = run_ccp_feasibility(scen, bases, [1.0, 0.0], alpha=0.25,
                                   delta=0.1, surrogate=hinge(), n=10 ** 4,
                                   trials=200, validation_draws=10 ** 5,
                                   seed=SEED, f_star=0.75, eps=1e-12)
     elapsed = time.monotonic() - t0
+    assert not out["meets_n0_precondition"]
     rows = [r for r in out["rows"] if r["error"] is None]
     assert len(rows) == 200
     assert out["feasible_frequency"] >= out["target"] == 0.8

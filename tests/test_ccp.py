@@ -264,19 +264,17 @@ def test_ccp_bound_values_and_warning():
     # scales exactly as 1/sqrt(n)
     b1 = ccp_bound(10.0, 0.5, 0.25, 4 * 10 ** 6, 2.0)
     assert b1 == pytest.approx(0.32)
-    # grows without bound as eps -> 1 (n is below threshold there, so the
-    # advisory warning fires too)
-    with pytest.warns(UserWarning):
-        assert ccp_bound(10.0, 0.999, 0.25, 10 ** 8, 2.0) > 30.0
     with pytest.raises(DomainError):
         ccp_bound(10.0, 0.0, 0.25, 10 ** 6, 2.0)
     with pytest.raises(DomainError):
         ccp_bound(10.0, 1.0, 0.25, 10 ** 6, 2.0)
-    with pytest.warns(UserWarning):
-        ccp_bound(10.0, 0.5, 0.25, 100, 2.0)
+    # below the guarantee threshold n0 the bound is returned without a
+    # warning: grows without bound as eps -> 1, and at a small n
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ccp_bound(10.0, 0.5, 0.25, 10 ** 6, 2.0)  # above threshold: no warning
+        assert ccp_bound(10.0, 0.999, 0.25, 10 ** 8, 2.0) > 30.0
+        assert ccp_bound(10.0, 0.5, 0.25, 100, 2.0) == pytest.approx(64.0)
+        ccp_bound(10.0, 0.5, 0.25, 10 ** 6, 2.0)  # above threshold
 
 
 def test_solution_json():

@@ -639,17 +639,57 @@ def test_logit_solve_below_phi_of_minus_one_is_infeasible(labeled_csv, tmp_path,
     assert not out.exists()
 
 
+_PROP31 = {"kind": "prop31", "alpha": 0.3}
+#: one small config per experiment kind; sampling and ccp run below their n0
+_SMALL_EXPERIMENTS = {
+    "counterexample": {"alpha": 0.25, "n_minus": 200, "n_plus": 200, "trials": 10},
+    "coverage": {"scenario": _PROP31, "dictionary": {"thresholds": [0.3]}, "alpha": 0.4,
+                 "delta": 0.1, "n_minus": 5000, "n_plus": 5000, "trials": 2},
+    "rate": {"scenario": _PROP31, "dictionary": {"thresholds": [0.3]}, "alpha": 0.4,
+             "delta": 0.1, "n_grid": [2000], "trials": 2, "oracle_resolution": 1e-2},
+    "sampling": {"scenario": _PROP31, "dictionary": {"thresholds": [0.3]}, "alpha": 0.4,
+                 "delta": 0.1, "n": 2000, "trials": 2, "oracle_resolution": 1e-2},
+    "ccp": {"scenario": _PROP31, "constraint": {"thresholds": [0.3]},
+            "objective": [1.0, 0.0, 0.5], "alpha": 0.25, "delta": 0.1, "n": 2000,
+            "trials": 2, "validation_draws": 5000, "f_star": 0.75, "eps": 0.01},
+}
+
+
 @pytest.mark.filterwarnings("error")
-def test_sampling_below_the_n0_threshold_reports_it_in_the_summary_only(tmp_path, capsys):
-    cfg = {"scenario": {"kind": "prop31", "alpha": 0.3},
-           "dictionary": {"thresholds": [0.3]}, "alpha": 0.4, "delta": 0.1,
-           "n": 2000, "trials": 2, "oracle_resolution": 1e-2}
+@pytest.mark.parametrize("kind", list(_SMALL_EXPERIMENTS))
+def test_sampling_below_the_n0_threshold_reports_it_in_the_summary_only(tmp_path, capsys,
+                                                                        kind):
+    # no experiment writes to stderr: a runner below a guarantee's sample
+    # size threshold says so in its summary
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
+    path.write_text(json.dumps(_SMALL_EXPERIMENTS[kind]), encoding="utf-8")
     out = tmp_path / "out"
-    assert main(["experiment", "--kind", "sampling", "--config", str(path),
+    assert main(["experiment", "--kind", kind, "--config", str(path),
                  "--no-timestamp", "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     summary = json.loads((out / "summary.json").read_text())["summary"]
-    assert summary["meets_n0_precondition"] is False
-    assert summary["n0"] > 0
+    if kind in ("sampling", "ccp"):
+        assert summary["meets_n0_precondition"] is False
+        assert summary["n0"] > 0
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("rate", "n_grid", [-5]),
+    ("coverage", "n_plus", -3),
+    ("ccp", "n", -3),
+    ("ccp", "validation_draws", -5),
+    ("counterexample", "grid_size", -4),
+    ("counterexample", "grid_size", 0),
+])
+def test_negative_experiment_sizes_are_domain_errors(tmp_path, capsys, kind, key, value):
+    # they used to exit 1 with a numpy traceback; grid_size 0 scanned only
+    # the one-point grid {0}
+    cfg = {k: v for k, v in _SMALL_EXPERIMENTS[kind].items() if k not in ("f_star", "eps")}
+    cfg[key] = value
+    if key == "validation_draws":
+        cfg["n"] = 20000  # the trials solve before the validation draws
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["experiment", "--kind", kind, "--config", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "domain"

@@ -154,6 +154,25 @@ def test_population_atoms_reject_general_bases():
         scen.population_atoms(d, "minus")
 
 
+def test_population_atoms_reject_subclasses_of_the_stock_bases():
+    # a subclass is opaque to the column plan: under prop31 a tanh
+    # "stump" once got the atoms {0.462, 1.0} with mean 0.731, against
+    # 0.434 by Monte Carlo
+    class Tanh(DecisionStump):
+        def evaluate_batch(self, X):
+            return np.tanh(X[:, self.axis])
+
+    class Half(ConstantClassifier):
+        pass
+
+    scen = Scenario.prop31(0.3)
+    for base in (Tanh(0, 0.5, 1), Half(0.5)):
+        d = BaseDictionary([ConstantClassifier(-1.0), base, DecisionStump(0, 0.5, 1)], dim=1)
+        for side in ("minus", "plus"):
+            with pytest.raises(DomainError, match="population atoms need"):
+                scen.population_atoms(d, side)
+
+
 def test_counterexample_small_run():
     out = run_counterexample(0.25, 400, 400, trials=200, seed=5)
     assert out["trials"] == 200

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from npconvex.errors import (BaseRangeError, DimensionMismatch, DomainError,
-                             EmptyData, NonFiniteValue)
+                             EmptyData, NonFiniteValue, SchemaError)
 from npconvex.hypothesis import (BaseDictionary, CombinedClassifier,
                                  ConstantClassifier, DecisionStump,
                                  FunctionClassifier, SimplexWeights,
@@ -185,6 +185,45 @@ def test_dictionary_json_round_trip():
     assert back.dim == d.dim
     X = np.linspace(-1, 1, 11).reshape(-1, 1)
     assert np.array_equal(back.evaluate_matrix(X), d.evaluate_matrix(X))
+
+
+_STUMP = {"kind": "stump", "axis": 0, "threshold": 0.5, "polarity": 1}
+
+
+@pytest.mark.parametrize("entry, named", [
+    ({**_STUMP, "axis": 1.7}, "'axis' must be an integer, got 1.7"),
+    ({**_STUMP, "polarity": 1.5}, "'polarity' must be an integer, got 1.5"),
+    ({**_STUMP, "axis": True}, "'axis' must be an integer, got True"),
+    ({**_STUMP, "axis": "0"}, "'axis' must be an integer, got '0'"),
+    ({**_STUMP, "threshold": "0.5"}, "'threshold' must be a number, got '0.5'"),
+    ({**_STUMP, "polarity": "1"}, "'polarity' must be an integer, got '1'"),
+    ({**_STUMP, "threshold": False}, "'threshold' must be a number, got False"),
+    ({"kind": "stump", "axis": 0, "threshold": 0.5}, "'polarity' must be an integer, got nothing"),
+    ({"kind": "constant"}, "'value' must be a number, got nothing"),
+    ({"kind": "constant", "value": True}, "'value' must be a number, got True"),
+], ids=["axis_float", "polarity_float", "axis_bool", "axis_string", "threshold_string",
+        "polarity_string", "threshold_bool", "polarity_missing", "value_missing", "value_bool"])
+def test_from_json_refuses_entries_it_would_change(entry, named):
+    # int(), float() and bool arithmetic once loaded these as other bases,
+    # and a missing key raised a bare KeyError
+    blob = {"dim": 1, "bases": [{"kind": "constant", "value": -1}, entry]}
+    with pytest.raises(SchemaError, match=f"^dictionary JSON base 1 {named}$"):
+        BaseDictionary.from_json(blob)
+
+
+def test_from_json_refuses_a_dim_that_is_not_a_positive_integer():
+    # after "dim": "2" every batch failed: "data has dimension 2, dictionary expects 2"
+    for dim in ("2", 0, -1, 1.0, True):
+        with pytest.raises(SchemaError, match="'dim' must be a positive integer or null"):
+            BaseDictionary.from_json({"dim": dim, "bases": [_STUMP]})
+    # integer thresholds and values are numbers, and dim may be null
+    d = BaseDictionary.from_json({"dim": None, "bases": [{**_STUMP, "threshold": 1},
+                                                         {"kind": "constant", "value": 0}]})
+    assert d.dim is None and d.to_json()["bases"][0]["threshold"] == 1.0
+    with pytest.raises(DomainError, match="unknown base kind"):
+        BaseDictionary.from_json({"bases": [{"kind": "tree"}]})
+    with pytest.raises(SchemaError, match="^dictionary JSON base 1 must be an object, got 1$"):
+        BaseDictionary.from_json({"bases": [_STUMP, 1]})
 
 
 def _mixed_dictionary(X):
@@ -420,3 +459,44 @@ def test_operator_range_errors_match_evaluate_matrix():
             d.operator(X)
         assert str(from_operator.value) == str(from_matrix.value) == (
             f"base 2 returned {value!r}, outside [-1, 1]")
+
+
+def test_min_dim_is_read_once_per_dictionary():
+    calls = []
+
+    class Spy:
+        def evaluate_batch(self, X):
+            return np.zeros(X.shape[0])
+
+        def min_dim(self):
+            calls.append(1)
+            return 1
+
+    d = BaseDictionary([Spy(), DecisionStump(0, 0.5, 1), ConstantClassifier(0.5)])
+    X = np.array([[0.2], [0.7]])
+    for _ in range(3):
+        d.evaluate_matrix(X)
+        d.column_means(X)
+        d.operator(X)
+    assert calls == [1]
+    with pytest.raises(DimensionMismatch, match="needs at least 2"):
+        BaseDictionary([Spy(), DecisionStump(1, 0.0, 1)]).column_means(X)
+
+
+def test_operator_never_evaluates_stock_stumps_or_constants(monkeypatch):
+    calls = []
+    for cls in (DecisionStump, ConstantClassifier):
+        def spy(self, X, evaluate=cls.evaluate_batch):
+            calls.append(type(self).__name__)
+            return evaluate(self, X)
+        monkeypatch.setattr(cls, "evaluate_batch", spy)
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(50, 2))
+    d = BaseDictionary([ConstantClassifier(-1.0), *build_stump_dictionary(X, 3).bases,
+                        FunctionClassifier(_tanh_of(1))], dim=2)
+    op = d.operator(X)
+    assert calls == []
+    H = d.evaluate_matrix(X)  # the referees' path still evaluates every base
+    assert calls == ["ConstantClassifier"] + ["DecisionStump"] * (d.m - 2)
+    lam = rng.dirichlet(np.ones(d.m))
+    np.testing.assert_allclose(op.matvec(lam), H @ lam, rtol=0, atol=1e-12)

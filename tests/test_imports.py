@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in the package is used,
 every private module-level name is read somewhere in the package, every
 public module-level constant is read in the package, its tests or its
-benchmarks, and scipy loads only when an SLSQP solve needs it."""
+benchmarks, no module calls warnings.warn, and scipy loads only when an
+SLSQP solve needs it."""
 
 from __future__ import annotations
 
@@ -118,6 +119,32 @@ def test_every_public_constant_is_read():
                     if path.parent == PACKAGE
                     for name in public_constants(src) if name not in read)
     assert unread == []
+
+
+def warning_calls(source: str) -> list:
+    """Lines that call warnings.warn, or warn imported from warnings."""
+    tree = ast.parse(source)
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "warnings"
+               for alias in node.names if alias.name == "warn"}
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Attribute) and node.func.attr == "warn"
+         and isinstance(node.func.value, ast.Name) and node.func.value.id == "warnings")
+        or (isinstance(node.func, ast.Name) and node.func.id in aliases))]
+
+
+def test_the_check_sees_warning_calls():
+    src = ("import warnings\nfrom warnings import warn as w\n"
+           "def f():\n    warnings.warn('a')\n    w('b')\n"
+           "    with warnings.catch_warnings():\n        log.warn('c')\n")
+    assert warning_calls(src) == [4, 5]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_writes_no_warnings(path):
+    # the CLI's stderr holds one JSON error line or nothing; a runner
+    # reports an unmet precondition in its summary instead
+    assert warning_calls((PACKAGE / path).read_text(encoding="utf-8")) == []
 
 
 def import_time_modules(source: str) -> list:
