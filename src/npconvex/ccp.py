@@ -8,8 +8,8 @@ set convex and, with the concentration margin, keeps every solution
 feasible for the original chance constraint with probability 1 - 2 delta.
 Shares the simplex solver engine with the classification program (same
 shape, one convex constraint over the simplex) and its base evaluation:
-every g_j goes through BaseDictionary.evaluate_matrix, per-row callables
-as FunctionClassifier bases.
+the constraint functions g_j are one BaseDictionary, evaluated through
+BaseDictionary.evaluate_matrix.
 """
 
 from __future__ import annotations
@@ -23,33 +23,29 @@ import numpy as np
 from . import _solver_core as core
 from ._grids import affine_window, argmin_feasible, grid_steps, iter_grid_chunks
 from .errors import DomainError, EmptySample, Infeasible
-from .hypothesis import (RANGE_TOL, BaseDictionary, FunctionClassifier,
-                         SimplexWeights)
-from .np_solver import alpha_kappa, kappa
+from .hypothesis import RANGE_TOL, BaseDictionary, SimplexWeights
+from .np_solver import _excess_denominator, alpha_kappa, kappa
 from .risk import empirical_atoms, phi_risk_from_matrix
 from .surrogate import Surrogate
 
 
-def _as_dictionary(constraint_bases, ndim: int) -> BaseDictionary:
-    """A BaseDictionary as is; per-row callables as FunctionClassifier bases."""
-    if isinstance(constraint_bases, BaseDictionary):
-        return constraint_bases
-    if ndim == 1:  # the dictionary sees 1-D draws as (n, 1) rows
-        constraint_bases = [lambda row, g=g: g(row[0]) for g in constraint_bases]
-    return BaseDictionary([FunctionClassifier(g) for g in constraint_bases])
+def _require_dictionary(bases) -> BaseDictionary:
+    if not isinstance(bases, BaseDictionary):
+        raise DomainError(f"constraint bases must be a BaseDictionary, got "
+                          f"{type(bases).__name__}; wrap per-row callables as "
+                          "BaseDictionary([FunctionClassifier(g), ...])")
+    return bases
 
 
-def evaluate_constraint_bases(constraint_bases, draws) -> np.ndarray:
+def evaluate_constraint_bases(constraint_bases: BaseDictionary, draws) -> np.ndarray:
     """(n, M) matrix of g_j(xi_i) from BaseDictionary.evaluate_matrix.
 
-    constraint_bases is a BaseDictionary or per-row callables, which get
-    one (d,) row per draw of (n, d) draws or one scalar per 1-D draw.
-    Draws become float; a value outside [-1, 1] or NaN raises
-    BaseRangeError naming the base."""
+    Draws become float, 1-D draws (n, 1) rows; a value outside [-1, 1] or
+    NaN raises BaseRangeError naming the base."""
     xi = np.asarray(draws, dtype=float)
     if xi.shape[0] == 0:
         raise EmptySample("no scenario draws")
-    return _as_dictionary(constraint_bases, xi.ndim).evaluate_matrix(xi)
+    return _require_dictionary(constraint_bases).evaluate_matrix(xi)
 
 
 @dataclass
@@ -214,7 +210,7 @@ def grid_oracle_ccp(inst: CCPInstance, resolution: float) -> CCPSolution:
     )
 
 
-def chance_feasibility_estimate(lam, constraint_bases, fresh_draws,
+def chance_feasibility_estimate(lam, constraint_bases: BaseDictionary, fresh_draws,
                                 alpha: float) -> dict:
     """Empirical violation rate of F(lambda, xi) > 0 on held-out draws.
 
@@ -224,9 +220,9 @@ def chance_feasibility_estimate(lam, constraint_bases, fresh_draws,
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     lam = np.asarray(lam, dtype=float)
-    G = evaluate_constraint_bases(constraint_bases, fresh_draws)
-    if G.shape[1] != lam.size:
+    if lam.size != _require_dictionary(constraint_bases).m:
         raise DomainError("weight length does not match the number of bases")
+    G = evaluate_constraint_bases(constraint_bases, fresh_draws)
     rate = chance_violation_from_matrix(lam, G)
     return {"violation_rate": rate, "feasible_for_original": bool(1.0 - rate >= 1.0 - alpha)}
 
@@ -247,10 +243,7 @@ def ccp_bound(kappa_value: float, eps: float, alpha: float, n: int,
     """
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    denom = _excess_denominator(kappa_value, eps, alpha, phi_at_one)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if kappa_value <= 0 or phi_at_one <= 0:
-        raise DomainError("kappa and phi(1) must be positive")
-    return 4.0 * phi_at_one * kappa_value / ((1.0 - eps) * alpha * math.sqrt(n))
+    return 4.0 * phi_at_one * kappa_value / (denom * math.sqrt(n))

@@ -21,11 +21,10 @@ import numpy as np
 
 from ._seeding import rng_for, worker_count
 from .bounds import binomial_tail_exact, gamma_curve
-from .ccp import (CCPInstance, _as_dictionary, ccp_bound,
-                  chance_feasibility_estimate, evaluate_constraint_bases,
-                  linear_objective, solve_ccp)
+from .ccp import (CCPInstance, ccp_bound, chance_feasibility_estimate,
+                  evaluate_constraint_bases, linear_objective, solve_ccp)
 from .errors import DomainError, Infeasible, NPConvexError, UnknownScenario
-from .hypothesis import BaseDictionary
+from .hypothesis import BaseDictionary, FunctionClassifier
 from .np_solver import (NPConfig, _min_type1, _solve_np, alpha_kappa,
                         eps_bar_upper, kappa, n0_and_bound, pooled_bound,
                         solve_np, split_pooled)
@@ -103,6 +102,8 @@ class Scenario:
 
     def draw_pooled(self, rng, n: int):
         """(X, y) with labels +1 w.p. p; row order is the label draw order."""
+        if n < 0:
+            raise DomainError(f"cannot draw a sample of negative size {n}")
         y = np.where(rng.random(n) < self.p, 1.0, -1.0)
         n_plus = int(np.sum(y == 1.0))
         d = 1 if self.kind != "custom_csv" else self.params["negatives"].shape[1]
@@ -355,30 +356,28 @@ def run_rate_experiment(scenario, dictionary: BaseDictionary, cfg: NPConfig,
     minus, plus, gamma_alpha = _population_reference(
         scenario, dictionary, s, cfg.alpha, oracle_resolution, mc_draws, seed)
 
-    rows = []
-    for n in n_grid:
-        def one_trial(t: int, n=n):
-            rng = rng_for(seed, f"harness.rate.n{n}", t)
-            sample = Sample(negatives=scenario.draw_negatives(rng, n),
-                            positives=scenario.draw_positives(rng, n))
-            try:
-                sol = solve_np(sample, dictionary, cfg)
-            except NPConvexError as err:
-                return {"n": n, "trial": t, "error": type(err).__name__}
-            eps_val = _eps_bar(eps_bar, sample.negatives, dictionary, cfg, kap)
-            r2, hw = plus.estimate(sol.weights.lam, s, -1.0)
-            row = {"n": n, "trial": t, "error": None, "excess": r2 - gamma_alpha,
-                   "half_width": hw, "eps_bar": eps_val, "bound": math.nan,
-                   "n0": None, "below_n0": True, "ratio": math.nan}
-            if 0.0 <= eps_val < 1.0:
-                report = n0_and_bound(kap, eps_val, cfg.alpha, n, n,
-                                      s.value_at_one)
-                bound = report.thm42_bound
-                row.update(bound=bound, n0=report.n0, below_n0=bool(n < report.n0),
-                           ratio=row["excess"] / bound if bound > 0 else math.nan)
-            return row
+    def one_trial(q: int):
+        n, t = n_grid[q // trials], q % trials
+        rng = rng_for(seed, f"harness.rate.n{n}", t)
+        sample = Sample(negatives=scenario.draw_negatives(rng, n),
+                        positives=scenario.draw_positives(rng, n))
+        try:
+            sol = solve_np(sample, dictionary, cfg)
+        except NPConvexError as err:
+            return {"n": n, "trial": t, "error": type(err).__name__}
+        eps_val = _eps_bar(eps_bar, sample.negatives, dictionary, cfg, kap)
+        r2, hw = plus.estimate(sol.weights.lam, s, -1.0)
+        row = {"n": n, "trial": t, "error": None, "excess": r2 - gamma_alpha,
+               "half_width": hw, "eps_bar": eps_val, "bound": math.nan,
+               "n0": None, "below_n0": True, "ratio": math.nan}
+        if 0.0 <= eps_val < 1.0:
+            report = n0_and_bound(kap, eps_val, cfg.alpha, n, n, s.value_at_one)
+            bound = report.thm42_bound
+            row.update(bound=bound, n0=report.n0, below_n0=bool(n < report.n0),
+                       ratio=row["excess"] / bound if bound > 0 else math.nan)
+        return row
 
-        rows.extend(_run_trials(one_trial, trials))
+    rows = _run_trials(one_trial, len(n_grid) * trials)
 
     valid = [r for r in rows if r.get("error") is None]
     asserted = [r for r in valid if not r["below_n0"]]
@@ -504,10 +503,11 @@ def run_ccp_feasibility(scenario, constraint_bases, objective_coeffs,
                         eps: Optional[float] = None) -> dict:
     """Chance-constraint feasibility of the surrogate-margin solution.
 
-    constraint_bases is a BaseDictionary, or per-row callables that each
-    get one row of the (n, d) scenario draws.  Per trial: draw n scenario
-    realizations, solve the strengthened surrogate program with the
-    linear objective, then estimate the true violation probability on
+    constraint_bases is a BaseDictionary, or per-row callables that this
+    runner wraps as FunctionClassifier bases; the scenario draws are
+    (n, d), so each callable gets one row of shape (d,).  Per trial: draw
+    n scenario realizations, solve the strengthened surrogate program with
+    the linear objective, then estimate the true violation probability on
     fresh draws.  When f_star (the optimum over the population
     surrogate-feasible set) and the instance's epsilon are supplied,
     objective gaps are compared against the 1/sqrt(n) bound, and the
@@ -516,7 +516,8 @@ def run_ccp_feasibility(scenario, constraint_bases, objective_coeffs,
     """
     if trials < 1:
         raise DomainError("need at least one trial")
-    bases = _as_dictionary(constraint_bases, 2)
+    bases = (constraint_bases if isinstance(constraint_bases, BaseDictionary)
+             else BaseDictionary([FunctionClassifier(g) for g in constraint_bases]))
     obj = linear_objective(objective_coeffs)
     kap = kappa(surrogate.lipschitz, bases.m, delta)
     bound = n0 = None

@@ -246,6 +246,18 @@ def eps_bar_upper(min_r_minus_phi: float, kappa_value: float, n_minus: int,
     return (min_r_minus_phi + kappa_value / math.sqrt(n_minus)) / alpha
 
 
+def _excess_denominator(kappa_value: float, eps_bar: float, alpha: float,
+                        phi_at_one: float) -> float:
+    """(1 - eps_bar) alpha, after the checks the three excess bounds share."""
+    if not 0.0 <= eps_bar < 1.0:
+        raise DomainError(f"eps_bar must lie in [0, 1), got {eps_bar}")
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    if kappa_value <= 0 or phi_at_one <= 0:
+        raise DomainError("kappa and phi(1) must be positive")
+    return (1.0 - eps_bar) * alpha
+
+
 def n0_and_bound(kappa_value: float, eps_bar: float, alpha: float, n_minus: int,
                  n_plus: int, phi_at_one: float) -> BoundReport:
     """Sample-size threshold and the two-term excess type-II bound.
@@ -253,15 +265,9 @@ def n0_and_bound(kappa_value: float, eps_bar: float, alpha: float, n_minus: int,
     n0 = ceil((4 kappa / ((1 - eps_bar) alpha))^2); the bound is
     4 phi(1) kappa / ((1-eps_bar) alpha sqrt(n^-)) + 2 kappa / sqrt(n^+).
     """
-    if not 0.0 <= eps_bar < 1.0:
-        raise DomainError(f"eps_bar must lie in [0, 1), got {eps_bar}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if kappa_value <= 0 or phi_at_one <= 0:
-        raise DomainError("kappa and phi(1) must be positive")
+    denom = _excess_denominator(kappa_value, eps_bar, alpha, phi_at_one)
     if n_minus < 1 or n_plus < 1:
         raise DomainError("sample sizes must be >= 1")
-    denom = (1.0 - eps_bar) * alpha
     n0 = int(math.ceil((4.0 * kappa_value / denom) ** 2))
     bound = (4.0 * phi_at_one * kappa_value / (denom * math.sqrt(n_minus))
              + 2.0 * kappa_value / math.sqrt(n_plus))
@@ -274,14 +280,10 @@ def pooled_bound(kappa_value: float, eps_bar: float, alpha: float, n: int, p: fl
     P(Y=+1) = p: the expected class sizes n(1-p), np replace n^-, n^+."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie in (0, 1), got {p}")
-    if not 0.0 <= eps_bar < 1.0:
-        raise DomainError(f"eps_bar must lie in [0, 1), got {eps_bar}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    denom = _excess_denominator(kappa_value, eps_bar, alpha, phi_at_one)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     root2 = math.sqrt(2.0)
-    denom = (1.0 - eps_bar) * alpha
     return (4.0 * root2 * phi_at_one * kappa_value / (denom * math.sqrt(n * (1.0 - p)))
             + 2.0 * root2 * kappa_value / math.sqrt(n * p))
 

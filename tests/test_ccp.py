@@ -176,47 +176,70 @@ def test_instance_takes_only_evaluated_columns():
     np.testing.assert_array_equal(inst.g_matrix, bases.evaluate_matrix(draws[:, None]))
 
 
+def _per_row(*fns):
+    return BaseDictionary([FunctionClassifier(g) for g in fns])
+
+
 def test_evaluate_constraint_bases():
-    bases = [lambda x: -1.0, lambda x: 2.0 * float(x) - 1.0]
+    bases = _per_row(lambda x: -1.0, lambda x: 2.0 * float(x[0]) - 1.0)
     G = evaluate_constraint_bases(bases, np.array([0.0, 0.5, 1.0]))
     assert G.shape == (3, 2)
     assert list(G[:, 1]) == [-1.0, 0.0, 1.0]
     with pytest.raises(EmptySample):
         evaluate_constraint_bases(bases, np.empty(0))
     with pytest.raises(BaseRangeError, match=r"^base 0 returned 3\.0, outside \[-1, 1\]$"):
-        evaluate_constraint_bases([lambda x: 3.0], np.array([1.0]))
+        evaluate_constraint_bases(_per_row(lambda x: 3.0), np.array([1.0]))
     with pytest.raises(BaseRangeError, match=r"^base 1 returned nan, outside \[-1, 1\]$"):
-        evaluate_constraint_bases([lambda x: -1.0, lambda x: math.nan], np.array([1.0]))
+        evaluate_constraint_bases(_per_row(lambda x: -1.0, lambda x: math.nan),
+                                  np.array([1.0]))
 
 
 def test_chance_feasibility_estimate_rejects_nan_bases():
     # NaN used to pass the range check: F = NaN is never > 0, so the
     # estimate read violation_rate 0.0 and feasible_for_original True
-    bases = [lambda x: -1.0, lambda x: math.nan]
+    bases = _per_row(lambda x: -1.0, lambda x: math.nan)
     with pytest.raises(BaseRangeError, match=r"^base 1 returned nan, outside \[-1, 1\]$"):
         chance_feasibility_estimate([0.5, 0.5], bases, np.linspace(0, 1, 50), alpha=0.1)
 
 
 def test_per_row_bases_get_one_draw_at_a_time():
-    # 1-D draws hand each callable one float scalar, so float(x) works on
-    # numpy 2; (n, d) draws hand it one row of shape (d,)
-    def on_scalar(x):
-        assert np.ndim(x) == 0 and isinstance(x, np.floating)
-        return 2.0 * float(x) - 1.0
-
+    # (n, d) draws hand each FunctionClassifier one row of shape (d,)
     def on_row(x):
         assert np.shape(x) == (2,)
         return float(x[1])
 
-    assert evaluate_constraint_bases([on_scalar], np.array([0, 1])).tolist() == [[-1.0], [1.0]]
     rows = np.array([[0.0, -0.5], [1.0, 0.25]])
-    assert evaluate_constraint_bases([on_row], rows).tolist() == [[-0.5], [0.25]]
+    assert evaluate_constraint_bases(_per_row(on_row), rows).tolist() == [[-0.5], [0.25]]
+
+
+def test_constraint_bases_are_one_dictionary():
+    # per-row callables are wrapped by the caller, not re-wrapped here
+    callables = [lambda x: -1.0, lambda x: 2.0 * float(x[0]) - 1.0]
+    draws = np.linspace(0.0, 1.0, 5)
+    pattern = r"must be a BaseDictionary, got list; .*FunctionClassifier\(g\)"
+    with pytest.raises(DomainError, match=pattern):
+        evaluate_constraint_bases(callables, draws)
+    with pytest.raises(DomainError, match=pattern):
+        chance_feasibility_estimate([0.5, 0.5], callables, draws, alpha=0.1)
+
+
+def test_weight_count_is_checked_before_any_base_is_called():
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return -1.0
+
+    with pytest.raises(DomainError, match="weight length"):
+        chance_feasibility_estimate([0.2, 0.3, 0.5], _per_row(g, g),
+                                    np.linspace(0.0, 1.0, 1000), alpha=0.1)
+    assert calls == []
 
 
 def test_every_base_kind_goes_through_evaluate_matrix(monkeypatch):
     # BaseDictionary holds the one base loop and the one range check:
-    # per-row callables become FunctionClassifier bases, a dictionary
-    # passes through as is
+    # a dictionary of per-row FunctionClassifier bases and a stock one
+    # both pass through as is
     calls = []
     evaluate_matrix = BaseDictionary.evaluate_matrix
 
@@ -226,7 +249,7 @@ def test_every_base_kind_goes_through_evaluate_matrix(monkeypatch):
 
     monkeypatch.setattr(BaseDictionary, "evaluate_matrix", spy)
     draws = np.linspace(0.0, 1.0, 7).reshape(-1, 1)
-    per_row = [lambda x: -1.0, lambda x: 2.0 * float(x[0]) - 1.0]
+    per_row = _per_row(lambda x: -1.0, lambda x: 2.0 * float(x[0]) - 1.0)
     batch = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 0.5, -1)])
     for bases in (per_row, batch):
         evaluate_constraint_bases(bases, draws)
@@ -235,14 +258,14 @@ def test_every_base_kind_goes_through_evaluate_matrix(monkeypatch):
                     g_matrix=evaluate_constraint_bases(bases, draws),
                     **linear_objective([1.0, 0.0]))
     assert len(calls) == 6
-    assert all(isinstance(b, FunctionClassifier) for d in calls[:3] for b in d.bases)
+    assert all(d is per_row for d in calls[:3])
     assert all(d is batch for d in calls[3:])
 
 
 def test_chance_feasibility_estimate_closed_form():
     # F(lam, xi) = -lam1 + lam2*(2 xi - 1) with xi uniform: for
     # lam = (1/4, 3/4), F > 0 iff xi > 2/3, so the violation rate is 1/3
-    bases = [lambda x: -1.0, lambda x: 2.0 * float(x) - 1.0]
+    bases = _per_row(lambda x: -1.0, lambda x: 2.0 * float(x[0]) - 1.0)
     rng = np.random.default_rng(6)
     draws = rng.uniform(0, 1, 10 ** 5)
     out = chance_feasibility_estimate([0.25, 0.75], bases, draws, alpha=0.4)
@@ -254,7 +277,7 @@ def test_chance_feasibility_estimate_closed_form():
     # degenerate corners
     zero = chance_feasibility_estimate([1.0, 0.0], bases, draws, alpha=0.1)
     assert zero["violation_rate"] == 0.0
-    one = chance_feasibility_estimate([0.0, 1.0], [lambda x: 1.0, lambda x: 1.0],
+    one = chance_feasibility_estimate([0.0, 1.0], _per_row(lambda x: 1.0, lambda x: 1.0),
                                       draws[:100], alpha=0.1)
     assert one["violation_rate"] == 1.0
 

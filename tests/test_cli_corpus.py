@@ -1,0 +1,55 @@
+"""The CLI corpus at smoke sizes: two runs agree byte for byte, and the
+runs whose bytes do not depend on the BLAS are pinned.
+
+tests/cli_corpus.py holds the run list; run as a script, it prints the
+digests that are diffed between two trees.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import cli_corpus
+
+#: sha256 of each run's digest line.  Only hinge, exact-atom and
+#: pure-Python runs are pinned, each checked equal under
+#: OPENBLAS_NUM_THREADS = 1 and = 2; the logit and exponential runs are
+#: not, as SLSQP's rounding follows the BLAS build and its thread count.
+PINNED = {
+    "solve-hinge-out": "b636f1e6efac37cfc49e51bbb496e1ea70fca2f6c0aa1503c0f6d9b1c820a05b",
+    "solve-hinge": "f8db34bb6649e51f2104d54591ea141f089d7cafe796cf1668c97f2242142416",
+    "solve-sample-too-small": "a699b5861bcf0188b60cb6ba041ff6aecc6c7857fdd1f19aa3eda76a621243e6",
+    "ccp-hinge": "e5bc4662dfe54c1e507020ff0ba2dc2369845b4f6ff5eb0a93a1ac21fa5a8a73",
+    "verify-lemmas": "d1fc4115c2036a517c5aac650f0b0a6c9ead72260f3787a45a3163deffe703d0",
+    "counterexample": "5c9242f412237252c2fc03908e0fc99a5d3396155b5242921f76017463ca9bd8",
+    "coverage-prop31": "e7c1db5eff631c6c9d17cd7701c3e2c8840b83c25aa1ac0fec9363087f0481a4",
+    "rate-prop31": "4d274cf123bea33f7ef59ef55995e4d87c9f260f24a852a2eed3c26a1a8554dd",
+    "rate-gaussian": "c176379d53117d866a5829e7d79d828cf59516ed83ead9eee9f36cc9deedc758",
+    "sampling-prop31": "088691262c3618cb1efe7fbba42aeda4800f98d32b356ed9b03c370cd58b2b90",
+    "sampling-custom": "5b2f40a1114060bab0e9da4e8ea2a8cf9cc80cf27ccfb6886e9cfcd6708c7bcb",
+    "ccp-prop31": "208038a2e0daf5c575da935a63338ce9df5b35fcc23898971395b1e4f3c3aa2b",
+    "ccp-custom": "909a6a305ef3c360c0ee2ec208b39a7e512062d6861bb2d4bc827a15de4b5328",
+    "coverage-custom": "21da9c413310ab953c14f276b3eb4fd6b13db5d36f0e569baef2790ce3984e71",
+}
+
+#: the error exits the corpus must keep reaching
+ERRORS = {"solve-exponential-infeasible": "infeasible",
+          "solve-sample-too-small": "sample_too_small",
+          "ccp-logit-infeasible": "infeasible"}
+
+
+def _corpus(root):
+    return {name: cli_corpus.run(root, name, argv)
+            for name, argv in cli_corpus.prepare(root, cli_corpus.SMOKE)}
+
+
+def test_the_corpus_runs_to_the_same_bytes_twice(tmp_path):
+    first, second = _corpus(tmp_path / "a"), _corpus(tmp_path / "b")
+    assert first == second
+    assert all(r["exit"] == 0 for name, r in first.items() if name not in ERRORS)
+    for name, category in ERRORS.items():
+        assert json.loads(first[name]["stderr"])["error"] == category
+    digests = {name: hashlib.sha256(cli_corpus.digest_line(name, r).encode()).hexdigest()
+               for name, r in first.items() if name in PINNED}
+    assert digests == PINNED

@@ -61,6 +61,14 @@ def test_draw_pooled_split():
     assert abs(frac_pos - 0.25) < 3 * math.sqrt(0.25 * 0.75 / 4000)
 
 
+def test_draw_pooled_rejects_a_negative_size_before_drawing():
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="negative size -1"):
+        Scenario.prop31(0.3).draw_pooled(rng, -1)
+    assert rng.bit_generator.state == state
+
+
 def test_custom_csv_bootstrap():
     neg = np.array([[0.1], [0.2]])
     pos = np.array([[0.9]])
@@ -320,6 +328,24 @@ def test_smooth_monte_carlo_gamma_runs_at_the_default_draws():
     assert not out["exact_population"]
     row = out["rows"][0]
     assert row["error"] is None and 0.0 < row["half_width"] < 0.01
+
+
+def test_rate_runs_all_its_trials_in_one_loop(monkeypatch):
+    # one _run_trials call over every (n, trial), rows in n_grid order
+    run_trials, loops = harness._run_trials, []
+
+    def spied_run_trials(fn, trials):
+        loops.append(trials)
+        return run_trials(fn, trials)
+
+    monkeypatch.setattr(harness, "_run_trials", spied_run_trials)
+    d = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 0.3, 1)], dim=1)
+    cfg = NPConfig(alpha=0.3, delta=0.1, surrogate=hinge())
+    out = run_rate_experiment(Scenario.prop31(0.3), d, cfg, [400, 900], trials=3,
+                              seed=5, eps_bar=0.0)
+    assert loops == [6]
+    assert [(r["n"], r["trial"]) for r in out["rows"]] == [
+        (n, t) for n in (400, 900) for t in range(3)]
 
 
 def _eps_bar_runs(scen, d, cfg):

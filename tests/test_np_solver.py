@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from npconvex import _solver_core as core
+from npconvex.ccp import ccp_bound
 from npconvex.errors import (BaseRangeError, DomainError, EmptySample,
                              Infeasible, OneClassEmpty, SampleTooSmall,
                              UnknownLabel)
@@ -137,6 +138,17 @@ def test_pooled_bound_is_root2_inflation():
     classwise = n0_and_bound(kap, 0.0, 0.5, n // 2, n // 2, 2.0).thm42_bound
     assert got == pytest.approx(math.sqrt(2.0) * classwise, abs=1e-12)
     assert got == pytest.approx(2.492378470947291, abs=1e-12)
+
+
+@pytest.mark.parametrize("kap, phi1", [(-1.0, 2.0), (0.0, 2.0), (1.0, -2.0), (1.0, 0.0)])
+def test_the_three_excess_bounds_reject_the_same_kappa_and_phi(kap, phi1):
+    # pooled_bound used to return a negative bound here (-3.6 at kappa = -1)
+    with pytest.raises(DomainError, match=r"^kappa and phi\(1\) must be positive$"):
+        pooled_bound(kap, 0.0, 0.5, 100, 0.5, phi1)
+    with pytest.raises(DomainError, match=r"^kappa and phi\(1\) must be positive$"):
+        n0_and_bound(kap, 0.0, 0.5, 100, 100, phi1)
+    with pytest.raises(DomainError, match=r"^kappa and phi\(1\) must be positive$"):
+        ccp_bound(kap, 0.5, 0.5, 100, phi1)
 
 
 def test_eps_bar_upper_and_probe():
