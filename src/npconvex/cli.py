@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bounds, harness
+from . import __version__, bounds
 from .ccp import CCPInstance, linear_objective, solve_ccp
 from .errors import (DomainError, NonFiniteValue, NPConvexError, SchemaError,
                      UnknownLabel, ValidationFailure)
@@ -175,6 +175,8 @@ def _write_trials_csv(rows, path: Path) -> None:
 
 
 def _scenario_from_config(cfg: dict):
+    from . import harness  # only experiment needs it: solve and ccp skip its imports
+
     if not isinstance(cfg, dict) or "kind" not in _typed(cfg, "scenario."):
         raise SchemaError("scenario config must be an object with a 'kind'")
     kind = cfg["kind"]
@@ -264,6 +266,8 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _experiment_dispatch(kind: str, cfg: dict, seed: int) -> dict:
+    from . import harness
+
     _typed(cfg)
     if kind == "counterexample":
         return harness.run_counterexample(

@@ -352,7 +352,8 @@ def build_stump_dictionary(data: np.ndarray, per_axis_thresholds: int) -> BaseDi
     lerp meets an infinity (NaN), the value both neighbouring order
     statistics share, else NonFiniteValue.  Both polarities are emitted
     for every threshold, ordered axis-major, threshold-minor,
-    polarity-last (+1 before -1); exact duplicates are dropped.
+    polarity-last (+1 before -1); exact duplicates are dropped.  A zero
+    threshold is always +0.0.
     """
     X = np.asarray(data, dtype=float)
     if X.ndim == 1:
@@ -368,18 +369,22 @@ def build_stump_dictionary(data: np.ndarray, per_axis_thresholds: int) -> BaseDi
     bases = []
     seen = set()
     for axis in range(d):
+        # sorted once: each quantile then reads order statistics already in place
+        column = np.sort(X[:, axis])
         with np.errstate(invalid="ignore"):  # its lerp meets inf - inf and 0 * inf
-            thresholds = np.quantile(X[:, axis], levels)
+            thresholds = np.quantile(column, levels)
         undefined = np.isnan(thresholds)
         if undefined.any():
-            lower = np.quantile(X[:, axis], levels[undefined], method="lower")
-            if not np.array_equal(lower, np.quantile(X[:, axis], levels[undefined],
+            lower = np.quantile(column, levels[undefined], method="lower")
+            if not np.array_equal(lower, np.quantile(column, levels[undefined],
                                                      method="higher")):
                 raise NonFiniteValue(
                     f"cannot build stumps on axis {axis}: a quantile level interpolates "
                     "with an infinite value")
             thresholds[undefined] = lower
-        for t in thresholds:
+        # which of two equal zeros the sort leaves at an order statistic is
+        # arbitrary, and the lerp's sign follows it: -0.0 + 0.0 is +0.0
+        for t in thresholds + 0.0:
             for polarity in (1, -1):
                 key = (axis, float(t), polarity)
                 if key in seen:

@@ -255,6 +255,9 @@ def _excess_denominator(kappa_value: float, eps_bar: float, alpha: float,
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if kappa_value <= 0 or phi_at_one <= 0:
         raise DomainError("kappa and phi(1) must be positive")
+    if not (math.isfinite(kappa_value) and math.isfinite(phi_at_one)):
+        raise DomainError(f"kappa and phi(1) must be finite, got {kappa_value} "
+                          f"and {phi_at_one}")
     return (1.0 - eps_bar) * alpha
 
 

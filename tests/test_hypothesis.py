@@ -176,6 +176,37 @@ def test_build_stump_dictionary_names_the_axis_of_an_undefined_quantile():
         build_stump_dictionary(np.array([[0.0], [1.0], [np.inf], [np.inf]]), 1)
 
 
+def _unsorted_thresholds(column, levels):
+    """Each axis's thresholds as np.quantile gives them on the raw column,
+    with a zero's sign made +: the builder's only deviation from it."""
+    with np.errstate(invalid="ignore"):
+        t = np.quantile(column, levels)
+    undefined = np.isnan(t)
+    t[undefined] = np.quantile(column, levels[undefined], method="lower")
+    return t + 0.0
+
+
+def test_stump_thresholds_are_bitwise_those_of_the_unsorted_column():
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(401, 4))
+    X[:, 1] = np.round(X[:, 1], 1)  # ties, among them -0.0 and 0.0
+    X[rng.choice(401, 3, replace=False), 2] = np.inf
+    X[rng.choice(401, 2, replace=False), 2] = -np.inf
+    X[:, 3] = np.where(X[:, 3] > 1.5, np.inf, X[:, 3])
+    for T in (1, 3, 10, 50):
+        levels = np.arange(1, T + 1) / (T + 1)
+        got = [(b.axis, np.float64(b.threshold).tobytes(), b.polarity)
+               for b in build_stump_dictionary(X, T).bases]
+        want, seen = [], set()
+        for axis in range(X.shape[1]):
+            for t in _unsorted_thresholds(X[:, axis], levels):
+                for polarity in (1, -1):
+                    if (axis, float(t), polarity) not in seen:
+                        seen.add((axis, float(t), polarity))
+                        want.append((axis, t.tobytes(), polarity))
+        assert got == want
+
+
 def test_dictionary_json_round_trip():
     d = BaseDictionary([DecisionStump(0, 0.3, -1), ConstantClassifier(0.5)],
                        dim=1)

@@ -151,6 +151,20 @@ def test_the_three_excess_bounds_reject_the_same_kappa_and_phi(kap, phi1):
         ccp_bound(kap, 0.5, 0.5, 100, phi1)
 
 
+@pytest.mark.parametrize("kap, phi1", [(math.nan, 2.0), (math.inf, 2.0),
+                                       (1.0, math.nan), (1.0, math.inf)])
+def test_the_three_excess_bounds_reject_a_non_finite_kappa_or_phi(kap, phi1):
+    # n0_and_bound raised ValueError (NaN) or OverflowError (inf) here,
+    # and the other two returned NaN
+    finite = r"^kappa and phi\(1\) must be finite, got "
+    with pytest.raises(DomainError, match=finite):
+        pooled_bound(kap, 0.0, 0.5, 100, 0.5, phi1)
+    with pytest.raises(DomainError, match=finite):
+        n0_and_bound(kap, 0.0, 0.5, 100, 100, phi1)
+    with pytest.raises(DomainError, match=finite):
+        ccp_bound(kap, 0.5, 0.5, 100, phi1)
+
+
 def test_eps_bar_upper_and_probe():
     d = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 0.5, 1)])
     cfg = NPConfig(alpha=0.5, delta=0.2, surrogate=hinge())
