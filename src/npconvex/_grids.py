@@ -116,8 +116,9 @@ def affine_window(const: float, coeffs: np.ndarray, level: float, k: int) -> np.
     in j there, so only the interval endpoints can win.  Each endpoint is
     padded by two grid steps to guard the float boundary; the caller
     re-scores every candidate with its own formulas, so the scan over
-    this window matches the exhaustive scan up to float rounding.
-    Candidates come back in lexicographic order.
+    this window matches the exhaustive scan up to float rounding.  A row
+    yields the run around its lower end, then the part of the run around
+    its upper end beyond it: distinct and in lexicographic order, unsorted.
     """
     i = np.arange(k + 1)
     j_max = k - i
@@ -134,6 +135,6 @@ def affine_window(const: float, coeffs: np.ndarray, level: float, k: int) -> np.
     ends = np.column_stack([lo[rows], hi[rows]]).astype(np.int64)
     j = ends[:, :, None] + np.arange(-2, 3)
     keep = (j >= 0) & (j <= j_max[rows, None, None])
-    codes = np.unique((i[rows, None, None] * (k + 1) + j)[keep])
-    i, j = np.divmod(codes, k + 1)
+    keep[:, 1] &= j[:, 1] > ends[:, :1] + 2
+    i, j = np.broadcast_to(i[rows, None, None], j.shape)[keep], j[keep]
     return np.column_stack([i, j, k - i - j]) / k

@@ -40,8 +40,9 @@ def _require_dictionary(bases) -> BaseDictionary:
 def evaluate_constraint_bases(constraint_bases: BaseDictionary, draws) -> np.ndarray:
     """(n, M) matrix of g_j(xi_i) from BaseDictionary.evaluate_matrix.
 
-    Draws become float, 1-D draws (n, 1) rows; a value outside [-1, 1] or
-    NaN raises BaseRangeError naming the base."""
+    Draws become float, 1-D draws (n, 1) rows; NaN or a value beyond
+    1 + RANGE_TOL in magnitude raises BaseRangeError naming the base, and
+    a smaller overshoot is clipped into [-1, 1]."""
     xi = np.asarray(draws, dtype=float)
     if xi.shape[0] == 0:
         raise EmptySample("no scenario draws")
@@ -53,11 +54,12 @@ class CCPInstance:
     """One empirical chance-constrained problem.
 
     `g_matrix` holds the evaluated g_j(xi_i) columns, as
-    evaluate_constraint_bases(constraint_bases, draws) returns them.  The
-    objective is a value oracle with a (sub)gradient oracle
-    `objective_grad`, which the solver's certificate needs; pass
-    `linear_coeffs` instead when f(lambda) = linear_coeffs @ lambda, which
-    unlocks the exact affine solve for affine surrogates.
+    evaluate_constraint_bases(constraint_bases, draws) returns them, with
+    dust within RANGE_TOL beyond [-1, 1] clipped.  The objective is a
+    value oracle with a (sub)gradient oracle `objective_grad`, which the
+    solver's certificate needs; pass `linear_coeffs` instead when
+    f(lambda) = linear_coeffs @ lambda, which unlocks the exact affine
+    solve for affine surrogates.
     """
 
     alpha: float
@@ -81,8 +83,11 @@ class CCPInstance:
             raise DomainError("g_matrix must be a nonempty (n, M) matrix")
         if not np.all(np.isfinite(self.g_matrix)):
             raise DomainError("g_matrix contains non-finite entries")
-        if float(np.max(np.abs(self.g_matrix))) > 1.0 + RANGE_TOL:
+        peak = float(np.max(np.abs(self.g_matrix)))
+        if peak > 1.0 + RANGE_TOL:
             raise DomainError("g_matrix entries must lie in [-1, 1]")
+        if peak > 1.0:  # float dust, clipped into the surrogates' domain
+            self.g_matrix = np.clip(self.g_matrix, -1.0, 1.0)
         if self.linear_coeffs is None and self.objective_grad is None:
             raise DomainError("need objective_grad or linear_coeffs for the objective")
         if self.linear_coeffs is not None:
@@ -181,7 +186,7 @@ def grid_oracle_ccp(inst: CCPInstance, resolution: float) -> CCPSolution:
         g_mean = inst.g_matrix.mean(axis=0)
         def constraint_values(chunk):
             return a + b * (chunk @ g_mean)
-        if inst.m == 3 and inst.linear_coeffs is not None and k > 400:
+        if inst.m == 3 and inst.linear_coeffs is not None:
             chunks = [affine_window(a, b * g_mean, level, k)]
     else:
         atoms = empirical_atoms(inst.g_matrix)

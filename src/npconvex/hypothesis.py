@@ -76,8 +76,8 @@ class ConstantClassifier:
 class FunctionClassifier:
     """User-registered base: a callable on one feature vector.
 
-    The dictionary validates the output range on every batch it
-    evaluates; nothing is clamped.
+    The dictionary checks and clips the output range on every batch it
+    evaluates (BaseDictionary._columns).
     """
 
     def __init__(self, fn: Callable[[np.ndarray], float], name: str = "user"):
@@ -151,16 +151,18 @@ class BaseDictionary:
         The one range check on base values: each column is checked as it
         is evaluated, and the first failing base raises, naming its first
         NaN, or else its first entry of largest magnitude.  Later bases
-        are not called.  X comes from _as_features.
+        are not called.  A column within RANGE_TOL of [-1, 1] is clipped
+        into it, the surrogates' domain.  X comes from _as_features.
         """
         # column-major, so a base reading one feature scans contiguous memory
         X = np.asfortranarray(X)
         for j in columns:
             col = np.asarray(self.bases[j].evaluate_batch(X), dtype=float)
-            if not np.max(np.abs(col), initial=0.0) <= 1.0 + RANGE_TOL:  # NaN fails too
+            peak = np.max(np.abs(col), initial=0.0)
+            if not peak <= 1.0 + RANGE_TOL:  # NaN fails too
                 bad = float(col[np.argmax(np.abs(col))])  # argmax picks the first NaN
                 raise BaseRangeError(f"base {j} returned {bad!r}, outside [-1, 1]")
-            yield col
+            yield np.clip(col, -1.0, 1.0) if peak > 1.0 else col
 
     def column_means(self, X: np.ndarray) -> np.ndarray:
         """The M column means of evaluate_matrix(X), with its range check.
@@ -332,12 +334,8 @@ class CombinedClassifier:
                 f"{self.weights.m} weights for {self.dictionary.m} bases")
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
-        H = self.dictionary.evaluate_matrix(X)
-        out = H @ self.weights.lam
-        # a convex combination of [-1,1] values; shave off float dust only
-        over = float(np.max(np.abs(out), initial=0.0)) - 1.0
-        if over > RANGE_TOL:
-            raise BaseRangeError(f"combined value exceeds [-1, 1] by {over}")
+        out = self.dictionary.evaluate_matrix(X) @ self.weights.lam
+        # a convex combination of [-1, 1] columns; shave off float dust
         return np.clip(out, -1.0, 1.0)
 
     def predict_sign_batch(self, X: np.ndarray) -> np.ndarray:
@@ -367,7 +365,6 @@ def build_stump_dictionary(data: np.ndarray, per_axis_thresholds: int) -> BaseDi
     n, d = X.shape
     levels = np.arange(1, per_axis_thresholds + 1) / (per_axis_thresholds + 1)
     bases = []
-    seen = set()
     for axis in range(d):
         # sorted once: each quantile then reads order statistics already in place
         column = np.sort(X[:, axis])
@@ -383,12 +380,8 @@ def build_stump_dictionary(data: np.ndarray, per_axis_thresholds: int) -> BaseDi
                     "with an infinite value")
             thresholds[undefined] = lower
         # which of two equal zeros the sort leaves at an order statistic is
-        # arbitrary, and the lerp's sign follows it: -0.0 + 0.0 is +0.0
-        for t in thresholds + 0.0:
-            for polarity in (1, -1):
-                key = (axis, float(t), polarity)
-                if key in seen:
-                    continue
-                seen.add(key)
-                bases.append(DecisionStump(axis, float(t), polarity))
+        # arbitrary, and the lerp's sign follows it: -0.0 + 0.0 is +0.0.
+        # The quantiles ascend, so np.unique only drops their repeats.
+        for t in np.unique(thresholds + 0.0):
+            bases += [DecisionStump(axis, float(t), 1), DecisionStump(axis, float(t), -1)]
     return BaseDictionary(bases, dim=d)

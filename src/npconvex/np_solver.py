@@ -19,8 +19,7 @@ SLSQP iterate, through BaseDictionary.operator: its products never form
 a stump's column and cost O(n d + M) for stumps on d axes.  The oracle
 never uses the solver's forms; it scores grid points on each class's
 merged atoms (risk.empirical_atoms), and at M = 3 with an affine
-surrogate and a fine grid it scans only the candidates of
-_grids.affine_window.
+surrogate it scans only the candidates of _grids.affine_window.
 """
 
 from __future__ import annotations
@@ -197,7 +196,7 @@ def grid_oracle_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig,
     kap = kappa(s.lipschitz, dictionary.m, cfg.delta)
     level = alpha_kappa(cfg.alpha, kap, sample.n_minus)
 
-    if dictionary.m == 3 and s.affine_coefficients is not None and k > 400:
+    if dictionary.m == 3 and s.affine_coefficients is not None:
         a, b = s.affine_coefficients
         chunks = [affine_window(a, b * H_minus.mean(axis=0), level, k)]
     else:

@@ -9,25 +9,41 @@ it pins OPENBLAS_NUM_THREADS to 1 for its own process before numpy loads,
 prints that value in a header, then one line per run: its name, exit code
 and the sha256 of its stdout, stderr and each report file, with the
 scratch directory masked.  Diffing that output between the `src` of two
-trees is the same-behaviour check.  tests/test_cli_corpus.py runs the same
-list in-process at the SMOKE sizes.  pytest does not collect this module.
+trees is the same-behaviour check.  With
+
+    PYTHONPATH=<tree>/src python tests/cli_corpus.py --against OTHER/src
+
+it runs the list under both `src` trees, the other one in a child
+process, and prints each run whose bytes differ with the largest absolute
+difference of each numeric key of its JSON reports and each column of
+its CSV files; it exits 1 if any run differs.  tests/test_cli_corpus.py
+runs the same list in-process at the SMOKE sizes.  pytest does not
+collect this module.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import os
+import pickle
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 #: rows per class of the labeled inputs, scenario draws, trials per
-#: experiment, sample size per trial, and Monte Carlo / validation draws
-FULL = {"rows": 20000, "draws": 20000, "trials": 40, "n": 10000, "mc": 100000}
-SMOKE = {"rows": 6000, "draws": 3000, "trials": 3, "n": 3000, "mc": 5000}
+#: experiment, sample size per trial, Monte Carlo / validation draws, and
+#: whether verify-lemmas also runs at its defaults (about 3 s)
+FULL = {"rows": 20000, "draws": 20000, "trials": 40, "n": 10000, "mc": 100000,
+        "lemma_defaults": True}
+SMOKE = {"rows": 6000, "draws": 3000, "trials": 3, "n": 3000, "mc": 5000,
+         "lemma_defaults": False}
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -125,6 +141,8 @@ def prepare(root: Path, size: dict) -> list:
         ("verify-lemmas", ["verify-lemmas", "--n-max", "30", "--q-points", "8",
                            "--t-points", "3"]),
     ]
+    if size["lemma_defaults"]:
+        runs.append(("verify-lemmas-defaults", ["verify-lemmas"]))
     runs += [(name, experiment(name, to_dir)) for name, to_dir in (
         ("counterexample", True), ("coverage-prop31", False),
         ("coverage-gaussian-logit", True), ("rate-prop31", True),
@@ -163,7 +181,114 @@ def digest_line(name: str, result: dict) -> str:
     return " ".join(parts)
 
 
+def results(size: dict) -> dict:
+    """{name: run result} for every run of the list at `size`, in corpus order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        return {name: run(root, name, argv) for name, argv in prepare(root, size)}
+
+
+def _values(file: str, blob: bytes):
+    """{key: values} of one output: a JSON document flattened to dotted
+    keys, the items of a list sharing their list's key + "[]", or a CSV
+    file's columns, each cell a float where it parses as one.  None for
+    bytes that are neither."""
+    text = blob.decode("utf-8")
+    out = {}
+    if file.endswith(".csv"):
+        rows = list(csv.reader(io.StringIO(text)))
+        for row in rows[1:]:
+            for key, cell in zip(rows[0], row):
+                try:
+                    out.setdefault(key, []).append(float(cell))
+                except ValueError:
+                    out.setdefault(key, []).append(cell)
+        return out
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return None
+
+    def walk(value, key):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(v, f"{key}.{k}" if key else k)
+        elif isinstance(value, list):
+            for v in value:
+                walk(v, key + "[]")
+        else:
+            out.setdefault(key, []).append(value)
+    walk(doc, "")
+    return out
+
+
+def key_differences(file: str, ours: bytes, theirs: bytes) -> list:
+    """(key, largest absolute difference) for each key whose values differ
+    between two versions of one output, in key order.  The difference is
+    None where the key is not numbers of the same count on both sides,
+    and the key is "" where the bytes are neither JSON nor CSV."""
+    a, b = _values(file, ours), _values(file, theirs)
+    if a is None or b is None:
+        return [] if ours == theirs else [("", None)]
+    diffs = []
+    for key in sorted(a.keys() | b.keys()):
+        x, y = a.get(key), b.get(key)
+        if x == y:
+            continue
+        if (x is None or y is None or len(x) != len(y)
+                or not all(type(v) in (int, float) for v in x + y)):
+            diffs.append((key, None))
+            continue
+        gaps = [0.0 if u == v or (math.isnan(u) and math.isnan(v)) else abs(u - v)
+                for u, v in zip(x, y)]
+        gap = math.nan if any(map(math.isnan, gaps)) else max(gaps)
+        if gap != 0.0:  # NaNs on both sides compare unequal in x == y
+            diffs.append((key, gap))
+    return diffs
+
+
+def _against(other_src: str) -> int:
+    """Run the list under this process's npconvex and, in a child, under
+    other_src's; print each run that differs, key by key."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([other_src, str(Path(__file__).parent)]))
+    with subprocess.Popen(
+            [sys.executable, "-c", "import pickle, sys, cli_corpus; sys.stdout.buffer.write("
+             "pickle.dumps(cli_corpus.results(cli_corpus.FULL)))"],
+            env=env, stdout=subprocess.PIPE) as child:
+        ours = results(FULL)
+        blob = child.communicate()[0]
+    if child.returncode:
+        raise RuntimeError(f"the corpus under {other_src} exited {child.returncode}")
+    theirs = pickle.loads(blob)  # written by this script's own child
+    print(f"# OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']} against {other_src}")
+    differ = 0
+    for name, result in ours.items():
+        other = theirs[name]
+        if result == other:
+            continue
+        differ += 1
+        print(f"{name} differs")
+        for file in sorted(result.keys() | other.keys()):
+            x, y = result.get(file), other.get(file)
+            if x == y:
+                continue
+            if not (isinstance(x, bytes) and isinstance(y, bytes)):
+                print(f"  {file} {x!r} against {y!r}")
+                continue
+            for key, gap in key_differences(file, x, y):
+                print(f"  {file} {key or '<bytes>'} "
+                      + ("changed" if gap is None else f"{gap:.2g}"))
+    print(f"# {differ} of {len(ours)} runs differ")
+    return 1 if differ else 0
+
+
 def _main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--against", metavar="OTHER_SRC",
+                        help="the src directory of a tree to compare with")
+    args = parser.parse_args()
+    if args.against:
+        return _against(args.against)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         print(f"# OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}")

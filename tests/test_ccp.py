@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from npconvex import ccp
 from npconvex.ccp import (CCPInstance, ccp_bound, chance_feasibility_estimate,
                           chance_violation_from_matrix,
                           evaluate_constraint_bases, grid_oracle_ccp,
@@ -308,6 +309,26 @@ def test_solution_json():
     assert len(blob["weights"]) == 2
 
 
+def test_g_matrix_within_the_range_tolerance_is_clipped():
+    # CCPInstance accepted -1 - 5e-10, and both routes then raised
+    # DomainError on the surrogate argument
+    rng = np.random.default_rng(0)
+    n = 10 ** 4
+    G = np.column_stack([-np.ones(n), np.where(rng.uniform(size=n) < 0.5, -1.0 - 5e-10, 1.0)])
+    inst = CCPInstance(alpha=0.3, delta=0.1, surrogate=hinge(), g_matrix=G,
+                       **linear_objective([1.0, 0.0]))
+    assert inst.g_matrix.min() == -1.0 and G.min() < -1.0  # the caller's matrix is kept
+    assert solve_ccp(inst).status == "optimal"
+    # the logit floor, mean phi(-1) = 0.45, lies above the level 0.19
+    inst = CCPInstance(alpha=0.3, delta=0.1, surrogate=logit(), g_matrix=G,
+                       **linear_objective([1.0, 0.0]))
+    with pytest.raises(Infeasible):
+        solve_ccp(inst)
+    with pytest.raises(DomainError):
+        CCPInstance(alpha=0.3, delta=0.1, surrogate=hinge(), g_matrix=G * (1.0 + 1e-8),
+                    **linear_objective([1.0, 0.0]))
+
+
 def test_grid_oracle_is_independent_of_the_solver(monkeypatch):
     from npconvex import _solver_core as core
     from npconvex.hypothesis import BaseDictionary
@@ -318,11 +339,22 @@ def test_grid_oracle_is_independent_of_the_solver(monkeypatch):
     monkeypatch.setattr(BaseDictionary, "column_means", forbidden)
     monkeypatch.setattr(core, "_affine_solve", forbidden)
     monkeypatch.setattr(core, "risk_form", forbidden)
+    scans = []
+
+    def spy(name, real):
+        return lambda *args: scans.append(name) or real(*args)
+    for name in ("affine_window", "iter_grid_chunks"):
+        monkeypatch.setattr(ccp, name, spy(name, getattr(ccp, name)))
     rng = np.random.default_rng(31)
     n = 2 * 10 ** 4
     G = np.column_stack([-np.ones(n), rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)])
-    inst = CCPInstance(alpha=0.3, delta=0.1, surrogate=hinge(), g_matrix=G,
-                       **linear_objective([0.5, -1.0, 0.25]))
-    for resolution in (1e-2, 1e-3):  # the exhaustive and the affine-window scan
-        ref = grid_oracle_ccp(inst, resolution=resolution)
-        assert ref.empirical_constraint_value <= ref.margin_level + 1e-12
+    c = np.array([0.5, -1.0, 0.25])
+    for m in (2, 3):
+        inst = CCPInstance(alpha=0.3, delta=0.1, surrogate=hinge(), g_matrix=G[:, :m],
+                           **linear_objective(c[:m]))
+        scans.clear()
+        for resolution in (1e-2, 1e-3):
+            ref = grid_oracle_ccp(inst, resolution=resolution)
+            assert ref.empirical_constraint_value <= ref.margin_level + 1e-12
+        # hinge at M = 3 scans the affine window at every resolution; M = 2 scans the grid
+        assert scans.count("affine_window") == (2 if m == 3 else 0)

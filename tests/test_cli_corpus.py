@@ -53,3 +53,23 @@ def test_the_corpus_runs_to_the_same_bytes_twice(tmp_path):
     digests = {name: hashlib.sha256(cli_corpus.digest_line(name, r).encode()).hexdigest()
                for name, r in first.items() if name in PINNED}
     assert digests == PINNED
+
+
+def test_key_differences_name_each_moved_key_with_its_largest_gap():
+    ours = {"solution": {"weights": [0.25, 0.75], "gap": 1e-14, "status": "optimal",
+                         "iterations": 3},
+            "trials": [{"x": 1.0}, {"x": 2.0}], "same": [float("nan")], "count": 4}
+    theirs = {"solution": {"weights": [0.375, 0.6875], "gap": 0.0,
+                           "status": "uncertified", "iterations": 3},
+              "trials": [{"x": 1.5}, {"x": 1.0}], "same": [float("nan")], "extra": 1}
+    diffs = dict(cli_corpus.key_differences(
+        "stdout", json.dumps(ours).encode(), json.dumps(theirs).encode()))
+    assert diffs == {"solution.weights[]": 0.125, "solution.gap": 1e-14,
+                     "solution.status": None, "trials[].x": 1.0, "count": None,
+                     "extra": None}
+    csv_a = b"trial,true_type1,status\n0,0.1,ok\n1,0.5,ok\n"
+    csv_b = b"trial,true_type1,status\n0,0.1,ok\n1,0.75,fail\n"
+    assert cli_corpus.key_differences("trials.csv", csv_a, csv_b) == [
+        ("status", None), ("true_type1", 0.25)]
+    assert cli_corpus.key_differences("trials.csv", csv_a, csv_a) == []
+    assert cli_corpus.key_differences("stderr", b"", b"Traceback") == [("", None)]

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from npconvex import _grids
-from npconvex._grids import (argmin_feasible, grid_count, grid_points,
-                             iter_grid_chunks)
+from npconvex._grids import (affine_window, argmin_feasible, grid_count,
+                             grid_points, iter_grid_chunks)
 from npconvex.ccp import CCPInstance, grid_oracle_ccp, linear_objective
 from npconvex.errors import DomainError, Infeasible
 from npconvex.hypothesis import BaseDictionary, DecisionStump
@@ -89,7 +89,7 @@ def _assert_window_matches(scan_lam, scan_val, oracle_lam, oracle_val, flat):
         np.testing.assert_array_equal(oracle_lam, scan_lam)
 
 
-@pytest.mark.parametrize("k", [500, 1000])
+@pytest.mark.parametrize("k", [2, 3, 5, 10, 50, 100, 400, 500, 1000])
 def test_np_affine_window_matches_full_scan(k):
     rng = np.random.default_rng(k)
     s = hinge()
@@ -111,7 +111,7 @@ def test_np_affine_window_matches_full_scan(k):
         _assert_window_matches(lam, val, sol.weights.lam, sol.r_plus_phi, flat)
 
 
-@pytest.mark.parametrize("k", [500, 1000])
+@pytest.mark.parametrize("k", [2, 3, 5, 10, 50, 100, 400, 500, 1000])
 def test_ccp_affine_window_matches_full_scan(k):
     rng = np.random.default_rng(k + 1)
     a, b = hinge().affine_coefficients
@@ -137,3 +137,33 @@ def test_ccp_affine_window_matches_full_scan(k):
                                c[1] == c[2])
         scanned += 1
     assert scanned >= 6
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 10, 401, 10 ** 4])
+def test_affine_window_candidates_ascend_strictly(k):
+    rng = np.random.default_rng(k)
+    cases = [(0.0, [0.2, 0.5, 0.5], 0.4),  # flat along j: whole rows feasible or not
+             (0.0, [0.2, 3e-300 * k, 0.0], 0.1),  # near-flat, just off the flat branch
+             (0.0, [0.2, 1e-301 * k, 0.0], 0.1),  # near-flat, inside it
+             (0.0, [0.3, 0.9, -0.4], -1.0),  # no feasible row
+             (0.0, [0.3, 0.9, -0.4], 10.0)]  # every point feasible
+    cases += [(rng.uniform(-1, 1), rng.uniform(-1, 1, 3), rng.uniform(-1, 1))
+              for _ in range(20)]
+    for const, coeffs, level in cases:
+        pts = affine_window(const, np.array(coeffs), level, k)
+        ij = np.rint(pts[:, :2] * k).astype(np.int64)
+        np.testing.assert_array_equal(ij / k, pts[:, :2])  # on the grid
+        assert np.all(ij >= 0) and np.all(ij.sum(axis=1) <= k)
+        np.testing.assert_array_equal(pts[:, 2], (k - ij.sum(axis=1)) / k)
+        step = np.diff(ij, axis=0)
+        assert np.all((step[:, 0] > 0) | ((step[:, 0] == 0) & (step[:, 1] > 0)))
+        # each end of a row's feasible interval is a candidate, unless the
+        # row is so near flat that rounding outweighs the two-step padding
+        if k <= 401 and not 0.0 < abs(coeffs[1] - coeffs[2]) < 1e-12:
+            grid = grid_points(3, k)
+            feasible = grid[const + grid @ np.array(coeffs) <= level]
+            rows = np.rint(feasible[:, 0] * k)
+            ends = np.flatnonzero(np.diff(rows, prepend=-1, append=k + 1))
+            want = {tuple(p) for p in feasible[np.r_[ends[:-1], ends[1:] - 1]]}
+            assert want <= {tuple(p) for p in pts}
+    assert affine_window(0.0, np.array([0.3, 0.9, -0.4]), -1.0, k).shape == (0, 3)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from npconvex import _solver_core as core
+from npconvex import np_solver
 from npconvex.ccp import ccp_bound
 from npconvex.errors import (BaseRangeError, DomainError, EmptySample,
                              Infeasible, OneClassEmpty, SampleTooSmall,
@@ -427,12 +428,36 @@ def test_grid_oracle_is_independent_of_the_solver(monkeypatch):
     monkeypatch.setattr(BaseDictionary, "operator", forbidden)
     monkeypatch.setattr(core, "_affine_solve", forbidden)
     monkeypatch.setattr(core, "risk_form", forbidden)
+    scans = []
+
+    def spy(name, real):
+        return lambda *args: scans.append(name) or real(*args)
+    for name in ("affine_window", "iter_grid_chunks"):
+        monkeypatch.setattr(np_solver, name, spy(name, getattr(np_solver, name)))
     rng = np.random.default_rng(21)
-    d, sample = _random_instance(rng, 3)
-    for resolution in (1e-2, 1e-3):  # the exhaustive and the affine-reduced scan
-        sol = grid_oracle_np(sample, d, NPConfig(alpha=0.85, delta=0.1, surrogate=hinge()),
-                             resolution=resolution)
+    for m in (2, 3):
+        d, sample = _random_instance(rng, m)
+        for resolution in (1e-2, 1e-3):
+            sol = grid_oracle_np(sample, d, NPConfig(alpha=0.85, delta=0.1, surrogate=hinge()),
+                                 resolution=resolution)
+            assert sol.status == "optimal"
+    # hinge at M = 3 scans the affine window at every resolution; M = 2 scans the grid
+    assert scans == ["iter_grid_chunks"] * 2 + ["affine_window"] * 2
+
+
+def test_base_values_within_the_range_tolerance_solve_for_every_surrogate():
+    # the dictionary accepted 1 + 5e-10, and the logit and exponential
+    # routes then raised DomainError on the surrogate argument -1 - 5e-10
+    rng = np.random.default_rng(0)
+    sample = Sample(rng.uniform(0, 0.5, (4000, 1)), rng.uniform(0.5, 1, (4000, 1)))
+    d = BaseDictionary([ConstantClassifier(-1.0), FunctionClassifier(
+        lambda row: 1.0 + 5e-10 if row[0] > 0.5 else -1.0, "dusty")], dim=1)
+    H = d.evaluate_matrix(sample.positives)
+    assert H.max() == 1.0 and set(np.unique(H)) == {-1.0, 1.0}
+    for s in (hinge(), logit(), exponential()):
+        sol = solve_np(sample, d, NPConfig(alpha=0.9, delta=0.1, surrogate=s))
         assert sol.status == "optimal"
+        np.testing.assert_allclose(sol.weights.lam, [0.0, 1.0], atol=1e-12)
 
 
 def test_nan_base_values_are_rejected():
