@@ -11,7 +11,7 @@ from .bounds import (LemmaCheckResult, binomial_tail_exact, check_lemma_bin,
                      check_lemma_bin2, check_prop42,
                      check_rademacher_vertex_identity, check_sup_deviation,
                      gamma_curve, sweep_binomial_lemmas)
-from .ccp import (CCPInstance, CCPSolution, ccp_bound,
+from .ccp import (AffineForm, CCPInstance, CCPSolution, SmoothForm, ccp_bound,
                   chance_feasibility_estimate, chance_violation_from_matrix,
                   evaluate_constraint_bases, grid_oracle_ccp, linear_objective,
                   solve_ccp)

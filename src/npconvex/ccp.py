@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import _solver_core as core
 from ._grids import affine_window, argmin_feasible, grid_steps, iter_grid_chunks
+from ._solver_core import AffineForm, SmoothForm  # the two forms of a CCP objective
 from .errors import DomainError, EmptySample, Infeasible
 from .hypothesis import RANGE_TOL, BaseDictionary, SimplexWeights
 from .np_solver import _excess_denominator, alpha_kappa, kappa
@@ -55,19 +56,17 @@ class CCPInstance:
 
     `g_matrix` holds the evaluated g_j(xi_i) columns, as
     evaluate_constraint_bases(constraint_bases, draws) returns them, with
-    dust within RANGE_TOL beyond [-1, 1] clipped.  The objective is a
-    value oracle with a (sub)gradient oracle `objective_grad`, which the
-    solver's certificate needs; pass `linear_coeffs` instead when
-    f(lambda) = linear_coeffs @ lambda, which unlocks the exact affine
-    solve for affine surrogates.
+    dust within RANGE_TOL beyond [-1, 1] clipped.  The objective f is one
+    solver form: AffineForm(const, coeffs) for f(lambda) = const + coeffs
+    @ lambda, which unlocks the exact affine solve for affine surrogates,
+    or SmoothForm(fn, grad_fn), a convex value oracle with the
+    (sub)gradient oracle that the solver's certificate needs.
     """
 
     alpha: float
     delta: float
     surrogate: Surrogate
-    objective: Callable[[np.ndarray], float]
-    objective_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    linear_coeffs: Optional[np.ndarray] = None
+    objective: core.Form
     g_matrix: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -88,14 +87,17 @@ class CCPInstance:
             raise DomainError("g_matrix entries must lie in [-1, 1]")
         if peak > 1.0:  # float dust, clipped into the surrogates' domain
             self.g_matrix = np.clip(self.g_matrix, -1.0, 1.0)
-        if self.linear_coeffs is None and self.objective_grad is None:
-            raise DomainError("need objective_grad or linear_coeffs for the objective")
-        if self.linear_coeffs is not None:
-            self.linear_coeffs = np.asarray(self.linear_coeffs, dtype=float)
-            if self.linear_coeffs.shape != (self.m,):
-                raise DomainError("linear_coeffs length must match the number of bases")
-            if not np.all(np.isfinite(self.linear_coeffs)):
-                raise DomainError("linear_coeffs contains non-finite entries")
+        f = self.objective
+        if isinstance(f, AffineForm):
+            self.objective = f = AffineForm(float(f.const), np.asarray(f.coeffs, dtype=float))
+            if f.coeffs.shape != (self.m,) or not np.all(np.isfinite(np.r_[f.const, f.coeffs])):
+                raise DomainError(f"an affine objective needs a finite const and {self.m} "
+                                  "finite coeffs, one per base")
+        elif not isinstance(f, SmoothForm):
+            raise DomainError(f"objective must be an AffineForm or a SmoothForm, got "
+                              f"{type(f).__name__}")
+        elif not (callable(f.fn) and callable(f.grad_fn)):  # the certificate needs both
+            raise DomainError("a smooth objective needs callable fn and grad_fn")
 
     @property
     def n(self) -> int:
@@ -134,13 +136,8 @@ class CCPSolution:
 
 
 def linear_objective(coeffs) -> dict:
-    """Convenience bundle for f(lambda) = coeffs @ lambda."""
-    c = np.asarray(coeffs, dtype=float)
-    return {
-        "objective": lambda lam: float(c @ lam),
-        "objective_grad": lambda lam: c,
-        "linear_coeffs": c,
-    }
+    """{"objective": AffineForm(0.0, coeffs)}: CCPInstance keywords for f = coeffs @ lambda."""
+    return {"objective": AffineForm(0.0, np.asarray(coeffs, dtype=float))}
 
 
 def solve_ccp(inst: CCPInstance) -> CCPSolution:
@@ -150,18 +147,14 @@ def solve_ccp(inst: CCPInstance) -> CCPSolution:
     level = alpha_kappa(inst.alpha, kap, inst.n)
 
     constraint = core.risk_form(inst.g_matrix, s, +1.0)
-    if inst.linear_coeffs is not None:
-        objective = core.AffineForm(const=0.0, coeffs=inst.linear_coeffs)
-    else:
-        objective = core.SmoothForm(fn=inst.objective, grad_fn=inst.objective_grad)
-    res = core.solve_simplex_program(inst.m, objective, constraint, level)
+    res = core.solve_simplex_program(inst.m, inst.objective, constraint, level)
     lam = res.lam
     return CCPSolution(
         weights=SimplexWeights(lam),
         kappa=kap,
         margin_level=level,
         empirical_constraint_value=phi_risk_from_matrix(inst.g_matrix, lam, s, +1.0),
-        objective_value=float(inst.objective(lam)),
+        objective_value=inst.objective.value(lam),
         n=inst.n,
         iterations=res.iterations,
         status=res.status,
@@ -171,12 +164,14 @@ def solve_ccp(inst: CCPInstance) -> CCPSolution:
 
 def grid_oracle_ccp(inst: CCPInstance, resolution: float) -> CCPSolution:
     """Exhaustive simplex-grid referee for M <= 3 (the affine window's
-    candidates for an affine surrogate and linear objective at M = 3);
-    ties to the lexicographically smallest weights (first hit in scan order)."""
+    candidates for an affine surrogate and objective at M = 3); ties to
+    the lexicographically smallest weights (first hit in scan order).
+    Reports the objective and constraint values at the winning weights,
+    by the formulas solve_ccp reports."""
     if inst.m > 3:
         raise DomainError(f"grid oracle supports M <= 3, got {inst.m}")
     k = grid_steps(resolution)
-    s = inst.surrogate
+    s, f = inst.surrogate, inst.objective
     kap = kappa(s.lipschitz, inst.m, inst.delta)
     level = alpha_kappa(inst.alpha, kap, inst.n)
     chunks = iter_grid_chunks(inst.m, k)
@@ -186,21 +181,19 @@ def grid_oracle_ccp(inst: CCPInstance, resolution: float) -> CCPSolution:
         g_mean = inst.g_matrix.mean(axis=0)
         def constraint_values(chunk):
             return a + b * (chunk @ g_mean)
-        if inst.m == 3 and inst.linear_coeffs is not None:
+        if inst.m == 3 and isinstance(f, AffineForm):
             chunks = [affine_window(a, b * g_mean, level, k)]
     else:
         atoms = empirical_atoms(inst.g_matrix)
         def constraint_values(chunk):
             return atoms.phi_risk_grid(chunk, s, +1.0)
-    if inst.linear_coeffs is not None:
-        c = inst.linear_coeffs
+    if isinstance(f, AffineForm):
         def objective_values(chunk):
-            return chunk @ c
+            return f.const + chunk @ f.coeffs
     else:
         def objective_values(chunk):
-            return np.asarray([inst.objective(lam) for lam in chunk])
-    [(best_lam, best_val)] = argmin_feasible(chunks, constraint_values,
-                                             objective_values, [level])
+            return np.asarray([f.value(lam) for lam in chunk])
+    [(best_lam, _)] = argmin_feasible(chunks, constraint_values, objective_values, [level])
     if best_lam is None:
         raise Infeasible(f"no grid point satisfies the margin constraint {level}")
     return CCPSolution(
@@ -208,7 +201,7 @@ def grid_oracle_ccp(inst: CCPInstance, resolution: float) -> CCPSolution:
         kappa=kap,
         margin_level=level,
         empirical_constraint_value=phi_risk_from_matrix(inst.g_matrix, best_lam, s, +1.0),
-        objective_value=best_val,
+        objective_value=f.value(best_lam),
         n=inst.n,
         iterations=0,
         status="optimal",
@@ -224,7 +217,7 @@ def chance_feasibility_estimate(lam, constraint_bases: BaseDictionary, fresh_dra
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    lam = np.asarray(lam, dtype=float)
+    lam = SimplexWeights(lam).lam
     if lam.size != _require_dictionary(constraint_bases).m:
         raise DomainError("weight length does not match the number of bases")
     G = evaluate_constraint_bases(constraint_bases, fresh_draws)

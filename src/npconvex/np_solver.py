@@ -186,7 +186,8 @@ def grid_oracle_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig,
     Independent of the production solver: risks are evaluated directly on
     every grid point (or the affine window's candidates for affine
     surrogates at M = 3), the best feasible point wins, ties go to the
-    lexicographically smallest weight vector.
+    lexicographically smallest weight vector.  Both risks are recomputed
+    at the winning weights, so each is a function of lambda alone.
     """
     if dictionary.m > 3:
         raise DomainError(f"grid oracle supports M <= 3, got {dictionary.m}")
@@ -201,7 +202,7 @@ def grid_oracle_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig,
         chunks = [affine_window(a, b * H_minus.mean(axis=0), level, k)]
     else:
         chunks = iter_grid_chunks(dictionary.m, k)
-    best_lam, best_val = _oracle_scan(H_minus, H_plus, s, level, chunks)
+    best_lam, _ = _oracle_scan(H_minus, H_plus, s, level, chunks)
     if best_lam is None:
         raise Infeasible(f"no grid point satisfies r_minus_phi <= {level}")
     return NPSolution(
@@ -209,7 +210,7 @@ def grid_oracle_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig,
         kappa=kap,
         alpha_kappa=level,
         r_minus_phi=phi_risk_from_matrix(H_minus, best_lam, s, +1.0),
-        r_plus_phi=float(best_val),
+        r_plus_phi=phi_risk_from_matrix(H_plus, best_lam, s, -1.0),
         n_minus=sample.n_minus,
         n_plus=sample.n_plus,
         iterations=0,

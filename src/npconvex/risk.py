@@ -217,6 +217,8 @@ class WeightedAtoms:
         w = np.asarray(self.weights, dtype=float)
         if H.ndim != 2 or w.ndim != 1 or H.shape[0] != w.size or w.size == 0:
             raise DomainError("atoms need a (K, M) matrix and K weights")
+        if not (np.all(np.isfinite(H)) and np.all(np.isfinite(w))):
+            raise DomainError("atoms and their weights must be finite")
         if np.any(w < -1e-12) or abs(float(w.sum()) - 1.0) > 1e-9:
             raise DomainError("atom weights must be a probability vector")
         object.__setattr__(self, "H", H)

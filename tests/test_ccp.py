@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from npconvex import ccp
-from npconvex.ccp import (CCPInstance, ccp_bound, chance_feasibility_estimate,
-                          chance_violation_from_matrix,
+from npconvex.ccp import (AffineForm, CCPInstance, SmoothForm, ccp_bound,
+                          chance_feasibility_estimate, chance_violation_from_matrix,
                           evaluate_constraint_bases, grid_oracle_ccp,
                           linear_objective, solve_ccp)
 from npconvex.errors import (BaseRangeError, DomainError, EmptySample,
@@ -126,14 +126,46 @@ def test_smooth_objective_with_gradient_is_certified():
     G = np.column_stack([-np.ones(n), rng.uniform(-1, 1, n), rng.uniform(0, 1, n)])
     t = np.array([0.0, 0.3, 0.7])
     inst = CCPInstance(alpha=0.3, delta=0.1, surrogate=hinge(), g_matrix=G,
-                       objective=lambda lam: float(np.sum((lam - t) ** 2)),
-                       objective_grad=lambda lam: 2.0 * (lam - t))
+                       objective=SmoothForm(lambda lam: float(np.sum((lam - t) ** 2)),
+                                            lambda lam: 2.0 * (lam - t)))
     sol = solve_ccp(inst)
     ref = grid_oracle_ccp(inst, resolution=1e-2)
     assert sol.status == "optimal"
     assert 0.0 <= sol.gap <= 1e-5
     assert sol.objective_value <= ref.objective_value + 1e-9
     assert sol.empirical_constraint_value <= sol.margin_level + 1e-8
+    for out in (sol, ref):  # both report the objective at their own weights
+        assert out.objective_value == inst.objective.value(out.weights.lam)
+
+
+def test_affine_objective_with_a_constant_is_reported_at_the_weights():
+    rng = np.random.default_rng(7)
+    n = 10 ** 4
+    G = np.column_stack([-np.ones(n), rng.uniform(-1, 1, n), rng.uniform(0, 1, n)])
+    objective = AffineForm(0.25, [0.5, -0.2, 0.1])
+    inst = CCPInstance(alpha=0.3, delta=0.1, surrogate=hinge(), g_matrix=G,
+                       objective=objective)
+    assert isinstance(inst.objective.coeffs, np.ndarray)
+    sol, ref = solve_ccp(inst), grid_oracle_ccp(inst, resolution=1e-3)
+    assert sol.status == "optimal"
+    assert sol.objective_value <= ref.objective_value + 1e-3
+    for out in (sol, ref):
+        assert out.objective_value == objective.value(out.weights.lam)
+
+
+def test_grid_oracle_reports_exactly_the_objective_at_its_weights():
+    # the scan scored a point inside a chunk product, whose last bits
+    # followed the other points of the chunk (seed 1: 0.23535409401896648
+    # against 0.2353540940189665 at lambda)
+    for seed in (1, 13, 29, 36):
+        rng = np.random.default_rng([seed, 4])
+        n = 2000
+        G = np.column_stack([-np.ones(n)] + [rng.uniform(-1.0, 1.0, n) for _ in range(2)])
+        alpha, c = float(rng.uniform(0.3, 0.45)), rng.uniform(-1.0, 1.0, 3)
+        inst = CCPInstance(alpha=alpha, delta=0.1, surrogate=hinge(), g_matrix=G,
+                           **linear_objective(c))
+        ref = grid_oracle_ccp(inst, resolution=1.0 / int(rng.integers(2, 401)))
+        assert ref.objective_value == float(c @ ref.weights.lam)
 
 
 def test_instance_validation():
@@ -151,13 +183,31 @@ def test_instance_validation():
         CCPInstance(alpha=0.25, delta=0.1, surrogate=hinge(),
                     g_matrix=np.zeros((3, 2)),
                     **linear_objective([1.0, 0.0, 0.0]))
-    with pytest.raises(DomainError):  # the certificate needs a gradient
-        CCPInstance(alpha=0.25, delta=0.1, surrogate=hinge(),
-                    g_matrix=np.zeros((3, 2)), objective=lambda lam: float(lam[0]))
+    # the objective is one form: a bare callable is neither, and the
+    # certificate needs a gradient
+    for bad in (lambda lam: float(lam[0]), [1.0, 0.0],
+                SmoothForm(lambda lam: float(lam[0]), None),
+                SmoothForm(None, lambda lam: np.array([1.0, 0.0]))):
+        with pytest.raises(DomainError):
+            CCPInstance(alpha=0.25, delta=0.1, surrogate=hinge(),
+                        g_matrix=np.zeros((3, 2)), objective=bad)
     for bad in ([0.4, math.nan], [math.inf, 0.0], [math.nan, math.nan]):
         with pytest.raises(DomainError):
             CCPInstance(alpha=0.25, delta=0.1, surrogate=hinge(),
                         g_matrix=np.zeros((3, 2)), **linear_objective(bad))
+    for const in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            CCPInstance(alpha=0.25, delta=0.1, surrogate=hinge(), g_matrix=np.zeros((3, 2)),
+                        objective=AffineForm(const, np.array([1.0, 0.0])))
+    with pytest.raises(DomainError):
+        CCPInstance(alpha=0.25, delta=0.1, surrogate=hinge(), g_matrix=np.zeros((3, 2)),
+                    objective=AffineForm(0.0, np.ones((1, 2))))
+    # three fields for one objective could disagree; they no longer exist
+    with pytest.raises(TypeError, match="objective_grad"):
+        CCPInstance(alpha=0.25, delta=0.1, surrogate=hinge(), g_matrix=np.zeros((3, 2)),
+                    objective=lambda lam: float(lam[0]),
+                    objective_grad=lambda lam: np.array([0.0, 1.0]),
+                    linear_coeffs=np.array([1.0, 0.0]))
 
 
 def test_instance_takes_only_evaluated_columns():
@@ -201,6 +251,16 @@ def test_chance_feasibility_estimate_rejects_nan_bases():
     bases = _per_row(lambda x: -1.0, lambda x: math.nan)
     with pytest.raises(BaseRangeError, match=r"^base 1 returned nan, outside \[-1, 1\]$"):
         chance_feasibility_estimate([0.5, 0.5], bases, np.linspace(0, 1, 50), alpha=0.1)
+
+
+def test_chance_feasibility_estimate_reads_simplex_weights():
+    # NaN weights never give F > 0, so the estimate read violation_rate
+    # 0.0 and feasible_for_original True
+    bases = _per_row(lambda x: -1.0, lambda x: 1.0)
+    draws = np.linspace(0.0, 1.0, 50)
+    for lam in ([math.nan, math.nan], [0.5, math.nan], [0.7, 0.7], [1.5, -0.5]):
+        with pytest.raises(DomainError):
+            chance_feasibility_estimate(lam, bases, draws, alpha=0.1)
 
 
 def test_per_row_bases_get_one_draw_at_a_time():

@@ -445,6 +445,25 @@ def test_grid_oracle_is_independent_of_the_solver(monkeypatch):
     assert scans == ["iter_grid_chunks"] * 2 + ["affine_window"] * 2
 
 
+def test_grid_oracle_reports_exactly_the_risks_at_its_weights():
+    # the scan's value of a point followed the other points of its BLAS
+    # run, so r_plus_phi differed from the risk at lambda in the last
+    # bits (seed 0: 1.853846153846154 against 1.8538461538461541)
+    for seed in (0, 1, 2, 3):
+        rng = np.random.default_rng([seed, 3])
+        bases = [DecisionStump(0, 0.995, -1), DecisionStump(0, float(rng.uniform(0.2, 0.9)), 1),
+                 DecisionStump(0, float(rng.uniform(0.2, 0.9)), -1)]
+        d = BaseDictionary(bases, dim=1)
+        sample = Sample(rng.uniform(0, 1, (200, 1)), rng.uniform(0.1, 1.0, (200, 1)))
+        cfg = NPConfig(alpha=float(rng.uniform(0.9, 0.95)), delta=0.1, surrogate=hinge())
+        ref = grid_oracle_np(sample, d, cfg, resolution=1.0 / int(rng.integers(2, 401)))
+        lam = ref.weights.lam
+        assert ref.r_plus_phi == phi_risk_from_matrix(
+            d.evaluate_matrix(sample.positives), lam, hinge(), -1.0)
+        assert ref.r_minus_phi == phi_risk_from_matrix(
+            d.evaluate_matrix(sample.negatives), lam, hinge(), +1.0)
+
+
 def test_base_values_within_the_range_tolerance_solve_for_every_surrogate():
     # the dictionary accepted 1 + 5e-10, and the logit and exponential
     # routes then raised DomainError on the surrogate argument -1 - 5e-10

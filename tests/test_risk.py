@@ -157,6 +157,14 @@ def test_weighted_atoms_validation():
         WeightedAtoms(np.zeros((3, 2)), np.array([0.5, 0.5]))
     with pytest.raises(DomainError):
         WeightedAtoms(np.zeros((2, 2)), np.array([0.7, 0.7]))
+    # NaN passed the weight-sum check, and gamma_curve then read every
+    # level as infeasible
+    H = np.array([[-1.0, 1.0], [-1.0, -1.0]])
+    for bad_H, bad_w in ((H, [np.nan, 1.0]), (H, [np.inf, 0.0]),
+                         ([[-1.0, np.nan], [-1.0, -1.0]], [0.5, 0.5]),
+                         ([[-1.0, np.inf], [-1.0, -1.0]], [0.5, 0.5])):
+        with pytest.raises(DomainError, match="finite"):
+            WeightedAtoms(bad_H, bad_w)
 
 
 def test_atom_grid_risks_score_bounded_blocks():
