@@ -6,8 +6,8 @@ one enumerator produces them for any m, lexicographic in (lambda_1,
 lambda_2, ...), which is what the oracle tie-break relies on.
 argmin_feasible scans a stream of candidate points once for the best
 feasible one at each constraint level (one for the oracles, a curve of
-them for gamma_curve), and affine_window shrinks the M = 3 candidate
-stream to a few points per row when the constraint is affine.
+them for gamma_curve), and affine_window shrinks the M = 2 or M = 3
+candidate stream to a few points per row when the constraint is affine.
 """
 
 from __future__ import annotations
@@ -28,21 +28,41 @@ def _check(m: int, k: int) -> None:
         raise DomainError(f"grid needs m >= 1 and k >= 1, got m={m}, k={k}")
 
 
-def _blocks(m: int, k: int, prefix: tuple = ()) -> Iterator[np.ndarray]:
-    """Integer compositions of k into m parts after the fixed `prefix`.
+def _compositions(m: int, k: int) -> Iterator[np.ndarray]:
+    """Integer compositions of k into m parts, in lexicographic order.
 
-    Yields one integer block per prefix of all but the last two
-    coordinates, whose values come from one arange; blocks and rows
-    follow lexicographic order.
+    A block is the run of compositions that share their first m - 2
+    parts.  Each prefix is a row (p, t) of the compositions into m - 1
+    parts, and it expands to the t + 1 rows (p, j, t - j), j = 0..t.
+    Whole blocks are expanded together, a run of them per np.repeat, and
+    a chunk is yielded as soon as it holds CHUNK_ROWS rows, so it may
+    run over by up to one block.
     """
-    if m > 2:
-        for i in range(k + 1):
-            yield from _blocks(m - 1, k - i, prefix + (i,))
+    if m <= 2:
+        j = np.arange(k + 1)
+        yield np.column_stack([j, k - j]) if m == 2 else np.array([[k]])
         return
-    j = np.arange(k + 1)
-    tail = np.column_stack([j, k - j]) if m == 2 else np.array([[k]])
-    head = np.full((tail.shape[0], len(prefix)), prefix, dtype=tail.dtype)
-    yield np.hstack([head, tail])
+    buf, size = [], 0
+    for prefixes in _compositions(m - 1, k):
+        counts = prefixes[:, -1] + 1
+        ends = np.cumsum(counts)
+        start = 0
+        while start < ends.size:
+            done = ends[start - 1] if start else 0
+            # the first block at which the chunk reaches CHUNK_ROWS rows
+            stop = min(int(np.searchsorted(ends, done + CHUNK_ROWS - size)) + 1, ends.size)
+            run, reps = prefixes[start:stop], counts[start:stop]
+            # each row's place in its block: its place in the grid less the block's start
+            j = np.arange(done, ends[stop - 1]) - np.repeat(ends[start:stop] - reps, reps)
+            buf.append(np.column_stack([np.repeat(run[:, :-1], reps, axis=0), j,
+                                        np.repeat(run[:, -1], reps) - j]))
+            size += j.size
+            start = stop
+            if size >= CHUNK_ROWS:
+                yield buf[0] if len(buf) == 1 else np.vstack(buf)
+                buf, size = [], 0
+    if buf:
+        yield buf[0] if len(buf) == 1 else np.vstack(buf)
 
 
 def grid_steps(resolution: float) -> int:
@@ -59,7 +79,7 @@ def grid_count(m: int, k: int) -> int:
 def grid_points(m: int, k: int) -> np.ndarray:
     """All grid points as a (P, m) array, lexicographically ordered."""
     _check(m, k)
-    return np.vstack(list(_blocks(m, k))) / k
+    return np.vstack(list(_compositions(m, k))) / k
 
 
 def iter_grid_chunks(m: int, k: int) -> Iterator[np.ndarray]:
@@ -67,15 +87,8 @@ def iter_grid_chunks(m: int, k: int) -> Iterator[np.ndarray]:
     whole grid; memory stays near CHUNK_ROWS rows (a yield may run over
     by one block)."""
     _check(m, k)
-    buf, size = [], 0
-    for block in _blocks(m, k):
-        buf.append(block)
-        size += block.shape[0]
-        if size >= CHUNK_ROWS:
-            yield np.vstack(buf) / k
-            buf, size = [], 0
-    if buf:
-        yield np.vstack(buf) / k
+    for chunk in _compositions(m, k):
+        yield chunk / k
 
 
 def argmin_feasible(chunks: Iterable[np.ndarray],
@@ -109,26 +122,34 @@ def argmin_feasible(chunks: Iterable[np.ndarray],
 
 
 def affine_window(const: float, coeffs: np.ndarray, level: float, k: int) -> np.ndarray:
-    """Candidate M = 3 grid points for an affine constraint and objective.
+    """Candidate M = 2 or M = 3 grid points for an affine constraint and
+    objective, M being the number of coefficients.
 
-    With const + coeffs @ lam <= level, each lambda_1 row of the grid has
-    an interval of feasible j, and an objective affine in lam is monotone
-    in j there, so only the interval endpoints can win.  Each endpoint is
-    padded by two grid steps to guard the float boundary; the caller
-    re-scores every candidate with its own formulas, so the scan over
-    this window matches the exhaustive scan up to float rounding.  A row
-    yields the run around its lower end, then the part of the run around
-    its upper end beyond it: distinct and in lexicographic order, unsorted.
+    The M = 3 grid has one row per lambda_1, its points (i, j, k - i - j) / k;
+    the M = 2 grid is the one row (j, k - j) / k.  With const + coeffs @
+    lam <= level, each row has an interval of feasible j, and an objective
+    affine in lam is monotone in j there, so only the interval endpoints
+    can win.  Each endpoint is padded by two grid steps to guard the float
+    boundary; the caller re-scores every candidate with its own formulas,
+    so the scan over this window matches the exhaustive scan up to float
+    rounding.  A row yields the run around its lower end, then the part of
+    the run around its upper end beyond it: distinct and in lexicographic
+    order, unsorted.
     """
-    i = np.arange(k + 1)
+    m = len(coeffs)
+    if m not in (2, 3):
+        raise DomainError(f"the affine window needs 2 or 3 coefficients, got {m}")
+    # M = 2 is the row i = 0 of an M = 3 grid whose first weight costs nothing
+    i, coeffs = ((np.arange(k + 1), coeffs) if m == 3
+                 else (np.zeros(1, dtype=np.int64), np.r_[0.0, coeffs]))
     j_max = k - i
     # const + coeffs @ (i, j, k - i - j) / k = c0 + cj * j along row i
     c0 = const + (coeffs[0] * i + coeffs[2] * (k - i)) / k
     cj = (coeffs[1] - coeffs[2]) / k
     if abs(cj) < 1e-300:
-        lo, hi = np.zeros(k + 1), np.where(c0 <= level, j_max, -1)
+        lo, hi = np.zeros(i.size), np.where(c0 <= level, j_max, -1)
     elif cj > 0:
-        lo, hi = np.zeros(k + 1), np.clip(np.floor((level - c0) / cj), -1, j_max)
+        lo, hi = np.zeros(i.size), np.clip(np.floor((level - c0) / cj), -1, j_max)
     else:
         lo, hi = np.clip(np.ceil((level - c0) / cj), 0, k + 1), j_max
     rows = lo <= hi
@@ -137,4 +158,4 @@ def affine_window(const: float, coeffs: np.ndarray, level: float, k: int) -> np.
     keep = (j >= 0) & (j <= j_max[rows, None, None])
     keep[:, 1] &= j[:, 1] > ends[:, :1] + 2
     i, j = np.broadcast_to(i[rows, None, None], j.shape)[keep], j[keep]
-    return np.column_stack([i, j, k - i - j]) / k
+    return np.column_stack([i, j, k - i - j][3 - m:]) / k

@@ -164,7 +164,7 @@ def solve_ccp(inst: CCPInstance) -> CCPSolution:
 
 def grid_oracle_ccp(inst: CCPInstance, resolution: float) -> CCPSolution:
     """Exhaustive simplex-grid referee for M <= 3 (the affine window's
-    candidates for an affine surrogate and objective at M = 3); ties to
+    candidates for an affine surrogate and objective at M = 2 or 3); ties to
     the lexicographically smallest weights (first hit in scan order).
     Reports the objective and constraint values at the winning weights,
     by the formulas solve_ccp reports."""
@@ -181,7 +181,7 @@ def grid_oracle_ccp(inst: CCPInstance, resolution: float) -> CCPSolution:
         g_mean = inst.g_matrix.mean(axis=0)
         def constraint_values(chunk):
             return a + b * (chunk @ g_mean)
-        if inst.m == 3 and isinstance(f, AffineForm):
+        if inst.m in (2, 3) and isinstance(f, AffineForm):
             chunks = [affine_window(a, b * g_mean, level, k)]
     else:
         atoms = empirical_atoms(inst.g_matrix)
@@ -226,9 +226,13 @@ def chance_feasibility_estimate(lam, constraint_bases: BaseDictionary, fresh_dra
 
 
 def chance_violation_from_matrix(lam, G: np.ndarray) -> float:
-    """Violation rate when the g_j(xi) columns are already evaluated."""
-    F = np.asarray(G, dtype=float) @ np.asarray(lam, dtype=float)
-    return float(np.mean(F > 0.0))
+    """Violation rate when the g_j(xi) columns are already evaluated:
+    lam is read through SimplexWeights, one weight per column of G."""
+    lam = SimplexWeights(lam).lam
+    G = np.asarray(G, dtype=float)
+    if G.ndim != 2 or G.shape[1] != lam.size:
+        raise DomainError(f"{lam.size} weights for a g matrix of shape {G.shape}")
+    return float(np.mean(G @ lam > 0.0))
 
 
 def ccp_bound(kappa_value: float, eps: float, alpha: float, n: int,

@@ -24,7 +24,7 @@ from .ccp import CCPInstance, linear_objective, solve_ccp
 from .errors import (DomainError, NonFiniteValue, NPConvexError, SchemaError,
                      UnknownLabel, ValidationFailure)
 from .hypothesis import (BaseDictionary, ConstantClassifier, DecisionStump,
-                         build_stump_dictionary)
+                         _quantile_stumps)
 from .np_solver import NPConfig, solve_np, split_pooled
 from .surrogate import by_name
 
@@ -213,8 +213,8 @@ def _stump_dictionary(X, args) -> BaseDictionary:
     """Stumps at args.stumps quantiles per axis of X, led by the constant
     -1 unless args.no_constant."""
     lead = [] if args.no_constant else [ConstantClassifier(-1.0)]
-    stumps = build_stump_dictionary(X, args.stumps).bases
-    return BaseDictionary([*lead, *stumps], dim=X.shape[1])
+    stumps, d = _quantile_stumps(X, args.stumps)
+    return BaseDictionary([*lead, *stumps], dim=d)
 
 
 def _program_report(args, dictionary: BaseDictionary, sol, **config) -> int:

@@ -346,13 +346,19 @@ class CombinedClassifier:
 def build_stump_dictionary(data: np.ndarray, per_axis_thresholds: int) -> BaseDictionary:
     """Stumps at empirical quantiles of each feature axis.
 
-    Thresholds sit at the k/(T+1) quantiles, k = 1..T; where numpy's
-    lerp meets an infinity (NaN), the value both neighbouring order
-    statistics share, else NonFiniteValue.  Both polarities are emitted
-    for every threshold, ordered axis-major, threshold-minor,
-    polarity-last (+1 before -1); exact duplicates are dropped.  A zero
-    threshold is always +0.0.
+    Thresholds sit at the k/(T+1) quantiles, k = 1..T, bit for bit those
+    of np.quantile; where its lerp meets an infinity (NaN), the value both
+    neighbouring order statistics share, else NonFiniteValue.  Both
+    polarities are emitted for every threshold, ordered axis-major,
+    threshold-minor, polarity-last (+1 before -1); exact duplicates are
+    dropped.  A zero threshold is always +0.0.
     """
+    stumps, d = _quantile_stumps(data, per_axis_thresholds)
+    return BaseDictionary(stumps, dim=d)
+
+
+def _quantile_stumps(data, per_axis_thresholds: int) -> Tuple[list, int]:
+    """(stumps, feature dimension) of build_stump_dictionary(data, ...)."""
     X = np.asarray(data, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
@@ -364,24 +370,33 @@ def build_stump_dictionary(data: np.ndarray, per_axis_thresholds: int) -> BaseDi
         raise NonFiniteValue("cannot build stumps from data containing NaN")
     n, d = X.shape
     levels = np.arange(1, per_axis_thresholds + 1) / (per_axis_thresholds + 1)
-    bases = []
+    # np.quantile's linear method: virtual index (n - 1) q between the order
+    # statistics at its floor and ceiling, read here off one sorted column
+    index = (n - 1) * levels
+    below = np.floor(index)
+    gamma = index - below
+    below = below.astype(np.intp)
+    above = np.minimum(below + 1, n - 1)  # at n = 1 both ends are the one row
+    stumps = []
     for axis in range(d):
-        # sorted once: each quantile then reads order statistics already in place
         column = np.sort(X[:, axis])
-        with np.errstate(invalid="ignore"):  # its lerp meets inf - inf and 0 * inf
-            thresholds = np.quantile(column, levels)
+        a, b = column[below], column[above]
+        with np.errstate(invalid="ignore"):  # the lerp meets inf - inf and 0 * inf
+            diff = b - a
+            # numpy's _lerp, which works from the right end when gamma >= 0.5
+            thresholds = np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
         undefined = np.isnan(thresholds)
         if undefined.any():
-            lower = np.quantile(column, levels[undefined], method="lower")
-            if not np.array_equal(lower, np.quantile(column, levels[undefined],
-                                                     method="higher")):
+            lower = a[undefined]
+            if not np.array_equal(lower, column[np.ceil(index[undefined]).astype(np.intp)]):
                 raise NonFiniteValue(
                     f"cannot build stumps on axis {axis}: a quantile level interpolates "
                     "with an infinite value")
             thresholds[undefined] = lower
         # which of two equal zeros the sort leaves at an order statistic is
         # arbitrary, and the lerp's sign follows it: -0.0 + 0.0 is +0.0.
-        # The quantiles ascend, so np.unique only drops their repeats.
-        for t in np.unique(thresholds + 0.0):
-            bases += [DecisionStump(axis, float(t), 1), DecisionStump(axis, float(t), -1)]
-    return BaseDictionary(bases, dim=d)
+        # The quantiles ascend, so only neighbours can repeat
+        thresholds = thresholds + 0.0
+        for t in thresholds[np.r_[True, thresholds[1:] != thresholds[:-1]]]:
+            stumps += [DecisionStump(axis, float(t), 1), DecisionStump(axis, float(t), -1)]
+    return stumps, d

@@ -18,7 +18,7 @@ surrogates (logit, exponential) evaluate phi on all n margins at every
 SLSQP iterate, through BaseDictionary.operator: its products never form
 a stump's column and cost O(n d + M) for stumps on d axes.  The oracle
 never uses the solver's forms; it scores grid points on each class's
-merged atoms (risk.empirical_atoms), and at M = 3 with an affine
+merged atoms (risk.empirical_atoms), and at M = 2 or 3 with an affine
 surrogate it scans only the candidates of _grids.affine_window.
 """
 
@@ -185,7 +185,7 @@ def grid_oracle_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig,
 
     Independent of the production solver: risks are evaluated directly on
     every grid point (or the affine window's candidates for affine
-    surrogates at M = 3), the best feasible point wins, ties go to the
+    surrogates at M = 2 or 3), the best feasible point wins, ties go to the
     lexicographically smallest weight vector.  Both risks are recomputed
     at the winning weights, so each is a function of lambda alone.
     """
@@ -197,7 +197,7 @@ def grid_oracle_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig,
     kap = kappa(s.lipschitz, dictionary.m, cfg.delta)
     level = alpha_kappa(cfg.alpha, kap, sample.n_minus)
 
-    if dictionary.m == 3 and s.affine_coefficients is not None:
+    if dictionary.m in (2, 3) and s.affine_coefficients is not None:
         a, b = s.affine_coefficients
         chunks = [affine_window(a, b * H_minus.mean(axis=0), level, k)]
     else:

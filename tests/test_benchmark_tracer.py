@@ -62,8 +62,9 @@ def test_tracer_install_counts_the_grid_referees():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     counts = out["counts"]
-    # a 0.05 grid at M = 2 has 21 points, a 0.1 grid 11
-    assert counts["np_solver.oracle_points"] == 21
+    # a 0.05 grid at M = 2 has 21 points, a 0.1 grid 11; the NP referee
+    # scans only the affine window's 5 candidates among the 21
+    assert counts["np_solver.oracle_points"] == 5
     assert counts["bounds.gamma_points"] == 11
     assert counts["ccp.oracle_points"] == 21
     assert {"np_solver.oracle", "ccp.oracle", "bounds.gamma_curve",

@@ -29,6 +29,14 @@ def test_enumerator_matches_product_reference(m, k, monkeypatch):
     np.testing.assert_array_equal(np.vstack(chunks), want)
     assert all(c.shape[0] >= 4 for c in chunks[:-1])
     assert grid_count(m, k) == want.shape[0]
+    if m in (3, 4):
+        # a chunk holds whole blocks (rows sharing their first m - 2 parts)
+        # and is yielded as soon as it reaches CHUNK_ROWS rows, so only its
+        # last block can take it to 4 rows or more
+        for chunk, after in zip(chunks, chunks[1:]):
+            assert not np.array_equal(chunk[-1, :-2], after[0, :-2])
+            last = np.all(chunk[:, :-2] == chunk[-1, :-2], axis=1).sum()
+            assert chunk.shape[0] - last < 4
 
 
 def test_enumerator_rejects_empty_grids():
@@ -76,10 +84,17 @@ def test_argmin_feasible_keeps_the_first_hit():
     assert scored == []
 
 
-def _full_scan(k, constraint_values, objective_values, level):
+# (k, m) with the ids k at M = 3 and k-m2 at M = 2
+_WINDOW_KS = [2, 3, 5, 10, 50, 100, 400, 500, 1000]
+_WINDOW_CASES = pytest.mark.parametrize(
+    "k, m", [(k, 3) for k in _WINDOW_KS] + [(k, 2) for k in _WINDOW_KS],
+    ids=[str(k) for k in _WINDOW_KS] + [f"{k}-m2" for k in _WINDOW_KS])
+
+
+def _full_scan(m, k, constraint_values, objective_values, level):
     with pytest.MonkeyPatch.context() as mp:  # many chunks, many cross-chunk ties
         mp.setattr(_grids, "CHUNK_ROWS", 4096)
-        return argmin_feasible(iter_grid_chunks(3, k), constraint_values,
+        return argmin_feasible(iter_grid_chunks(m, k), constraint_values,
                                objective_values, [level])[0]
 
 
@@ -89,52 +104,52 @@ def _assert_window_matches(scan_lam, scan_val, oracle_lam, oracle_val, flat):
         np.testing.assert_array_equal(oracle_lam, scan_lam)
 
 
-@pytest.mark.parametrize("k", [2, 3, 5, 10, 50, 100, 400, 500, 1000])
-def test_np_affine_window_matches_full_scan(k):
+@_WINDOW_CASES
+def test_np_affine_window_matches_full_scan(k, m):
     rng = np.random.default_rng(k)
     s = hinge()
     for _ in range(3):
         bases = [DecisionStump(0, 0.995, -1), DecisionStump(0, float(rng.uniform(0.2, 0.9)), 1),
                  DecisionStump(0, float(rng.uniform(0.2, 0.9)), -1)]
-        d = BaseDictionary(bases, dim=1)
+        d = BaseDictionary(bases[:m], dim=1)
         sample = Sample(rng.uniform(0, 1, (200, 1)), rng.uniform(0.1, 1.0, (200, 1)))
         cfg = NPConfig(alpha=float(rng.uniform(0.9, 0.95)), delta=0.1, surrogate=s)
         H_minus = d.evaluate_matrix(sample.negatives)
         H_plus = d.evaluate_matrix(sample.positives)
-        level = alpha_kappa(cfg.alpha, kappa(s.lipschitz, 3, cfg.delta), 200)
+        level = alpha_kappa(cfg.alpha, kappa(s.lipschitz, m, cfg.delta), 200)
         lam, val = _full_scan(
-            k, lambda g: np.mean(s.eval(H_minus @ g.T), axis=0),
+            m, k, lambda g: np.mean(s.eval(H_minus @ g.T), axis=0),
             lambda g: np.mean(s.eval(-(H_plus @ g.T)), axis=0), level)
         sol = grid_oracle_np(sample, d, cfg, resolution=1.0 / k)
-        # stump columns are +-1, so their sums are exact
-        flat = H_plus[:, 1].sum() == H_plus[:, 2].sum()
+        # flat along the last two weights; stump columns are +-1, so their sums are exact
+        flat = H_plus[:, -2].sum() == H_plus[:, -1].sum()
         _assert_window_matches(lam, val, sol.weights.lam, sol.r_plus_phi, flat)
 
 
-@pytest.mark.parametrize("k", [2, 3, 5, 10, 50, 100, 400, 500, 1000])
-def test_ccp_affine_window_matches_full_scan(k):
+@_WINDOW_CASES
+def test_ccp_affine_window_matches_full_scan(k, m):
     rng = np.random.default_rng(k + 1)
     a, b = hinge().affine_coefficients
     n = 2000
     scanned = 0
     for trial in range(8):
         G = np.column_stack([-np.ones(n), rng.uniform(-1.0, 1.0, n),
-                             rng.uniform(-1.0, 1.0, n)])
-        c = rng.uniform(-1.0, 1.0, 3)
+                             rng.uniform(-1.0, 1.0, n)])[:, :m]
+        c = rng.uniform(-1.0, 1.0, 3)[:m]
         if trial == 0:
-            c[2] = c[1]  # flat along j: only the value must agree
+            c[-1] = c[-2]  # flat along j: only the value must agree
         inst = CCPInstance(alpha=float(rng.uniform(0.3, 0.45)), delta=0.1,
                            surrogate=hinge(), g_matrix=G, **linear_objective(c))
-        level = alpha_kappa(inst.alpha, kappa(1.0, 3, inst.delta), n)
+        level = alpha_kappa(inst.alpha, kappa(1.0, m, inst.delta), n)
         g_mean = G.mean(axis=0)
-        lam, val = _full_scan(k, lambda g: a + b * (g @ g_mean), lambda g: g @ c, level)
+        lam, val = _full_scan(m, k, lambda g: a + b * (g @ g_mean), lambda g: g @ c, level)
         if lam is None:
             with pytest.raises(Infeasible):
                 grid_oracle_ccp(inst, resolution=1.0 / k)
             continue
         sol = grid_oracle_ccp(inst, resolution=1.0 / k)
         _assert_window_matches(lam, val, sol.weights.lam, sol.objective_value,
-                               c[1] == c[2])
+                               c[-2] == c[-1])
         scanned += 1
     assert scanned >= 6
 
@@ -149,21 +164,33 @@ def test_affine_window_candidates_ascend_strictly(k):
              (0.0, [0.3, 0.9, -0.4], 10.0)]  # every point feasible
     cases += [(rng.uniform(-1, 1), rng.uniform(-1, 1, 3), rng.uniform(-1, 1))
               for _ in range(20)]
+    # M = 2: the one row (j, k - j) / k
+    cases += [(0.0, [0.5, 0.5], 0.4), (0.0, [0.5, 0.5], 0.6), (0.0, [3e-300 * k, 0.0], 0.0),
+              (0.0, [1e-301 * k, 0.0], 0.0), (0.0, [0.9, -0.4], -1.0), (0.0, [0.9, -0.4], 10.0)]
+    cases += [(rng.uniform(-1, 1), rng.uniform(-1, 1, 2), rng.uniform(-1, 1))
+              for _ in range(20)]
     for const, coeffs, level in cases:
+        m = len(coeffs)
         pts = affine_window(const, np.array(coeffs), level, k)
-        ij = np.rint(pts[:, :2] * k).astype(np.int64)
-        np.testing.assert_array_equal(ij / k, pts[:, :2])  # on the grid
+        assert pts.shape[1] == m
+        ij = np.rint(pts[:, :-1] * k).astype(np.int64)
+        np.testing.assert_array_equal(ij / k, pts[:, :-1])  # on the grid
         assert np.all(ij >= 0) and np.all(ij.sum(axis=1) <= k)
-        np.testing.assert_array_equal(pts[:, 2], (k - ij.sum(axis=1)) / k)
+        np.testing.assert_array_equal(pts[:, -1], (k - ij.sum(axis=1)) / k)
         step = np.diff(ij, axis=0)
-        assert np.all((step[:, 0] > 0) | ((step[:, 0] == 0) & (step[:, 1] > 0)))
+        # each step's first nonzero entry is positive
+        assert np.all(step[np.arange(len(step)), np.argmax(step != 0, axis=1)] > 0)
         # each end of a row's feasible interval is a candidate, unless the
         # row is so near flat that rounding outweighs the two-step padding
-        if k <= 401 and not 0.0 < abs(coeffs[1] - coeffs[2]) < 1e-12:
-            grid = grid_points(3, k)
+        if k <= 401 and not 0.0 < abs(coeffs[-2] - coeffs[-1]) < 1e-12:
+            grid = grid_points(m, k)
             feasible = grid[const + grid @ np.array(coeffs) <= level]
-            rows = np.rint(feasible[:, 0] * k)
+            rows = np.rint(feasible[:, 0] * k) if m == 3 else np.zeros(len(feasible))
             ends = np.flatnonzero(np.diff(rows, prepend=-1, append=k + 1))
             want = {tuple(p) for p in feasible[np.r_[ends[:-1], ends[1:] - 1]]}
             assert want <= {tuple(p) for p in pts}
     assert affine_window(0.0, np.array([0.3, 0.9, -0.4]), -1.0, k).shape == (0, 3)
+    assert affine_window(0.0, np.array([0.9, -0.4]), -1.0, k).shape == (0, 2)
+    for coeffs in ([0.5], [0.1, 0.2, 0.3, 0.4]):
+        with pytest.raises(DomainError):
+            affine_window(0.0, np.array(coeffs), 0.5, k)

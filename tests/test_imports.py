@@ -257,3 +257,32 @@ def test_solve_and_ccp_do_not_import_the_harness(tmp_path):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out == {"codes": [0, 0], "harness": False}
+
+
+MASKED_SCRIPT = """
+import json, sys
+sys.path.insert(0, {src!r})
+from npconvex.cli import main
+
+with open({labeled!r}, "w", encoding="utf-8") as fh:
+    fh.write("x0,x1,y\\n" + "".join(f"{{i / 8000}},{{(i * 7) % 13}},{{1 if i % 2 else -1}}\\n"
+                                   for i in range(8000)))
+codes = [main(["solve", "--data", {labeled!r}, "--alpha", "0.45", "--delta", "0.1",
+               "--stumps", "3", "--surrogate", "hinge", "--no-timestamp", "--out", {out!r}]),
+         main(["ccp", "--data", {labeled!r}, "--alpha", "0.45", "--delta", "0.1",
+               "--stumps", "1", "--surrogate", "hinge", "--objective", "0.5,-0.2,0.1,0.3,-0.4",
+               "--no-timestamp", "--out", {out!r}])]
+print(json.dumps({{"codes": codes, "masked": "numpy.ma" in sys.modules}}))
+"""
+
+
+def test_solve_and_ccp_do_not_import_numpy_ma(tmp_path):
+    # np.quantile and np.unique of floats import numpy.ma, about 9 ms of
+    # each CLI process; the stump thresholds need neither
+    script = MASKED_SCRIPT.format(src=str(ROOT / "src"), labeled=str(tmp_path / "train.csv"),
+                                  out=str(tmp_path / "report.json"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out == {"codes": [0, 0], "masked": False}

@@ -441,8 +441,8 @@ def test_grid_oracle_is_independent_of_the_solver(monkeypatch):
             sol = grid_oracle_np(sample, d, NPConfig(alpha=0.85, delta=0.1, surrogate=hinge()),
                                  resolution=resolution)
             assert sol.status == "optimal"
-    # hinge at M = 3 scans the affine window at every resolution; M = 2 scans the grid
-    assert scans == ["iter_grid_chunks"] * 2 + ["affine_window"] * 2
+    # hinge at M = 2 and M = 3 scans the affine window at every resolution
+    assert scans == ["affine_window"] * 4
 
 
 def test_grid_oracle_reports_exactly_the_risks_at_its_weights():

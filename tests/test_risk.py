@@ -225,6 +225,42 @@ def test_empirical_atoms_merge_identical_rows():
     assert exact.estimate(lam, hinge(), 1.0) == (exact.phi_risk(lam, hinge(), 1.0), 0.0)
 
 
+def test_sign_row_atoms_equal_the_sorted_rows(monkeypatch):
+    # a +-1 matrix with M <= 63 is merged by integer row keys; the lexsort
+    # path, which 0.5 * H takes, is the reference: halving and doubling are exact
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(risk.np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+    rng = np.random.default_rng(17)
+    signs = [rng.choice([-1.0, 1.0], size=(1, 1)), rng.choice([-1.0, 1.0], size=(300, 1)),
+             np.tile(rng.choice([-1.0, 1.0], size=(1, 4)), (50, 1)),
+             rng.choice([-1.0, 1.0], size=(500, 63)),
+             rng.choice([-1.0, 1.0], size=(2000, 3)),
+             np.where(rng.uniform(size=(400, 63)) < 0.02, 1.0, -1.0)]
+    for H in signs:
+        sorts.clear()
+        got = empirical_atoms(H)
+        assert sorts == []
+        ref = empirical_atoms(0.5 * H)
+        assert sorts == [1]
+        assert (2.0 * ref.H).tobytes() == got.H.tobytes()
+        assert ref.weights.tobytes() == got.weights.tobytes() and ref.n == got.n
+    # one entry off +-1, or 64 columns, takes the lexsort path
+    H = rng.choice([-1.0, 1.0], size=(40, 3))
+    for bad in (0.5, np.nan, -0.0):
+        odd = H.copy()
+        odd[7, 1] = bad
+        sorts.clear()
+        try:
+            empirical_atoms(odd)
+        except DomainError:  # NaN is no atom
+            assert np.isnan(bad)
+        assert sorts == [1]
+    sorts.clear()
+    wide = empirical_atoms(rng.choice([-1.0, 1.0], size=(30, 64)))
+    assert sorts == [1] and wide.H.shape == (30, 64)
+
+
 def test_empirical_atoms_reject_an_empty_sample():
     with pytest.raises(EmptySample):
         empirical_atoms(np.empty((0, 2)))
