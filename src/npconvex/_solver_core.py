@@ -59,7 +59,10 @@ is consumed.
 
 from __future__ import annotations
 
+import ctypes
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -124,6 +127,8 @@ def risk_form(H, s: Surrogate, sign: float,
 
     H is an (n, M) matrix, or a linear operator with shape, matvec(lam)
     = H @ lam and rmatvec(v) = H.T @ v, such as BaseDictionary.operator.
+    `weights` (n of them, summing to 1) default to uniform; the NP forms
+    pass the cell weights of BaseDictionary.risk_operator.
     Affine surrogates collapse to an exact AffineForm (affine_risk_form).
     Smooth forms evaluate at the cleaned mixture _clean_simplex(lam):
     SLSQP iterates leave the simplex by float dust, and the cleaned
@@ -246,10 +251,61 @@ def lagrangian_bound(lam: np.ndarray, objective: Form, constraint: Optional[Form
     return _lp_min(c, d, 0.0)[1] - slack
 
 
+class _OneBlasThread:
+    """Runs SLSQP on one thread of scipy's bundled OpenBLAS, whose rounding
+    follows its thread count: the results then do not depend on it.
+
+    OpenBLAS's openblas_set_num_threads_local returns the previous count,
+    but in scipy's pthreads build it sets the process-wide one.  So calls
+    running at once on the harness's threads share one pin under a lock:
+    the first to enter sets one thread, and the last to leave restores the
+    count it found.  The symbol is resolved on the first entry, with
+    ctypes, in the libscipy_openblas*.so of the scipy.libs directory next
+    to the scipy package; without it the count is left alone.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._active = 0
+        self._previous = None
+        self._setter = None  # False once resolution has failed
+
+    def _resolve(self):
+        import scipy
+        libs = Path(scipy.__file__).parent.parent / "scipy.libs"
+        for path in sorted(libs.glob("libscipy_openblas*.so")):
+            try:
+                return ctypes.CDLL(str(path)).openblas_set_num_threads_local
+            except (OSError, AttributeError):
+                continue
+        return False
+
+    def __enter__(self):
+        with self._lock:
+            if self._setter is None:
+                self._setter = self._resolve()
+            if self._setter:
+                if self._active == 0:
+                    self._previous = self._setter(1)
+                self._active += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            if self._setter:
+                self._active -= 1
+                if self._active == 0:
+                    self._setter(self._previous)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
 def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first call."""
+    """scipy.optimize.minimize, imported on the first call, run on one
+    BLAS thread (_OneBlasThread)."""
     from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
+    with _ONE_BLAS_THREAD:
+        return scipy_minimize(*args, **kwargs)
 
 
 def _slsqp(form: Form, m: int, start: np.ndarray,

@@ -9,6 +9,7 @@ and the error indicator 1(h(X) >= 0) agree exactly.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -95,6 +96,12 @@ class FunctionClassifier:
         raise DomainError(f"user function base {self.name!r} is not serializable")
 
 
+def _is_positive_int(value) -> bool:
+    """Whether value is a Python or numpy integer >= 1; a bool is not."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= 1)
+
+
 #: the stock stumps of one axis, in base order: their base indexes, float
 #: polarities, threshold ranks and sorted distinct float thresholds
 _AxisStumps = namedtuple("_AxisStumps", "axis columns polarities ranks thresholds")
@@ -110,7 +117,9 @@ class BaseDictionary:
         if len(bases) < 1:
             raise DomainError("a dictionary needs at least one base classifier")
         self.bases: Tuple = tuple(bases)
-        self.dim = dim
+        if not (dim is None or _is_positive_int(dim)):
+            raise DomainError(f"dictionary dim must be a positive integer or None, got {dim!r}")
+        self.dim = None if dim is None else int(dim)
         self._min_dim = max(b.min_dim() for b in self.bases)
         by_axis, consts, opaque = {}, [], []
         for j, b in enumerate(self.bases):
@@ -203,11 +212,38 @@ class BaseDictionary:
         X = self._as_features(X)
         block = (np.column_stack(list(self._columns(X, self._opaque)))
                  if self._opaque.size else None)
-        # row i reads +polarity on stump j iff bins[i] <= ranks[j]; NaN lands in bin #thresholds
-        axes = [(g, np.searchsorted(g.thresholds, X[:, g.axis], side="left"))
-                for g in self._stumps]
         return DictionaryOperator((X.shape[0], self.m), self._constants,
-                                  (self._opaque, block), axes)
+                                  (self._opaque, block), list(zip(self._stumps, self._bins(X))))
+
+    def _bins(self, X: np.ndarray) -> list:
+        """Each stump axis's bin per row of X: row i reads +polarity on stump
+        j iff bins[i] <= ranks[j]; NaN lands in bin #thresholds."""
+        return [np.searchsorted(g.thresholds, X[:, g.axis], side="left") for g in self._stumps]
+
+    def risk_operator(self, X: np.ndarray) -> Tuple["DictionaryOperator", Optional[np.ndarray]]:
+        """(operator, weights) whose weighted rows are the rows of X: a
+        weighted mean over them is the mean over the rows of X.
+
+        Without opaque bases, h_lam(x) depends on x only through its stump
+        cell, one bin per axis.  When the cells, prod(#thresholds + 1) over
+        the axes, number at most n = len(X), each row merges into its cell:
+        the operator has one row per occupied cell, with weight count / n.
+        Otherwise this is (operator(X), None), None meaning uniform weights.
+        """
+        X = self._as_features(X)
+        n = X.shape[0]
+        dims = tuple(g.thresholds.size + 1 for g in self._stumps)
+        total = math.prod(dims)  # a Python int: no overflow
+        if self._opaque.size or total > n:
+            return self.operator(X), None
+        bins = self._bins(X)
+        cell = np.ravel_multi_index(bins, dims) if bins else np.zeros(n, dtype=np.intp)
+        counts = np.bincount(cell, minlength=total)
+        occupied = np.flatnonzero(counts)
+        cells = np.unravel_index(occupied, dims) if dims else ()
+        op = DictionaryOperator((occupied.size, self.m), self._constants,
+                                (self._opaque, None), list(zip(self._stumps, cells)))
+        return op, counts[occupied] / n
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "bases": [b.to_json() for b in self.bases]}
@@ -246,7 +282,8 @@ class BaseDictionary:
 
 class DictionaryOperator:
     """The products H @ lam and H.T @ v of H = evaluate_matrix(X), from
-    BaseDictionary.operator, without forming H's stump or constant columns.
+    BaseDictionary.operator, without forming H's stump or constant columns;
+    from risk_operator, H holds one row per occupied stump cell instead.
 
     On one axis, with k[j] the rank of stump j's threshold and bins[i]
     the number of thresholds below x_i, h_j(x_i) = pol[j] (2 [bins[i] <=
@@ -277,7 +314,7 @@ class DictionaryOperator:
             # suffix[#thresholds] = 0: no stump has that rank
             suffix = np.cumsum(np.bincount(g.ranks, g.polarities * lam[g.columns],
                                            minlength=g.thresholds.size + 1)[::-1])[::-1]
-            out += (2.0 * suffix - suffix[0])[bins]
+            out += (2.0 * suffix - suffix[0]).take(bins)  # same bits as [bins], a little faster
         return out
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:

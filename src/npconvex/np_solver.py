@@ -14,12 +14,15 @@ probe and the harness's type-I minima: when phi is affine on [-1, 1]
 (hinge), both risks are affine in the weights and their only data are
 the M column means of each class's base-value matrix H, read one base
 at a time (O(n + M) memory); the LP is then solved exactly.  Smooth
-surrogates (logit, exponential) evaluate phi on all n margins at every
-SLSQP iterate, through BaseDictionary.operator: its products never form
-a stump's column and cost O(n d + M) for stumps on d axes.  The oracle
-never uses the solver's forms; it scores grid points on each class's
-merged atoms (risk.empirical_atoms), and at M = 2 or 3 with an affine
-surrogate it scans only the candidates of _grids.affine_window.
+surrogates (logit, exponential) evaluate phi at every SLSQP iterate,
+through BaseDictionary.risk_operator: without opaque bases and with at
+most n stump cells (prod(#thresholds + 1) over the axes), on one
+weighted margin per occupied cell, else on all n margins.  Its products
+never form a stump's column and cost O(rows d + M) for stumps on d
+axes.  The oracle never uses the solver's forms; it scores grid points
+on each class's merged atoms (risk.empirical_atoms), and at M = 2 or 3
+with an affine surrogate it scans only the candidates of
+_grids.affine_window.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from . import _solver_core as core
 from ._grids import affine_window, argmin_feasible, grid_steps, iter_grid_chunks
 from .errors import (DomainError, EmptySample, Infeasible, OneClassEmpty,
                      SampleTooSmall, UnknownLabel)
-from .hypothesis import BaseDictionary, SimplexWeights
+from .hypothesis import BaseDictionary, SimplexWeights, _is_positive_int
 from .risk import (Sample, _require_nonempty, empirical_atoms,
                    phi_risk_from_matrix)
 from .surrogate import Surrogate
@@ -92,8 +95,8 @@ def kappa(L: float, M: int, delta: float) -> float:
     """kappa = 4*sqrt(2) * L * sqrt(log(2M/delta)), natural log."""
     if not (L > 0 and math.isfinite(L)):
         raise DomainError(f"L must be positive, got {L}")
-    if M < 1:
-        raise DomainError(f"M must be >= 1, got {M}")
+    if not _is_positive_int(M):
+        raise DomainError(f"M must be an integer >= 1, got {M!r}")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
     return 4.0 * math.sqrt(2.0) * L * math.sqrt(math.log(2.0 * M / delta))
@@ -124,13 +127,15 @@ def _class_form(X, dictionary: BaseDictionary, s: Surrogate, sign: float) -> cor
     """lam -> mean of phi(sign * h_lam(x)) over the rows of X, as a Form.
 
     An affine phi needs only the column means of H (O(n + M) memory); a
-    smooth phi takes its value and gradient through
-    dictionary.operator(X): O(n d + M) memory for stumps on d axes and
-    constants, plus an (n, M') block for the M' bases of other kinds.
+    smooth phi takes its value and gradient through the weighted rows of
+    dictionary.risk_operator(X): its occupied stump cells when they number
+    at most n, else O(n d + M) memory for stumps on d axes and constants,
+    plus an (n, M') block for the M' bases of other kinds.
     """
     if s.affine_coefficients is not None:
         return core.affine_risk_form(dictionary.column_means(X), s, sign)
-    return core.risk_form(dictionary.operator(X), s, sign)
+    op, weights = dictionary.risk_operator(X)
+    return core.risk_form(op, s, sign, weights=weights)
 
 
 def _min_type1(negatives, dictionary: BaseDictionary, cfg: NPConfig):

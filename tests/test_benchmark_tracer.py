@@ -83,22 +83,28 @@ from npconvex import hypothesis, np_solver
 from npconvex.risk import Sample
 from npconvex.surrogate import logit
 
-tr = tracing.Tracer()
-tracing.install(tr)
 rng = np.random.default_rng(1)
 neg, pos = rng.normal(0.0, 1.0, (3000, 2)), rng.normal(0.7, 1.0, (3000, 2))
-stumps = hypothesis.build_stump_dictionary(np.vstack([neg, pos]), 3).bases
+stumps = hypothesis.build_stump_dictionary(np.vstack([neg, pos]), {thresholds}).bases
 d = hypothesis.BaseDictionary([hypothesis.ConstantClassifier(-1.0), *stumps], dim=2)
+# all stump cells, and each class's occupied ones: its distinct base-value rows
+total = int(np.prod([len({{b.threshold for b in stumps if b.axis == a}}) + 1
+                     for a in (0, 1)]))
+cells = [int(np.unique(d.evaluate_matrix(X), axis=0).shape[0]) for X in (neg, pos)]
+tr = tracing.Tracer()
+tracing.install(tr)
 cfg = np_solver.NPConfig(alpha=0.8, delta=0.1, surrogate=logit())
 status = np_solver.solve_np(Sample(neg, pos), d, cfg).status
-print(json.dumps({{"counts": dict(tr.counts), "status": status}}))
+print(json.dumps({{"counts": dict(tr.counts), "status": status, "total": total,
+                  "cells": cells}}))
 """
 
 
-def test_tracer_counts_the_smooth_risk_forms():
-    # the wrapper around _solver_core.risk_form reads np.shape(H)[0] of
-    # whatever _class_form passes it, now a BaseDictionary.operator
-    script = SMOOTH_SCRIPT.format(benchmarks=str(ROOT / "benchmarks"), src=str(ROOT / "src"))
+def _smooth_counts(thresholds):
+    """The tracer's counts of a 2-D logit solve_np on 3000 rows a class,
+    with stumps at `thresholds` quantiles an axis."""
+    script = SMOOTH_SCRIPT.format(benchmarks=str(ROOT / "benchmarks"), src=str(ROOT / "src"),
+                                  thresholds=thresholds)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
@@ -106,9 +112,26 @@ def test_tracer_counts_the_smooth_risk_forms():
     counts = out["counts"]
     assert out["status"] == "optimal"
     assert counts["risk.value_calls"] > 0 and counts["risk.grad_calls"] > 0
-    # each value or gradient call reads one class of 3000 rows
-    assert counts["risk.matvec_rows"] == 3000 * (counts["risk.value_calls"]
-                                                 + counts["risk.grad_calls"])
+    return out, counts["risk.matvec_rows"] / (counts["risk.value_calls"]
+                                              + counts["risk.grad_calls"])
+
+
+def test_tracer_counts_the_smooth_risk_forms():
+    # the wrapper around _solver_core.risk_form reads np.shape(H)[0] of
+    # whatever _class_form passes it, a BaseDictionary.risk_operator.  At
+    # 3 thresholds an axis the 16 cells are fewer than the 3000 rows of a
+    # class, so each value or gradient call reads one class's occupied cells
+    out, rows_per_call = _smooth_counts(3)
+    assert out["total"] == 16 and out["cells"] == [16, 16]
+    assert rows_per_call == 16
+
+
+def test_tracer_counts_every_row_where_cells_outnumber_them():
+    # at 60 thresholds an axis 3721 cells outnumber the 3000 rows of a
+    # class, and each value or gradient call reads all of them
+    out, rows_per_call = _smooth_counts(60)
+    assert out["total"] == 3721 and max(out["cells"]) < 3000
+    assert rows_per_call == 3000
 
 
 def test_traced_cli_solve_records_the_csv_load(tmp_path):

@@ -7,7 +7,11 @@ import hashlib
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -693,3 +697,27 @@ def test_negative_experiment_sizes_are_domain_errors(tmp_path, capsys, kind, key
     assert main(["experiment", "--kind", kind, "--config", str(path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "domain"
+
+
+def test_smooth_solve_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # SLSQP's rounding follows scipy's OpenBLAS thread count; at one and at
+    # two threads this run printed different weights before SLSQP was
+    # pinned to one thread
+    rng = np.random.default_rng(7)
+    X = np.vstack([rng.normal(0.0, 1.0, (6000, 2)), rng.normal(0.7, 1.0, (6000, 2))])
+    y = np.repeat([-1, 1], 6000)
+    data = tmp_path / "train.csv"
+    data.write_text("x0,x1,y\n" + "".join(f"{u:.17g},{v:.17g},{lab}\n"
+                                          for (u, v), lab in zip(X, y)), encoding="utf-8")
+    argv = [sys.executable, "-m", "npconvex", "solve", "--data", str(data), "--alpha", "0.7",
+            "--delta", "0.1", "--surrogate", "logit", "--stumps", "10", "--seed", "3",
+            "--no-timestamp"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(argv, capture_output=True, timeout=120, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        out[threads] = proc.stdout
+    assert json.loads(out["1"])["solution"]["status"] == "optimal"
+    assert out["1"] == out["2"]

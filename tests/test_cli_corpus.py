@@ -1,5 +1,5 @@
-"""The CLI corpus at smoke sizes: two runs agree byte for byte, and the
-runs whose bytes do not depend on the BLAS are pinned.
+"""The CLI corpus at smoke sizes: two runs agree byte for byte, and every
+run is pinned.
 
 tests/cli_corpus.py holds the run list; run as a script, it prints the
 digests that are diffed between two trees.
@@ -12,10 +12,10 @@ import json
 
 import cli_corpus
 
-#: sha256 of each run's digest line.  Only hinge, exact-atom and
-#: pure-Python runs are pinned, each checked equal under
-#: OPENBLAS_NUM_THREADS = 1 and = 2; the logit and exponential runs are
-#: not, as SLSQP's rounding follows the BLAS build and its thread count.
+#: sha256 of each run's digest line, each checked equal under
+#: OPENBLAS_NUM_THREADS = 1 and = 2.  The logit and exponential runs are
+#: pinned too since SLSQP runs on one thread of scipy's OpenBLAS; their
+#: bytes still follow the BLAS build.
 PINNED = {
     "solve-hinge-out": "b636f1e6efac37cfc49e51bbb496e1ea70fca2f6c0aa1503c0f6d9b1c820a05b",
     "solve-hinge": "f8db34bb6649e51f2104d54591ea141f089d7cafe796cf1668c97f2242142416",
@@ -31,6 +31,13 @@ PINNED = {
     "ccp-prop31": "208038a2e0daf5c575da935a63338ce9df5b35fcc23898971395b1e4f3c3aa2b",
     "ccp-custom": "909a6a305ef3c360c0ee2ec208b39a7e512062d6861bb2d4bc827a15de4b5328",
     "coverage-custom": "21da9c413310ab953c14f276b3eb4fd6b13db5d36f0e569baef2790ce3984e71",
+    "solve-logit": "61986a7b15c140638fd1eb4c72327f4951ef2e138048e1acd0ea39e73b07f8f4",
+    "solve-exponential": "5cdf0d6a1d3001eac7f9f5668362066e4c4e40a132c72e8dbb4f8b3a10f51572",
+    "solve-exponential-infeasible":
+        "cb625d3478bacdc110a6e719c63307492ecdbf601cc081f7916d3f5b9973138c",
+    "ccp-logit-infeasible": "465854173ba6c92a7c286e6b2056df15c4be682aecb3c5c7f459ddb82b0048a7",
+    "coverage-gaussian-logit":
+        "216bb655324d8637de2007abe3227637e3da84c6007536272356a9acd423f625",
 }
 
 #: the error exits the corpus must keep reaching

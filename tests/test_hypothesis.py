@@ -7,12 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
+from npconvex import _solver_core as core
 from npconvex.errors import (BaseRangeError, DimensionMismatch, DomainError,
                              EmptyData, NonFiniteValue, SchemaError)
 from npconvex.hypothesis import (BaseDictionary, CombinedClassifier,
                                  ConstantClassifier, DecisionStump,
                                  FunctionClassifier, SimplexWeights,
                                  build_stump_dictionary)
+from npconvex.surrogate import exponential, logit
 
 
 def test_stump_evaluation():
@@ -531,3 +533,79 @@ def test_operator_never_evaluates_stock_stumps_or_constants(monkeypatch):
     assert calls == ["ConstantClassifier"] + ["DecisionStump"] * (d.m - 2)
     lam = rng.dirichlet(np.ones(d.m))
     np.testing.assert_allclose(op.matvec(lam), H @ lam, rtol=0, atol=1e-12)
+
+
+def _random_stump_dictionary(rng, d):
+    """Stock stumps on 1 to d axes (duplicate and +-inf thresholds), with
+    or without a constant, in a shuffled order."""
+    grid = np.array([-np.inf, -1.0, -0.5, 0.0, 0.5, 1.0, np.inf])
+    bases = [DecisionStump(int(a), float(rng.choice(grid)), int(rng.choice([-1, 1])))
+             for a in rng.integers(0, d, size=int(rng.integers(1, 25)))]
+    if rng.random() < 0.5:
+        bases.append(ConstantClassifier(float(rng.uniform(-1, 1))))
+    return BaseDictionary([bases[i] for i in rng.permutation(len(bases))], dim=d)
+
+
+def test_risk_operator_merged_cells_give_the_per_row_risks():
+    rng = np.random.default_rng(23)
+    merged = 0
+    for trial in range(80):
+        d = int(rng.integers(1, 4))
+        dictionary = _random_stump_dictionary(rng, d)
+        X = _random_features(rng, int(rng.integers(1, 600)), d)
+        op, weights = dictionary.risk_operator(X)
+        cells = np.prod([np.unique([b.threshold for b in dictionary.bases
+                                    if type(b) is DecisionStump and b.axis == a]).size + 1
+                         for a in range(d)])
+        if weights is None:
+            assert cells > X.shape[0] and op.shape == (X.shape[0], dictionary.m)
+            continue
+        merged += 1
+        # occupied cells are the distinct rows of the base-value matrix
+        assert op.shape == (np.unique(dictionary.evaluate_matrix(X), axis=0).shape[0],
+                            dictionary.m)
+        assert op.shape[0] <= cells and np.all(weights > 0)
+        assert abs(weights.sum() - 1.0) <= 1e-15
+        for s in (logit(), exponential()):
+            for sign in (1.0, -1.0):
+                form = core.risk_form(op, s, sign, weights=weights)
+                rows = core.risk_form(dictionary.operator(X), s, sign)
+                for _ in range(3):
+                    lam = rng.dirichlet(np.ones(dictionary.m))
+                    want = rows.value(lam)
+                    assert abs(form.value(lam) - want) <= 1e-14 * abs(want)
+                    # an entry can cancel far below its terms, which are
+                    # at most the Lipschitz constant
+                    np.testing.assert_allclose(form.grad(lam), rows.grad(lam), rtol=1e-14,
+                                               atol=1e-14 * s.lipschitz)
+    assert merged > 40
+
+
+def test_risk_operator_keeps_the_rows_of_opaque_or_fine_dictionaries():
+    X = np.array([[0.2, 1.0], [0.7, -4.0], [0.9, 0.0]])
+    user = BaseDictionary([DecisionStump(0, 0.5, 1), FunctionClassifier(_tanh_of(1))], dim=2)
+    fine = BaseDictionary([DecisionStump(0, 0.5, 1), DecisionStump(1, 0.0, -1)], dim=2)
+    for dictionary in (user, fine):  # 4 cells > 3 rows
+        op, weights = dictionary.risk_operator(X)
+        assert weights is None and op.shape == (3, 2)
+    # a constant alone has one cell
+    op, weights = BaseDictionary([ConstantClassifier(0.5)]).risk_operator(X)
+    assert op.shape == (1, 1) and weights.tolist() == [1.0]
+    assert op.matvec(np.array([1.0])).tolist() == [0.5]
+    # two rows in one cell of a coarse dictionary
+    op, weights = BaseDictionary([DecisionStump(0, 0.5, 1)]).risk_operator(X[:, :1])
+    assert op.shape == (2, 1) and weights.tolist() == [1 / 3, 2 / 3]
+    assert op.matvec(np.array([1.0])).tolist() == [1.0, -1.0]
+
+
+@pytest.mark.parametrize("dim", [np.nan, 0, -1, 2.5, 2.0, True, "2"])
+def test_dictionary_dim_must_be_a_positive_integer_or_none(dim):
+    # dim=0 used to fail only at the first evaluation, with DimensionMismatch
+    with pytest.raises(DomainError, match="dim must be a positive integer or None"):
+        BaseDictionary([DecisionStump(0, 0.5, 1)], dim=dim)
+
+
+def test_dictionary_dim_takes_numpy_integers():
+    d = BaseDictionary([DecisionStump(0, 0.5, 1)], dim=np.int64(2))
+    assert type(d.dim) is int and d.to_json()["dim"] == 2
+    assert BaseDictionary([DecisionStump(0, 0.5, 1)]).dim is None

@@ -44,6 +44,14 @@ def test_kappa_frozen_values():
         kappa(1.0, 2, 1.0)
 
 
+@pytest.mark.parametrize("M", [math.nan, math.inf, 2.5, 2.0, True, "2"])
+def test_kappa_needs_an_integer_count_of_bases(M):
+    # kappa(1.0, nan, 0.1) used to return NaN: nan < 1 is False
+    with pytest.raises(DomainError, match="M must be an integer >= 1"):
+        kappa(1.0, M, 0.1)
+    assert kappa(1.0, np.int64(2), 0.1) == kappa(1.0, 2, 0.1)
+
+
 def test_kappa_monotone_in_m_and_delta():
     base = kappa(1.0, 2, 0.1)
     assert kappa(1.0, 3, 0.1) > base
@@ -404,6 +412,42 @@ def test_smooth_solves_never_build_the_base_matrix(monkeypatch):
     oracle = grid_oracle_np(sample, d, cfg, resolution=0.01)
     assert calls == [(1500, 2), (1500, 2)]
     assert oracle.r_plus_phi >= sol.r_plus_phi - core.GAP_TOL
+
+
+def test_smooth_forms_merge_rows_into_stump_cells_only_where_they_are_fewer(monkeypatch):
+    seen = []  # the weights argument of each core.risk_form call
+    risk_form = core.risk_form
+
+    def spy(H, s, sign, weights=None):
+        seen.append(weights)
+        return risk_form(H, s, sign, weights=weights)
+
+    def weights_of(neg, pos, d):
+        seen.clear()
+        solve_np(Sample(neg, pos), d, NPConfig(alpha=0.8, delta=0.1, surrogate=logit()))
+        return seen
+
+    monkeypatch.setattr(core, "risk_form", spy)
+    rng = np.random.default_rng(4)
+    # 1-D, 3 thresholds: 4 cells for 2000 rows a class
+    neg, pos = rng.normal(0.0, 1.0, (2000, 1)), rng.normal(0.8, 1.0, (2000, 1))
+    d = BaseDictionary([ConstantClassifier(-1.0), *build_stump_dictionary(
+        np.vstack([neg, pos]), 3).bases], dim=1)
+    weights = weights_of(neg, pos, d)
+    assert len(weights) == 2
+    for w, X in zip(weights, (neg, pos)):
+        assert w.size == 4 and w.sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.sort(w).tolist() == np.sort(np.unique(
+            d.evaluate_matrix(X), axis=0, return_counts=True)[1] / 2000).tolist()
+    # the np-smooth benchmark shape: 11**5 cells > 20000 rows a class
+    neg, pos = rng.normal(0.0, 1.0, (20_000, 5)), rng.normal(0.7, 1.0, (20_000, 5))
+    d = BaseDictionary([ConstantClassifier(-1.0), *build_stump_dictionary(
+        np.vstack([neg, pos]), 10).bases], dim=5)
+    assert weights_of(neg, pos, d) == [None, None]
+    # a user function keeps every row
+    d = BaseDictionary([ConstantClassifier(-1.0), DecisionStump(0, 0.0, 1),
+                        FunctionClassifier(lambda row: float(np.tanh(row[0])))], dim=5)
+    assert weights_of(neg, pos, d) == [None, None]
 
 
 def test_exponential_solve_survives_simplex_drift():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -98,3 +101,58 @@ def test_affine_risk_form_is_the_risk_form_branch():
         direct = core.affine_risk_form(w @ H, hinge(), sign)
         assert full.const == direct.const
         assert full.coeffs.tobytes() == direct.coeffs.tobytes()
+
+
+def test_overlapping_slsqp_calls_share_one_blas_pin():
+    # the OpenBLAS count is process-wide: the first call to enter pins one
+    # thread and the last to leave restores the count the first one found
+    calls = []
+    pin = core._OneBlasThread()
+    pin._setter = lambda k: calls.append(k) or 4
+    with pin:
+        with pin:
+            assert calls == [1]
+        assert calls == [1]
+    assert calls == [1, 4]
+    with pytest.raises(RuntimeError):
+        with pin:
+            raise RuntimeError
+    assert calls == [1, 4, 1, 4]
+    # without the symbol the count is left alone
+    pin._setter = False
+    with pin:
+        pass
+    assert calls == [1, 4, 1, 4]
+
+
+def test_the_blas_pin_holds_while_any_thread_is_inside():
+    # more threads than cores, switching often: a lost update of the count
+    # would restore the count while another thread is still inside
+    state = {"threads": 4}
+    bad = []
+
+    def setter(k):
+        previous, state["threads"] = state["threads"], k
+        return previous
+
+    pin = core._OneBlasThread()
+    pin._setter = setter
+
+    def work():
+        for _ in range(300):
+            with pin:
+                if state["threads"] != 1:
+                    bad.append(state["threads"])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(8)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert bad == [] and state["threads"] == 4
