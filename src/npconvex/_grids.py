@@ -7,7 +7,8 @@ lambda_2, ...), which is what the oracle tie-break relies on.
 argmin_feasible scans a stream of candidate points once for the best
 feasible one at each constraint level (one for the oracles, a curve of
 them for gamma_curve), and affine_window shrinks the M = 2 or M = 3
-candidate stream to a few points per row when the constraint is affine.
+candidate stream to a few points per row, on the rows that can still win,
+when the constraint and the objective are affine.
 """
 
 from __future__ import annotations
@@ -121,31 +122,43 @@ def argmin_feasible(chunks: Iterable[np.ndarray],
     return best
 
 
-def affine_window(const: float, coeffs: np.ndarray, level: float, k: int) -> np.ndarray:
-    """Candidate M = 2 or M = 3 grid points for an affine constraint and
-    objective, M being the number of coefficients.
+def affine_window(const: float, coeffs: np.ndarray, level: float, k: int,
+                  objective: np.ndarray) -> np.ndarray:
+    """Candidate M = 2 or M = 3 grid points for an affine constraint
+    const + coeffs @ lam <= level and an affine objective objective @ lam,
+    M being the number of coefficients.
 
     The M = 3 grid has one row per lambda_1, its points (i, j, k - i - j) / k;
-    the M = 2 grid is the one row (j, k - j) / k.  With const + coeffs @
-    lam <= level, each row has an interval of feasible j, and an objective
-    affine in lam is monotone in j there, so only the interval endpoints
-    can win.  Each endpoint is padded by two grid steps to guard the float
-    boundary; the caller re-scores every candidate with its own formulas,
-    so the scan over this window matches the exhaustive scan up to float
-    rounding.  A row yields the run around its lower end, then the part of
-    the run around its upper end beyond it: distinct and in lexicographic
-    order, unsorted.
+    the M = 2 grid is the one row (j, k - j) / k.  Each row has an interval
+    of feasible j, along which the objective moves by
+    o = (objective[-2] - objective[-1]) / k per step, so only the end it
+    favours can win: the lower end when o >= 0 (a flat row offers its first
+    feasible point), else the upper.  That end is padded by two grid steps
+    to guard the float boundary.  At M = 3 a row whose interval holds two
+    points has one feasible by a whole constraint step, which rounding
+    cannot reject, worth at most est + |o|, est being the row's objective
+    at its favoured end; a row whose est - 2|o| exceeds the least such
+    bound by more than a rounding allowance can neither beat nor tie it,
+    and is dropped.  No row is dropped when one step moves the constraint
+    by no more than rounding, or when no row holds two points.  The caller
+    re-scores every candidate with its own formulas, so the scan over this
+    window matches the exhaustive scan up to float rounding, except that
+    points tied in exact arithmetic are not all offered.  Candidates come
+    out distinct and in lexicographic order.
     """
     m = len(coeffs)
-    if m not in (2, 3):
-        raise DomainError(f"the affine window needs 2 or 3 coefficients, got {m}")
+    if m not in (2, 3) or len(objective) != m:
+        raise DomainError(f"the affine window needs 2 or 3 constraint and as many objective "
+                          f"coefficients, got {m} and {len(objective)}")
     # M = 2 is the row i = 0 of an M = 3 grid whose first weight costs nothing
-    i, coeffs = ((np.arange(k + 1), coeffs) if m == 3
-                 else (np.zeros(1, dtype=np.int64), np.r_[0.0, coeffs]))
+    i, (ca, cb, cc), (oa, ob, oc) = (
+        (np.arange(k + 1.0), coeffs, objective) if m == 3
+        else (np.zeros(1), (0.0, *coeffs), (0.0, *objective)))
     j_max = k - i
-    # const + coeffs @ (i, j, k - i - j) / k = c0 + cj * j along row i
-    c0 = const + (coeffs[0] * i + coeffs[2] * (k - i)) / k
-    cj = (coeffs[1] - coeffs[2]) / k
+    # const + coeffs @ (i, j, k - i - j) / k = c0 + cj * j along row i, and
+    # likewise the objective changes by oj per step of j
+    c0 = const + (ca * i + cc * j_max) / k
+    cj, oj = (cb - cc) / k, (ob - oc) / k
     if abs(cj) < 1e-300:
         lo, hi = np.zeros(i.size), np.where(c0 <= level, j_max, -1)
     elif cj > 0:
@@ -153,9 +166,16 @@ def affine_window(const: float, coeffs: np.ndarray, level: float, k: int) -> np.
     else:
         lo, hi = np.clip(np.ceil((level - c0) / cj), 0, k + 1), j_max
     rows = lo <= hi
-    ends = np.column_stack([lo[rows], hi[rows]]).astype(np.int64)
-    j = ends[:, :, None] + np.arange(-2, 3)
-    keep = (j >= 0) & (j <= j_max[rows, None, None])
-    keep[:, 1] &= j[:, 1] > ends[:, :1] + 2
-    i, j = np.broadcast_to(i[rows, None, None], j.shape)[keep], j[keep]
+    end = lo if oj >= 0 else hi
+    two = hi > lo
+    # the bound never prunes a lone row, so M = 2 skips it
+    if m == 3 and abs(cj) > 1e-12 * (abs(const) + max(abs(ca), abs(cb), abs(cc)) + 1) \
+            and two.any():
+        est = (oa - oc) / k * i + oj * end  # the objective at the end, less oc
+        bound = np.min(est, where=two, initial=np.inf) + 3 * abs(oj) \
+            + 1e-12 * (max(abs(oa), abs(ob), abs(oc)) + 1)
+        rows &= est <= bound
+    j = end[rows, None].astype(np.int64) + np.arange(-2, 3)
+    keep = (j >= 0) & (j <= j_max[rows, None])
+    i, j = (i[rows, None] + 0 * j)[keep], j[keep]
     return np.column_stack([i, j, k - i - j][3 - m:]) / k

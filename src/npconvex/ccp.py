@@ -164,10 +164,13 @@ def solve_ccp(inst: CCPInstance) -> CCPSolution:
 
 def grid_oracle_ccp(inst: CCPInstance, resolution: float) -> CCPSolution:
     """Exhaustive simplex-grid referee for M <= 3 (the affine window's
-    candidates for an affine surrogate and objective at M = 2 or 3); ties to
-    the lexicographically smallest weights (first hit in scan order).
-    Reports the objective and constraint values at the winning weights,
-    by the formulas solve_ccp reports."""
+    candidates for an affine surrogate and objective at M = 2 or 3); equal
+    scored values go to the lexicographically smallest weights (first hit
+    in scan order).  Points tied in exact arithmetic but separated by
+    rounding go to the lower scored value, and on the window a grid row
+    along which the objective is flat offers only the points around its
+    first feasible one.  Reports the objective and constraint values at
+    the winning weights, by the formulas solve_ccp reports."""
     if inst.m > 3:
         raise DomainError(f"grid oracle supports M <= 3, got {inst.m}")
     k = grid_steps(resolution)
@@ -182,7 +185,7 @@ def grid_oracle_ccp(inst: CCPInstance, resolution: float) -> CCPSolution:
         def constraint_values(chunk):
             return a + b * (chunk @ g_mean)
         if inst.m in (2, 3) and isinstance(f, AffineForm):
-            chunks = [affine_window(a, b * g_mean, level, k)]
+            chunks = [affine_window(a, b * g_mean, level, k, f.coeffs)]
     else:
         atoms = empirical_atoms(inst.g_matrix)
         def constraint_values(chunk):

@@ -13,6 +13,7 @@ import argparse
 import csv as csv_mod
 import datetime
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -302,8 +303,13 @@ def _experiment_dispatch(kind: str, cfg: dict, seed: int) -> dict:
 
 
 def _cmd_experiment(args) -> int:
+    def finite(text):  # json reads NaN, Infinity and 1e999 as floats
+        if not math.isfinite(float(text)):
+            raise SchemaError(f"{args.config} holds {text}, which is not a finite number")
+        return float(text)
     try:
-        cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        cfg = json.loads(Path(args.config).read_text(encoding="utf-8"),
+                         parse_constant=finite, parse_float=finite)
     except OSError as err:
         raise SchemaError(f"cannot read {args.config}: {err}")
     except (json.JSONDecodeError, UnicodeDecodeError) as err:

@@ -103,11 +103,14 @@ def kappa(L: float, M: int, delta: float) -> float:
 
 
 def alpha_kappa(alpha: float, kappa_value: float, n_minus: int) -> float:
-    """alpha - kappa/sqrt(n^-); SampleTooSmall when that is not positive."""
-    if n_minus < 1:
+    """alpha - kappa/sqrt(n^-); SampleTooSmall when that is not positive,
+    DomainError for a non-finite alpha or kappa."""
+    if not n_minus >= 1:
         raise DomainError(f"n_minus must be >= 1, got {n_minus}")
-    if kappa_value < 0:
-        raise DomainError(f"kappa must be nonnegative, got {kappa_value}")
+    if not 0 <= kappa_value < math.inf:
+        raise DomainError(f"kappa must be finite and nonnegative, got {kappa_value}")
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha}")
     out = alpha - kappa_value / math.sqrt(n_minus)
     if out <= 0.0:
         raise SampleTooSmall(
@@ -190,9 +193,13 @@ def grid_oracle_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig,
 
     Independent of the production solver: risks are evaluated directly on
     every grid point (or the affine window's candidates for affine
-    surrogates at M = 2 or 3), the best feasible point wins, ties go to the
-    lexicographically smallest weight vector.  Both risks are recomputed
-    at the winning weights, so each is a function of lambda alone.
+    surrogates at M = 2 or 3), the best feasible point wins, and equal
+    scored values go to the lexicographically smallest weight vector.
+    Points tied in exact arithmetic but separated by rounding go to the
+    lower scored value, and on the window a grid row along which the type-II
+    risk is flat offers only the points around its first feasible one.
+    Both risks are recomputed at the winning weights, so each is a
+    function of lambda alone.
     """
     if dictionary.m > 3:
         raise DomainError(f"grid oracle supports M <= 3, got {dictionary.m}")
@@ -204,7 +211,8 @@ def grid_oracle_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig,
 
     if dictionary.m in (2, 3) and s.affine_coefficients is not None:
         a, b = s.affine_coefficients
-        chunks = [affine_window(a, b * H_minus.mean(axis=0), level, k)]
+        chunks = [affine_window(a, b * H_minus.mean(axis=0), level, k,
+                                -b * H_plus.mean(axis=0))]
     else:
         chunks = iter_grid_chunks(dictionary.m, k)
     best_lam, _ = _oracle_scan(H_minus, H_plus, s, level, chunks)

@@ -18,6 +18,7 @@ import pytest
 
 from npconvex import harness
 from npconvex.cli import _parse_cells, load_csv, main
+from npconvex.errors import DomainError
 from npconvex.hypothesis import ConstantClassifier, DecisionStump
 from npconvex.surrogate import hinge
 
@@ -554,9 +555,13 @@ def test_experiment_domain_errors_exit_two(tmp_path, capsys):
                                         ("sigma", math.inf)])
 def test_experiment_non_finite_gaussian_parameter_is_a_domain_error(
         tmp_path, capsys, key, value):
-    # json reads NaN and Infinity; NaN negatives sit above every threshold,
-    # so a NaN mean once reported full coverage
+    # NaN negatives sit above every threshold, so a NaN mean once reported
+    # full coverage.  The scenario refuses it; a config cannot reach the
+    # scenario with it, as the CLI refuses the JSON constant first
     scenario = {"kind": "gaussian_1d", "mu_minus": 0.0, "mu_plus": 2.0, "sigma": 1.0}
+    with pytest.raises(DomainError, match="finite"):
+        harness.Scenario.gaussian_1d(**{k: v for k, v in {**scenario, key: value}.items()
+                                        if k != "kind"})
     cfg = {"scenario": {**scenario, key: value}, "dictionary": {"thresholds": [1.0]},
            "alpha": 0.3, "delta": 0.1, "n_minus": 100, "n_plus": 100, "trials": 2,
            "mc_draws": 1000}
@@ -564,7 +569,7 @@ def test_experiment_non_finite_gaussian_parameter_is_a_domain_error(
     path.write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["experiment", "--kind", "coverage", "--config", str(path)]) == 2
     report = json.loads(capsys.readouterr().err)
-    assert report["error"] == "domain" and "finite" in report["message"]
+    assert report["error"] == "schema" and json.dumps(value) in report["message"]
 
 
 @pytest.mark.parametrize("kind, extra", [("rate", {"n_grid": [200]}),
@@ -583,7 +588,11 @@ def test_experiment_with_infinite_gamma_is_infeasible(tmp_path, capsys, kind, ex
 
 
 def test_experiment_nan_threshold_is_a_domain_error(tmp_path, capsys):
-    # json reads NaN; a NaN stump would be the constant -polarity
+    # a NaN stump would be the constant -polarity, so the stump refuses it;
+    # a config cannot reach the stump with it, as the CLI refuses the JSON
+    # constant first
+    with pytest.raises(DomainError, match="NaN"):
+        DecisionStump(0, math.nan, 1)
     cfg = ('{"scenario": {"kind": "gaussian_1d", "mu_minus": 0.0, "mu_plus": 2.0, '
            '"sigma": 1.0}, "dictionary": {"thresholds": [1.0, NaN]}, "alpha": 0.3, '
            '"delta": 0.1, "n_grid": [200], "trials": 1}')
@@ -591,7 +600,21 @@ def test_experiment_nan_threshold_is_a_domain_error(tmp_path, capsys):
     path.write_text(cfg, encoding="utf-8")
     assert main(["experiment", "--kind", "rate", "--config", str(path)]) == 2
     report = json.loads(capsys.readouterr().err)
-    assert report["error"] == "domain" and "NaN" in report["message"]
+    assert report["error"] == "schema" and "NaN" in report["message"]
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_experiment_configs_refuse_non_finite_numbers(tmp_path, capsys, constant):
+    # a NaN kappa_scale made the constraint level NaN, and the coverage run
+    # still exited 0 with "coverage": 1.0 and "meets_target": true
+    cfg = json.dumps(_SMALL_EXPERIMENTS["coverage"])[:-1] + f', "kappa_scale": {constant}}}'
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg, encoding="utf-8")
+    assert main(["experiment", "--kind", "coverage", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    report = json.loads(err[0])
+    assert report["error"] == "schema" and constant in report["message"]
 
 
 @pytest.mark.parametrize("where, key, value", [

@@ -154,6 +154,22 @@ def test_ccp_affine_window_matches_full_scan(k, m):
     assert scanned >= 6
 
 
+def _window_scan(const, coeffs, level, k, objective, constraint_values, objective_values):
+    pts = affine_window(const, np.asarray(coeffs), level, k, np.asarray(objective))
+    return argmin_feasible([pts], constraint_values, objective_values, [level])[0]
+
+
+def _affine_scorers(const, coeffs, objective):
+    return (lambda g: const + g @ np.asarray(coeffs)), (lambda g: g @ np.asarray(objective))
+
+
+def _assert_same_scan(got, want):
+    assert (got[0] is None) == (want[0] is None)
+    if want[0] is not None:
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 10, 401, 10 ** 4])
 def test_affine_window_candidates_ascend_strictly(k):
     rng = np.random.default_rng(k)
@@ -171,26 +187,121 @@ def test_affine_window_candidates_ascend_strictly(k):
               for _ in range(20)]
     for const, coeffs, level in cases:
         m = len(coeffs)
-        pts = affine_window(const, np.array(coeffs), level, k)
-        assert pts.shape[1] == m
-        ij = np.rint(pts[:, :-1] * k).astype(np.int64)
-        np.testing.assert_array_equal(ij / k, pts[:, :-1])  # on the grid
-        assert np.all(ij >= 0) and np.all(ij.sum(axis=1) <= k)
-        np.testing.assert_array_equal(pts[:, -1], (k - ij.sum(axis=1)) / k)
-        step = np.diff(ij, axis=0)
-        # each step's first nonzero entry is positive
-        assert np.all(step[np.arange(len(step)), np.argmax(step != 0, axis=1)] > 0)
-        # each end of a row's feasible interval is a candidate, unless the
-        # row is so near flat that rounding outweighs the two-step padding
-        if k <= 401 and not 0.0 < abs(coeffs[-2] - coeffs[-1]) < 1e-12:
-            grid = grid_points(m, k)
-            feasible = grid[const + grid @ np.array(coeffs) <= level]
-            rows = np.rint(feasible[:, 0] * k) if m == 3 else np.zeros(len(feasible))
-            ends = np.flatnonzero(np.diff(rows, prepend=-1, append=k + 1))
-            want = {tuple(p) for p in feasible[np.r_[ends[:-1], ends[1:] - 1]]}
-            assert want <= {tuple(p) for p in pts}
-    assert affine_window(0.0, np.array([0.3, 0.9, -0.4]), -1.0, k).shape == (0, 3)
-    assert affine_window(0.0, np.array([0.9, -0.4]), -1.0, k).shape == (0, 2)
-    for coeffs in ([0.5], [0.1, 0.2, 0.3, 0.4]):
+        # a random objective and one flat along j; multiples of 1/64, so that
+        # scored on integer grid coordinates every objective value is exact
+        # and the exhaustive scan's ties are true ties
+        random = np.round(rng.uniform(-1, 1, m) * 64) / 64
+        flat = np.r_[random[:-1], random[-2]]
+        for objective in (random, flat):
+            pts = affine_window(const, np.array(coeffs), level, k, objective)
+            assert pts.shape[1] == m
+            ij = np.rint(pts[:, :-1] * k).astype(np.int64)
+            np.testing.assert_array_equal(ij / k, pts[:, :-1])  # on the grid
+            assert np.all(ij >= 0) and np.all(ij.sum(axis=1) <= k)
+            np.testing.assert_array_equal(pts[:, -1], (k - ij.sum(axis=1)) / k)
+            step = np.diff(ij, axis=0)
+            # each step's first nonzero entry is positive
+            assert np.all(step[np.arange(len(step)), np.argmax(step != 0, axis=1)] > 0)
+            # the exhaustive scan's winner is a candidate, unless the rows are
+            # so near flat that rounding outweighs the two-step padding
+            if k <= 401 and not 0.0 < abs(coeffs[-2] - coeffs[-1]) < 1e-12:
+                lam, _ = _full_scan(m, k, lambda g: const + g @ np.array(coeffs),
+                                    lambda g: np.rint(g * k) @ objective, level)
+                if lam is not None:
+                    assert tuple(lam) in {tuple(p) for p in pts}
+    assert affine_window(0.0, np.array([0.3, 0.9, -0.4]), -1.0, k, np.ones(3)).shape == (0, 3)
+    assert affine_window(0.0, np.array([0.9, -0.4]), -1.0, k, np.ones(2)).shape == (0, 2)
+    # 2 or 3 constraint coefficients, and one objective coefficient per weight
+    for coeffs, objective in (([0.5], [1.0]), ([0.1, 0.2, 0.3, 0.4], [1.0] * 4),
+                              ([0.3, 0.9, -0.4], [1.0, 2.0]), ([0.9, -0.4], [1.0, 2.0, 3.0]),
+                              ([0.9, -0.4], [1.0])):
         with pytest.raises(DomainError):
-            affine_window(0.0, np.array(coeffs), 0.5, k)
+            affine_window(0.0, np.array(coeffs), 0.5, k, np.array(objective))
+
+
+def test_row_bound_survives_a_rejected_one_point_row():
+    # (i + j) / k <= 1/2 leaves row i the points j = 0..25 - i; the objective
+    # favours the upper end and improves along i, so the best row is i = 25,
+    # whose interval holds the one point (25, 0, 25) / 50.  A scorer that
+    # rejects that point, as rounding may at the boundary, moves the winner
+    # to row 24, worth 0.9/k more while one step of j is worth 0.1/k: a bound
+    # taken from the one-point row would prune row 24 away
+    k, const, coeffs, objective, level = 50, 0.0, [1.0, 1.0, 0.0], [-1.0, -0.1, 0.0], 0.5
+    constraint_values, objective_values = _affine_scorers(const, coeffs, objective)
+
+    def rejecting(g):
+        return np.where(np.all(np.rint(g * k) == [25, 0, 25], axis=1), np.inf,
+                        constraint_values(g))
+    for scorer in (constraint_values, rejecting):
+        want = _full_scan(3, k, scorer, objective_values, level)
+        _assert_same_scan(_window_scan(const, coeffs, level, k, objective, scorer,
+                                       objective_values), want)
+    assert list(np.rint(want[0] * k)) == [24, 1, 25]
+
+
+def test_row_bound_allows_for_the_padding_on_both_sides():
+    # rows as above; the objective now favours the upper end and worsens by
+    # 2.5 steps of j per row, so row 0, holding j = 0..25, is the best.  A
+    # scorer that rejects row 0's end (0, 25, 25) and accepts row 1 two steps
+    # past its end (1, 24, 25), which the padding allows, makes (1, 26, 23)
+    # the winner, worth half a step more than row 0's end.  It beats row 0's
+    # next point only because the bound adds a step to it, and it is found
+    # only because the bound lets row 1 be two steps better than its end
+    k, const, coeffs, objective, level = 50, 0.0, [1.0, 1.0, 0.0], [0.15, -0.1, 0.0], 0.5
+    _, objective_values = _affine_scorers(const, coeffs, objective)
+
+    def shifted(g):
+        i, j, _ = np.rint(g * k).T
+        return np.where((i == 0) & (j == 25), np.inf, (i + j - 2 * (i == 1)) / k)
+    want = _full_scan(3, k, shifted, objective_values, level)
+    _assert_same_scan(_window_scan(const, coeffs, level, k, objective, shifted,
+                                   objective_values), want)
+    assert list(np.rint(want[0] * k)) == [1, 26, 23]
+
+
+def test_row_bound_is_skipped_where_a_step_is_below_rounding():
+    # near flat along j: one step moves the constraint by 2e-16, and row 24,
+    # the best, is feasible only by 0.8e-15 to 6e-15, so rounding may reject
+    # the whole row.  Row 23 then wins; a bound taken from row 24 would have
+    # pruned it
+    k, const, coeffs, objective = 50, 0.0, [1.0, 1e-14, 0.0], [-1.0, -0.1, 0.0]
+    level = 0.48 + 6e-15
+    constraint_values, objective_values = _affine_scorers(const, coeffs, objective)
+
+    def rejecting(g):
+        return np.where(np.rint(g[:, 0] * k) == 24, np.inf, constraint_values(g))
+    want = _full_scan(3, k, rejecting, objective_values, level)
+    _assert_same_scan(_window_scan(const, coeffs, level, k, objective, rejecting,
+                                   objective_values), want)
+    assert list(np.rint(want[0] * k)) == [23, 27, 0]
+
+
+def test_row_bound_keeps_the_rows_of_an_objective_parallel_to_the_boundary():
+    rng = np.random.default_rng(5)
+    k = 1000
+    for _ in range(5):
+        # near (2j + i - k) / k <= 0: the boundary crosses every row
+        const, level = rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)
+        coeffs = np.array([0.0, 1.0, -1.0]) + rng.uniform(-0.2, 0.2, 3)
+        # minus the constraint plus a little: nearly constant along the boundary
+        objective = -coeffs + 1e-4 * rng.uniform(-1, 1, 3)
+        constraint_values, objective_values = _affine_scorers(const, coeffs, objective)
+        want = _full_scan(3, k, constraint_values, objective_values, level)
+        _assert_same_scan(_window_scan(const, coeffs, level, k, objective, constraint_values,
+                                       objective_values), want)
+        rows = np.unique(affine_window(const, coeffs, level, k, objective)[:, 0])
+        grid = grid_points(3, k)
+        feasible_rows = np.unique(grid[constraint_values(grid) <= level, 0])
+        assert rows.size >= max(feasible_rows.size // 2, 100)
+
+
+def test_m2_window_matches_full_scan_at_fine_resolution():
+    rng = np.random.default_rng(8)
+    k = 10 ** 4
+    for _ in range(20):
+        const, coeffs, level = rng.uniform(-1, 1), rng.uniform(-1, 1, 2), rng.uniform(-1, 1)
+        objective = rng.uniform(-1, 1, 2)
+        constraint_values, objective_values = _affine_scorers(const, coeffs, objective)
+        _assert_same_scan(_window_scan(const, coeffs, level, k, objective, constraint_values,
+                                       objective_values),
+                          _full_scan(2, k, constraint_values, objective_values, level))

@@ -518,3 +518,14 @@ def test_results_do_not_depend_on_np_threads(monkeypatch):
     assert smooth_runs  # logit coverage takes the smooth route
     assert coverage["completed"] == 4 and len(ccp["rows"]) == 4
     assert outs[0] == outs[1]
+
+
+def test_coverage_refuses_a_non_finite_kappa_scale():
+    # a NaN scale made the level NaN and the run reported full coverage;
+    # an infinite one raised SampleTooSmall
+    cfg = NPConfig(alpha=0.3, delta=0.1, surrogate=hinge())
+    d = BaseDictionary([DecisionStump(0, 0.3, 1), DecisionStump(0, 0.3, -1)], dim=1)
+    for scale in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            run_type1_coverage(Scenario.prop31(0.3), d, cfg, n_minus=5000, n_plus=5000,
+                               trials=1, mc_draws=1000, seed=0, kappa_scale=scale)

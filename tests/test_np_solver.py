@@ -71,6 +71,17 @@ def test_alpha_kappa_values_and_guard():
         alpha_kappa(0.1, k10, 0)
 
 
+@pytest.mark.parametrize("alpha, kappa_value, n_minus", [
+    (math.nan, 1.0, 100), (math.inf, 1.0, 100), (-math.inf, 1.0, 100),
+    (0.3, math.nan, 100), (0.3, math.inf, 100), (0.3, 1.0, math.nan)])
+def test_alpha_kappa_refuses_non_finite_inputs(alpha, kappa_value, n_minus):
+    # a NaN passed through as a NaN level, which no grid point meets and
+    # which coverage read as full coverage; an infinite kappa read as a
+    # sample too small
+    with pytest.raises(DomainError):
+        alpha_kappa(alpha, kappa_value, n_minus)
+
+
 def _point_sample(x_minus, x_plus, n=2000):
     neg = np.full((n, 1), x_minus)
     pos = np.full((n, 1), x_plus)
