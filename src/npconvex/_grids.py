@@ -18,15 +18,15 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count, check_real
 
 #: rows per chunk of iter_grid_chunks (bounds a grid scan's memory)
 CHUNK_ROWS = 200_000
 
 
 def _check(m: int, k: int) -> None:
-    if m < 1 or k < 1:
-        raise DomainError(f"grid needs m >= 1 and k >= 1, got m={m}, k={k}")
+    check_count(m, "m")
+    check_count(k, "k")
 
 
 def _compositions(m: int, k: int) -> Iterator[np.ndarray]:
@@ -68,9 +68,7 @@ def _compositions(m: int, k: int) -> Iterator[np.ndarray]:
 
 def grid_steps(resolution: float) -> int:
     """Grid steps per unit, round(1 / resolution), for a resolution in (0, 0.5]."""
-    if not 0.0 < resolution <= 0.5:
-        raise DomainError(f"resolution must lie in (0, 0.5], got {resolution}")
-    return round(1.0 / resolution)
+    return round(1.0 / check_real(resolution, "resolution", 0, 0.5, "(]"))
 
 
 def grid_count(m: int, k: int) -> int:

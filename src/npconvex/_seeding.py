@@ -12,6 +12,8 @@ import os
 
 import numpy as np
 
+from .errors import check_count
+
 _MASK = (1 << 63) - 1
 
 
@@ -21,8 +23,9 @@ def component_key(name: str) -> int:
 
 
 def rng_for(seed: int, component: str, index: int = 0) -> np.random.Generator:
-    """PCG64 generator for one (seed, component, index) triple."""
-    ss = np.random.SeedSequence([int(seed) & _MASK, component_key(component), int(index)])
+    """PCG64 generator for one (seed, component, index) triple; seed >= 0."""
+    seed = int(check_count(seed, "seed", 0))
+    ss = np.random.SeedSequence([seed & _MASK, component_key(component), int(index)])
     return np.random.default_rng(ss)
 
 

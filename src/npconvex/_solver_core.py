@@ -67,7 +67,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, Infeasible
+from .errors import Infeasible, check_count
 from .risk import phi_risk_from_margins
 from .surrogate import Surrogate
 
@@ -367,8 +367,7 @@ def minimize_simplex(m: int, form: Form,
     through _certified_starts; the vertices are scored only when the
     center does not certify (or, with a `threshold`, does not settle it).
     """
-    if m < 1:
-        raise DomainError("simplex dimension must be >= 1")
+    check_count(m, "simplex dimension m")
     if isinstance(form, AffineForm):
         lam = _vertex(m, np.argmin(form.coeffs))  # argmin takes the first on ties
         return SolveResult(lam, form.value(lam), None, 0, lagrangian_bound(lam, form))
@@ -470,8 +469,7 @@ def solve_simplex_program(m: int, objective: Form, constraint: Form,
     The status is "optimal" when the returned point's Lagrangian gap is at
     most GAP_TOL and "uncertified" when no start closed it.
     """
-    if m < 1:
-        raise DomainError("simplex dimension must be >= 1")
+    check_count(m, "simplex dimension m")
     if isinstance(objective, AffineForm) and isinstance(constraint, AffineForm):
         return _affine_solve(objective, constraint, level, m, FEAS_TOL)
 

@@ -24,7 +24,7 @@ import numpy as np
 from ._grids import (argmin_feasible, grid_count, grid_points, grid_steps,
                      iter_grid_chunks)
 from ._seeding import rng_for
-from .errors import DomainError, HypothesisFailed
+from .errors import DomainError, HypothesisFailed, check_count, check_real
 from .hypothesis import BaseDictionary
 from .np_solver import kappa
 from .risk import WeightedAtoms, _require_nonempty, empirical_atoms
@@ -66,15 +66,10 @@ def binomial_tail_exact(n: int, q: float, t: float) -> float:
     compensated summation.  Relative error stays below about 1e-13 for
     every n up to the cap.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
-    if n > MAX_EXACT_N:
+    if check_count(n, "n") > MAX_EXACT_N:
         raise DomainError(f"exact summation capped at n = {MAX_EXACT_N}, got {n}")
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must lie in (0, 1), got {q}")
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t}")
-    if t <= 0.0:
+    check_real(q, "q", 0, 1)
+    if check_real(t, "t") <= 0.0:
         return 1.0
     k0 = math.ceil(t - THRESHOLD_SNAP)
     if k0 > n:
@@ -112,18 +107,15 @@ def _verdict(parameters: dict, exact: float, bound: float) -> LemmaCheckResult:
 
 def check_lemma_bin(n: int, q: float, t: float) -> LemmaCheckResult:
     """P(N >= t) >= 1 - exp(-n q^2 / 2) for 0 < t <= nq/2."""
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must lie in (0, 1), got {q}")
-    if not 0.0 < t <= n * q / 2.0 + THRESHOLD_SNAP:
-        raise DomainError(f"need 0 < t <= nq/2 = {n * q / 2.0}, got t = {t}")
-    return _verdict({"n": n, "q": q, "t": t}, binomial_tail_exact(n, q, t),
-                    1.0 - math.exp(-n * q * q / 2.0))
+    exact = binomial_tail_exact(n, q, t)  # which checks n, q and t
+    check_real(t, "t", 0, n * q / 2.0 + THRESHOLD_SNAP, "(]")
+    return _verdict({"n": n, "q": q, "t": t}, exact, 1.0 - math.exp(-n * q * q / 2.0))
 
 
 def check_lemma_bin2(n: int, q: float) -> LemmaCheckResult:
     """P(N >= nq) >= min(q, 1/4) for 0 < q <= 1/2."""
-    if not 0.0 < q <= 0.5:
-        raise DomainError(f"q must lie in (0, 1/2], got {q}")
+    check_count(n, "n")
+    check_real(q, "q", 0, 0.5, "(]")
     return _verdict({"n": n, "q": q}, binomial_tail_exact(n, q, n * q), min(q, 0.25))
 
 
@@ -138,10 +130,9 @@ def sweep_binomial_lemmas(n_max: int = 200, q_points: int = 50,
     and n_max at most MAX_EXACT_N; DomainError otherwise, before any tail
     is summed.
     """
-    if min(n_max, q_points, t_points) < 1:
-        raise DomainError("n_max, q_points and t_points must be >= 1, got "
-                          f"{n_max}, {q_points}, {t_points}")
-    if n_max > MAX_EXACT_N:
+    check_count(q_points, "q_points")
+    check_count(t_points, "t_points")
+    if check_count(n_max, "n_max") > MAX_EXACT_N:
         raise DomainError(
             f"exact summation capped at n = {MAX_EXACT_N}, got n_max = {n_max}")
     qs = np.arange(1, q_points + 1) / (2.0 * q_points)
@@ -183,8 +174,7 @@ def check_rademacher_vertex_identity(dictionary: BaseDictionary, data,
     """
     if dictionary.m > 4:
         raise DomainError(f"identity check supports M <= 4, got {dictionary.m}")
-    if trials < 1:
-        raise DomainError("need at least one trial")
+    check_count(trials, "trials")
     H = dictionary.evaluate_matrix(_require_nonempty(data, "data"))
     n = H.shape[0]
     grid = grid_points(dictionary.m, grid_steps(resolution))
@@ -223,8 +213,8 @@ def check_sup_deviation(scenario, dictionary: BaseDictionary, s: Surrogate,
     """
     if dictionary.m > 3:
         raise DomainError(f"sup check supports M <= 3, got {dictionary.m}")
-    if trials < 1 or n < 1:
-        raise DomainError(f"need trials >= 1 and n >= 1, got trials={trials}, n={n}")
+    check_count(trials, "trials")
+    check_count(n, "n", message="need a sample size n >= 1, got {}")
     kap = kappa(s.lipschitz, dictionary.m, delta)
     threshold = kap / math.sqrt(n)
     grid = grid_points(dictionary.m, grid_steps(resolution))
@@ -270,6 +260,7 @@ def gamma_curve(atoms, dictionary: BaseDictionary, s: Surrogate,
         raise DomainError("gamma_curve needs a (minus, plus) pair of WeightedAtoms, "
                           f"got {type(atoms).__name__}")
     minus, plus = atoms
+    levels = [float(check_real(x, "gamma_curve level")) for x in x_grid]
     k = grid_steps(resolution)
     cost = grid_count(dictionary.m, k) * max(minus.H.shape[0], plus.H.shape[0])
     if cost > 2 * 10 ** 9:
@@ -277,9 +268,8 @@ def gamma_curve(atoms, dictionary: BaseDictionary, s: Surrogate,
                           f"(grid points x atoms = {cost:.1e})")
     best = argmin_feasible(iter_grid_chunks(dictionary.m, k),
                            lambda grid: minus.phi_risk_grid(grid, s, +1.0),
-                           lambda grid: plus.phi_risk_grid(grid, s, -1.0),
-                           [float(x) for x in x_grid])
-    return [(float(x), val) for x, (_, val) in zip(x_grid, best)]
+                           lambda grid: plus.phi_risk_grid(grid, s, -1.0), levels)
+    return [(x, val) for x, (_, val) in zip(levels, best)]
 
 
 def _curve_lookup(curve, x: float) -> float:
@@ -296,10 +286,10 @@ def check_prop42(curve, alpha: float, nu0: float, nu_grid: Sequence[float],
     The curve must contain alpha, alpha - nu0, and every alpha - nu;
     gamma(alpha - nu0) = +inf fails the hypothesis of the inequality.
     """
-    if nu0 <= 0:
-        raise DomainError(f"nu0 must be positive, got {nu0}")
-    if phi_at_one <= 0:
-        raise DomainError("phi(1) must be positive")
+    check_real(alpha, "alpha")
+    check_real(nu0, "nu0", 0, math.inf)
+    check_real(phi_at_one, "phi(1)", 0, math.inf)
+    check_real(slack, "slack", 0, math.inf, "[)")
     g_alpha = _curve_lookup(curve, alpha)
     g_nu0 = _curve_lookup(curve, alpha - nu0)
     if not math.isfinite(g_nu0):
@@ -309,8 +299,7 @@ def check_prop42(curve, alpha: float, nu0: float, nu_grid: Sequence[float],
     worst_pair = (math.nan, math.nan)
     holds = True
     for nu in nu_grid:
-        if not 0.0 < nu < nu0:
-            raise DomainError(f"nu values must lie in (0, nu0), got {nu}")
+        check_real(nu, "nu", 0, nu0)
         lhs = _curve_lookup(curve, alpha - nu) - g_alpha
         rhs = phi_at_one * nu / (nu0 - nu)
         gap = lhs - rhs

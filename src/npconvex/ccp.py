@@ -23,10 +23,10 @@ import numpy as np
 from . import _solver_core as core
 from ._grids import affine_window, argmin_feasible, grid_steps, iter_grid_chunks
 from ._solver_core import AffineForm, SmoothForm  # the two forms of a CCP objective
-from .errors import DomainError, EmptySample, Infeasible
+from .errors import DomainError, EmptySample, Infeasible, check_count, check_real
 from .hypothesis import RANGE_TOL, BaseDictionary, SimplexWeights
 from .np_solver import _excess_denominator, alpha_kappa, kappa
-from .risk import empirical_atoms, phi_risk_from_matrix
+from .risk import phi_risk_from_matrix, sample_risk_grid
 from .surrogate import Surrogate
 
 
@@ -70,10 +70,8 @@ class CCPInstance:
     g_matrix: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 0.5:
-            raise DomainError(f"alpha must lie in (0, 1/2), got {self.alpha}")
-        if not 0.0 < self.delta < 0.5:
-            raise DomainError(f"delta must lie in (0, 1/2), got {self.delta}")
+        check_real(self.alpha, "alpha", 0, 0.5)
+        check_real(self.delta, "delta", 0, 0.5)
         if self.g_matrix is None:
             raise DomainError("need g_matrix; evaluate_constraint_bases(bases, draws) "
                               "gives it")
@@ -84,12 +82,13 @@ class CCPInstance:
             raise DomainError("g_matrix contains non-finite entries")
         peak = float(np.max(np.abs(self.g_matrix)))
         if peak > 1.0 + RANGE_TOL:
-            raise DomainError("g_matrix entries must lie in [-1, 1]")
+            raise DomainError(f"g_matrix holds an entry of magnitude {peak}, beyond 1")
         if peak > 1.0:  # float dust, clipped into the surrogates' domain
             self.g_matrix = np.clip(self.g_matrix, -1.0, 1.0)
         f = self.objective
         if isinstance(f, AffineForm):
-            self.objective = f = AffineForm(float(f.const), np.asarray(f.coeffs, dtype=float))
+            const = float(check_real(f.const, "objective const"))
+            self.objective = f = AffineForm(const, np.asarray(f.coeffs, dtype=float))
             if f.coeffs.shape != (self.m,) or not np.all(np.isfinite(np.r_[f.const, f.coeffs])):
                 raise DomainError(f"an affine objective needs a finite const and {self.m} "
                                   "finite coeffs, one per base")
@@ -178,25 +177,17 @@ def grid_oracle_ccp(inst: CCPInstance, resolution: float) -> CCPSolution:
     kap = kappa(s.lipschitz, inst.m, inst.delta)
     level = alpha_kappa(inst.alpha, kap, inst.n)
     chunks = iter_grid_chunks(inst.m, k)
-    if s.affine_coefficients is not None:
-        # mean phi(G lam) = a + b * mean(G) @ lam, so one dot per point
+    if s.affine_coefficients is not None and inst.m in (2, 3) and isinstance(f, AffineForm):
         a, b = s.affine_coefficients
-        g_mean = inst.g_matrix.mean(axis=0)
-        def constraint_values(chunk):
-            return a + b * (chunk @ g_mean)
-        if inst.m in (2, 3) and isinstance(f, AffineForm):
-            chunks = [affine_window(a, b * g_mean, level, k, f.coeffs)]
-    else:
-        atoms = empirical_atoms(inst.g_matrix)
-        def constraint_values(chunk):
-            return atoms.phi_risk_grid(chunk, s, +1.0)
+        chunks = [affine_window(a, b * inst.g_matrix.mean(axis=0), level, k, f.coeffs)]
     if isinstance(f, AffineForm):
         def objective_values(chunk):
             return f.const + chunk @ f.coeffs
     else:
         def objective_values(chunk):
             return np.asarray([f.value(lam) for lam in chunk])
-    [(best_lam, _)] = argmin_feasible(chunks, constraint_values, objective_values, [level])
+    [(best_lam, _)] = argmin_feasible(chunks, sample_risk_grid(inst.g_matrix, s, +1.0),
+                                      objective_values, [level])
     if best_lam is None:
         raise Infeasible(f"no grid point satisfies the margin constraint {level}")
     return CCPSolution(
@@ -218,8 +209,7 @@ def chance_feasibility_estimate(lam, constraint_bases: BaseDictionary, fresh_dra
     feasible_for_original follows the complement convention: the empirical
     P(F <= 0) must reach 1 - alpha.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    check_real(alpha, "alpha", 0, 1)
     lam = SimplexWeights(lam).lam
     if lam.size != _require_dictionary(constraint_bases).m:
         raise DomainError("weight length does not match the number of bases")
@@ -246,9 +236,7 @@ def ccp_bound(kappa_value: float, eps: float, alpha: float, n: int,
     n0 of np_solver.n0_and_bound; below it the bound is returned all the
     same, uncertified and without a warning.
     """
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
+    check_real(eps, "eps", 0, 1)
     denom = _excess_denominator(kappa_value, eps, alpha, phi_at_one)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return 4.0 * phi_at_one * kappa_value / (denom * math.sqrt(n))
+    check_count(n, "n")
+    return check_real(4.0 * phi_at_one * kappa_value / (denom * math.sqrt(n)), "bound")

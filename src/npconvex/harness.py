@@ -23,7 +23,8 @@ from ._seeding import rng_for, worker_count
 from .bounds import binomial_tail_exact, gamma_curve
 from .ccp import (CCPInstance, ccp_bound, chance_feasibility_estimate,
                   evaluate_constraint_bases, linear_objective, solve_ccp)
-from .errors import DomainError, Infeasible, NPConvexError, UnknownScenario
+from .errors import (DomainError, Infeasible, NPConvexError, UnknownScenario,
+                     check_count, check_real)
 from .hypothesis import BaseDictionary, FunctionClassifier
 from .np_solver import (NPConfig, _min_type1, _solve_np, alpha_kappa,
                         eps_bar_upper, kappa, n0_and_bound, pooled_bound,
@@ -35,6 +36,9 @@ from .risk import (Sample, WeightedAtoms, _as_matrix, _mc_estimate,
 def _three_se(p: float, trials: int) -> float:
     p = min(max(p, 0.0), 1.0)
     return 3.0 * math.sqrt(p * (1.0 - p) / trials)
+
+
+_BAD_SIZE = "cannot draw a sample of non-integer or negative size {}"
 
 
 class Scenario:
@@ -50,28 +54,21 @@ class Scenario:
     """
 
     def __init__(self, kind, p, **params):
-        if not 0.0 < p < 1.0:
-            raise DomainError(f"mixing p must lie in (0, 1), got {p}")
+        check_real(p, "mixing p", 0, 1)
         self.kind = kind
         self.p = float(p)
         self.params = params
 
     @classmethod
     def prop31(cls, alpha: float, p: float = 0.5) -> "Scenario":
-        if not 0.0 < alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-        return cls("prop31", p, alpha=float(alpha))
+        return cls("prop31", p, alpha=float(check_real(alpha, "alpha", 0, 1)))
 
     @classmethod
     def gaussian_1d(cls, mu_minus: float, mu_plus: float, sigma: float,
                     p: float = 0.5) -> "Scenario":
-        if not sigma > 0.0:
-            raise DomainError(f"sigma must be positive, got {sigma}")
-        params = dict(mu_minus=float(mu_minus), mu_plus=float(mu_plus),
-                      sigma=float(sigma))
-        if not all(map(math.isfinite, params.values())):
-            raise DomainError(f"Gaussian parameters must be finite, got {params}")
-        return cls("gaussian_1d", p, **params)
+        return cls("gaussian_1d", p, mu_minus=float(check_real(mu_minus, "mu_minus")),
+                   mu_plus=float(check_real(mu_plus, "mu_plus")),
+                   sigma=float(check_real(sigma, "sigma", 0, math.inf)))
 
     @classmethod
     def custom_csv(cls, negatives, positives, p: float = 0.5) -> "Scenario":
@@ -83,8 +80,7 @@ class Scenario:
         return cls("custom_csv", p, negatives=neg, positives=pos)
 
     def _draw(self, rng, n: int, side: str) -> np.ndarray:
-        if n < 0:
-            raise DomainError(f"cannot draw a sample of negative size {n}")
+        check_count(n, "n", 0, message=_BAD_SIZE)
         if self.kind == "prop31":
             return rng.random((n, 1))
         if self.kind == "gaussian_1d":
@@ -102,8 +98,7 @@ class Scenario:
 
     def draw_pooled(self, rng, n: int):
         """(X, y) with labels +1 w.p. p; row order is the label draw order."""
-        if n < 0:
-            raise DomainError(f"cannot draw a sample of negative size {n}")
+        check_count(n, "n", 0, message=_BAD_SIZE)
         y = np.where(rng.random(n) < self.p, 1.0, -1.0)
         n_plus = int(np.sum(y == 1.0))
         d = 1 if self.kind != "custom_csv" else self.params["negatives"].shape[1]
@@ -151,8 +146,7 @@ def _population_reference(scenario, dictionary: BaseDictionary, s, alpha: float,
     harness treats every generative law the same way.  An infinite
     gamma(alpha) leaves no excess risk to score and raises Infeasible.
     """
-    if mc_draws < 2:
-        raise DomainError(f"need at least 2 Monte Carlo draws, got {mc_draws}")
+    check_count(mc_draws, "mc_draws (Monte Carlo draws)", 2)
     if getattr(scenario, "kind", None) == "prop31":
         atoms = (scenario.population_atoms(dictionary, "minus"),
                  scenario.population_atoms(dictionary, "plus"))
@@ -198,17 +192,13 @@ def run_counterexample(alpha: float, n_minus: int, n_plus: int, trials: int,
     type-II risk equals alpha exactly.  True risks come from
     exact_risks_prop31; the summary counts are taken from the trial rows.
     """
-    if not 0.0 < alpha <= 0.5:
-        raise DomainError(f"alpha must lie in (0, 1/2], got {alpha}")
-    if min(n_minus, n_plus, trials) < 1:
-        raise DomainError("n_minus, n_plus, trials must be >= 1")
-    if grid_size < 1:
-        raise DomainError(f"grid_size must be >= 1, got {grid_size}")
+    check_real(alpha, "alpha", 0, 0.5, "(]")
+    for count, name in ((n_minus, "n_minus"), (n_plus, "n_plus"), (trials, "trials"),
+                        (grid_size, "grid_size")):
+        check_count(count, name)
     if tau is None:
         tau = alpha - 1.0 / math.sqrt(n_minus)
-    if not 0.0 < tau <= alpha:
-        raise DomainError(
-            f"strengthened level tau must lie in (0, alpha], got {tau}")
+    check_real(tau, "strengthened level tau", 0, alpha, "(]")
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     low = grid <= 0.5          # R-hat-minus = alpha_hat there, 0 beyond
     rows = []
@@ -271,12 +261,9 @@ def run_type1_coverage(scenario, dictionary: BaseDictionary, cfg: NPConfig,
     kappa_scale scales the concentration margin; 1 is the production
     solver, 0 ablates the margin entirely (the guarantee may then fail).
     """
-    if trials < 1:
-        raise DomainError("need at least one trial")
-    if kappa_scale < 0.0:
-        raise DomainError(f"kappa_scale must be >= 0, got {kappa_scale}")
-    if mc_draws < 2:
-        raise DomainError(f"need at least 2 Monte Carlo draws, got {mc_draws}")
+    check_count(trials, "trials")
+    check_real(kappa_scale, "kappa_scale", 0, math.inf, "[)")
+    check_count(mc_draws, "mc_draws (Monte Carlo draws)", 2)
     s = cfg.surrogate
     kap = kappa(s.lipschitz, dictionary.m, cfg.delta)
     level = alpha_kappa(cfg.alpha, kappa_scale * kap, n_minus)
@@ -328,9 +315,10 @@ def run_type1_coverage(scenario, dictionary: BaseDictionary, cfg: NPConfig,
         "alpha": cfg.alpha,
         "kappa": kap,
         "kappa_scale": kappa_scale,
-        "mean_true_type1": float(np.mean(ests)) if ests else math.nan,
-        "max_true_type1": float(np.max(ests)) if ests else math.nan,
-        "mean_half_width": float(np.mean(hws)) if hws else math.nan,
+        # undefined, and so null, when no trial completed
+        "mean_true_type1": float(np.mean(ests)) if ests else None,
+        "max_true_type1": float(np.max(ests)) if ests else None,
+        "mean_half_width": float(np.mean(hws)) if hws else None,
         "exact_population": atoms_minus is not None,
     }
 
@@ -346,11 +334,16 @@ def run_rate_experiment(scenario, dictionary: BaseDictionary, cfg: NPConfig,
     R-phi-plus(lambda-tilde) - gamma(alpha), both on _population_reference,
     and compare with the bound.
     eps_bar = None estimates epsilon-bar per trial from the probe upper
-    bound; pass the analytic value when the instance has one.  Rows with
-    n below the n0 threshold are flagged and excluded from the assertion.
+    bound; pass the analytic value, in [0, 1), when the instance has one.
+    Rows with n below the n0 threshold are flagged and excluded from the
+    assertion.
     """
-    if trials < 1 or not n_grid:
-        raise DomainError("need at least one trial and one sample size")
+    check_count(trials, "trials")
+    check_count(len(n_grid), "the number of sample sizes")
+    for n in n_grid:
+        check_count(n, "n_grid entry")
+    if eps_bar is not None:
+        check_real(eps_bar, "eps_bar", 0, 1, "[)")
     s = cfg.surrogate
     kap = kappa(s.lipschitz, dictionary.m, cfg.delta)
     minus, plus, gamma_alpha = _population_reference(
@@ -368,13 +361,13 @@ def run_rate_experiment(scenario, dictionary: BaseDictionary, cfg: NPConfig,
         eps_val = _eps_bar(eps_bar, sample.negatives, dictionary, cfg, kap)
         r2, hw = plus.estimate(sol.weights.lam, s, -1.0)
         row = {"n": n, "trial": t, "error": None, "excess": r2 - gamma_alpha,
-               "half_width": hw, "eps_bar": eps_val, "bound": math.nan,
-               "n0": None, "below_n0": True, "ratio": math.nan}
+               "half_width": hw, "eps_bar": eps_val, "bound": None,
+               "n0": None, "below_n0": True, "ratio": None}
         if 0.0 <= eps_val < 1.0:
             report = n0_and_bound(kap, eps_val, cfg.alpha, n, n, s.value_at_one)
             bound = report.thm42_bound
             row.update(bound=bound, n0=report.n0, below_n0=bool(n < report.n0),
-                       ratio=row["excess"] / bound if bound > 0 else math.nan)
+                       ratio=row["excess"] / bound if bound > 0 else None)
         return row
 
     rows = _run_trials(one_trial, len(n_grid) * trials)
@@ -421,22 +414,24 @@ def run_sampling_scheme(scenario, dictionary: BaseDictionary, cfg: NPConfig,
     sqrt2-inflated bound}, both scored on _population_reference; its
     frequency is compared against 1 - 2 delta - exp(-n(1-p)^2/2) -
     exp(-np^2/2) minus 3 SE.  Realized class counts are cross-checked
-    against exact binomial tails.
+    against exact binomial tails.  A given eps_bar lies in [0, 1).
     """
-    if trials < 1 or n < 2:
-        raise DomainError("need at least one trial and n >= 2")
+    check_count(trials, "trials")
+    check_count(n, "n", 2)
     p = scenario.p
     s = cfg.surrogate
     kap = kappa(s.lipschitz, dictionary.m, cfg.delta)
-    minus, plus, gamma_alpha = _population_reference(
-        scenario, dictionary, s, cfg.alpha, oracle_resolution, mc_draws, seed)
-
+    # n0_and_bound checks a given eps_bar, before the reference is built
     eps_for_n0 = eps_bar if eps_bar is not None else 0.0
     n0 = n0_and_bound(kap, eps_for_n0, cfg.alpha, n, n, s.value_at_one).n0
+    minus, plus, gamma_alpha = _population_reference(
+        scenario, dictionary, s, cfg.alpha, oracle_resolution, mc_draws, seed)
 
     if tail_thresholds is None:
         tail_thresholds = (n * (1.0 - p) / 2.0, n * (1.0 - p),
                            n * (1.0 - p) + 100.0)
+    for thr in tail_thresholds:
+        check_real(thr, "tail threshold")
 
     def one_trial(t: int):
         rng = rng_for(seed, "harness.sampling.draw", t)
@@ -455,9 +450,10 @@ def run_sampling_scheme(scenario, dictionary: BaseDictionary, cfg: NPConfig,
         r2, hw2 = plus.estimate(lam, s, -1.0)
         eps_val = _eps_bar(eps_bar, sample.negatives, dictionary, cfg, kap)
         bound = (pooled_bound(kap, eps_val, cfg.alpha, n, p, s.value_at_one)
-                 if 0.0 <= eps_val < 1.0 else math.nan)
-        # a NaN bound fails the comparison, so its event is False
-        event1, event2 = r1 <= cfg.alpha + hw1, r2 - gamma_alpha <= bound + hw2
+                 if 0.0 <= eps_val < 1.0 else None)
+        # without a bound (eps_bar >= 1) the bound event is False
+        event1 = r1 <= cfg.alpha + hw1
+        event2 = bound is not None and r2 - gamma_alpha <= bound + hw2
         out.update(type1=r1, excess=r2 - gamma_alpha, eps_bar=eps_val, bound=bound,
                    type1_event=bool(event1), bound_event=bool(event2),
                    joint=bool(event1 and event2))
@@ -514,8 +510,9 @@ def run_ccp_feasibility(scenario, constraint_bases, objective_coeffs,
     summary reports the bound's sample-size threshold n0 and whether n
     meets it; nothing is written to stderr.
     """
-    if trials < 1:
-        raise DomainError("need at least one trial")
+    check_count(trials, "trials")
+    if f_star is not None:
+        check_real(f_star, "f_star")
     bases = (constraint_bases if isinstance(constraint_bases, BaseDictionary)
              else BaseDictionary([FunctionClassifier(g) for g in constraint_bases]))
     obj = linear_objective(objective_coeffs)
@@ -579,8 +576,7 @@ def np_lemma_oracle(scenario, alpha: float) -> dict:
     1 - alpha.  Distinct Gaussian means give a threshold test on x with
     zero randomization.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    check_real(alpha, "alpha", 0, 1)
     kind = getattr(scenario, "kind", None)
     if kind not in ("prop31", "gaussian_1d"):
         raise UnknownScenario(
@@ -614,8 +610,7 @@ def np_lemma_oracle(scenario, alpha: float) -> dict:
 
 def oracle_type2_mc(scenario, alpha: float, draws: int, seed: int):
     """Monte Carlo type-II error of the most powerful test, with half-width."""
-    if draws < 2:
-        raise DomainError(f"need at least 2 Monte Carlo draws, got {draws}")
+    check_count(draws, "Monte Carlo draws", 2)
     oracle = np_lemma_oracle(scenario, alpha)
     rng = rng_for(seed, "harness.lemma_oracle")
     if oracle["direction"] == 0:

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (BaseRangeError, DimensionMismatch, DomainError, EmptyData,
-                     NonFiniteValue, SchemaError)
+                     NonFiniteValue, SchemaError, check_count, check_real)
 
 RANGE_TOL = 1e-9
 SIMPLEX_TOL = 1e-12
@@ -34,10 +34,8 @@ class DecisionStump:
     def __post_init__(self):
         if self.polarity not in (-1, 1):
             raise DomainError(f"stump polarity must be +1 or -1, got {self.polarity}")
-        if self.axis < 0:
-            raise DomainError(f"stump axis must be nonnegative, got {self.axis}")
-        if np.isnan(self.threshold):
-            raise DomainError("stump threshold must not be NaN")
+        check_count(self.axis, "stump axis", 0)
+        check_real(self.threshold, "stump threshold", -math.inf, math.inf, "[]")
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
         return np.where(X[:, self.axis] <= self.threshold, float(self.polarity), -float(self.polarity))
@@ -61,8 +59,7 @@ class ConstantClassifier:
     value: float
 
     def __post_init__(self):
-        if not -1.0 <= self.value <= 1.0:
-            raise DomainError(f"constant classifier value {self.value} outside [-1, 1]")
+        check_real(self.value, "constant classifier value", -1, 1, "[]")
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
         return np.full(X.shape[0], float(self.value))
@@ -96,12 +93,6 @@ class FunctionClassifier:
         raise DomainError(f"user function base {self.name!r} is not serializable")
 
 
-def _is_positive_int(value) -> bool:
-    """Whether value is a Python or numpy integer >= 1; a bool is not."""
-    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and value >= 1)
-
-
 #: the stock stumps of one axis, in base order: their base indexes, float
 #: polarities, threshold ranks and sorted distinct float thresholds
 _AxisStumps = namedtuple("_AxisStumps", "axis columns polarities ranks thresholds")
@@ -117,9 +108,8 @@ class BaseDictionary:
         if len(bases) < 1:
             raise DomainError("a dictionary needs at least one base classifier")
         self.bases: Tuple = tuple(bases)
-        if not (dim is None or _is_positive_int(dim)):
-            raise DomainError(f"dictionary dim must be a positive integer or None, got {dim!r}")
-        self.dim = None if dim is None else int(dim)
+        self.dim = None if dim is None else int(check_count(
+            dim, "dim", message="dictionary dim must be a positive integer or None, got {}"))
         self._min_dim = max(b.min_dim() for b in self.bases)
         by_axis, consts, opaque = {}, [], []
         for j, b in enumerate(self.bases):
@@ -401,8 +391,7 @@ def _quantile_stumps(data, per_axis_thresholds: int) -> Tuple[list, int]:
         X = X.reshape(-1, 1)
     if X.size == 0:
         raise EmptyData("cannot build stumps from an empty data matrix")
-    if per_axis_thresholds < 1:
-        raise DomainError("per_axis_thresholds must be >= 1")
+    check_count(per_axis_thresholds, "per_axis_thresholds")
     if np.isnan(X).any():  # np.quantile would make every threshold NaN
         raise NonFiniteValue("cannot build stumps from data containing NaN")
     n, d = X.shape

@@ -19,10 +19,11 @@ through BaseDictionary.risk_operator: without opaque bases and with at
 most n stump cells (prod(#thresholds + 1) over the axes), on one
 weighted margin per occupied cell, else on all n margins.  Its products
 never form a stump's column and cost O(rows d + M) for stumps on d
-axes.  The oracle never uses the solver's forms; it scores grid points
-on each class's merged atoms (risk.empirical_atoms), and at M = 2 or 3
-with an affine surrogate it scans only the candidates of
-_grids.affine_window.
+axes.  The oracle never uses the solver's forms: risk.sample_risk_grid
+scores its grid points on each class's column means for an affine
+surrogate, where at M = 2 or 3 it scans only the candidates of
+_grids.affine_window, and on each class's merged atoms
+(risk.empirical_atoms) for a smooth one.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ import numpy as np
 from . import _solver_core as core
 from ._grids import affine_window, argmin_feasible, grid_steps, iter_grid_chunks
 from .errors import (DomainError, EmptySample, Infeasible, OneClassEmpty,
-                     SampleTooSmall, UnknownLabel)
-from .hypothesis import BaseDictionary, SimplexWeights, _is_positive_int
-from .risk import (Sample, _require_nonempty, empirical_atoms,
-                   phi_risk_from_matrix)
+                     SampleTooSmall, UnknownLabel, check_count, check_real)
+from .hypothesis import BaseDictionary, SimplexWeights
+from .risk import Sample, _require_nonempty, phi_risk_from_matrix, sample_risk_grid
 from .surrogate import Surrogate
 
 
@@ -50,10 +50,8 @@ class NPConfig:
     surrogate: Surrogate
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 0.0 < self.delta < 1.0:
-            raise DomainError(f"delta must lie in (0, 1), got {self.delta}")
+        check_real(self.alpha, "alpha", 0, 1)
+        check_real(self.delta, "delta", 0, 1)
 
 
 @dataclass
@@ -92,25 +90,20 @@ class BoundReport:
 
 
 def kappa(L: float, M: int, delta: float) -> float:
-    """kappa = 4*sqrt(2) * L * sqrt(log(2M/delta)), natural log."""
-    if not (L > 0 and math.isfinite(L)):
-        raise DomainError(f"L must be positive, got {L}")
-    if not _is_positive_int(M):
-        raise DomainError(f"M must be an integer >= 1, got {M!r}")
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    return 4.0 * math.sqrt(2.0) * L * math.sqrt(math.log(2.0 * M / delta))
+    """kappa = 4*sqrt(2) * L * sqrt(log(2M/delta)), natural log, if finite."""
+    check_real(L, "L", 0, math.inf)
+    check_count(M, "M")
+    check_real(delta, "delta", 0, 1)
+    return check_real(4.0 * math.sqrt(2.0) * L * math.sqrt(math.log(2.0 * M / delta)),
+                      "kappa", 0, math.inf)
 
 
 def alpha_kappa(alpha: float, kappa_value: float, n_minus: int) -> float:
     """alpha - kappa/sqrt(n^-); SampleTooSmall when that is not positive,
     DomainError for a non-finite alpha or kappa."""
-    if not n_minus >= 1:
-        raise DomainError(f"n_minus must be >= 1, got {n_minus}")
-    if not 0 <= kappa_value < math.inf:
-        raise DomainError(f"kappa must be finite and nonnegative, got {kappa_value}")
-    if not math.isfinite(alpha):
-        raise DomainError(f"alpha must be finite, got {alpha}")
+    check_count(n_minus, "n_minus")
+    check_real(kappa_value, "kappa", 0, math.inf, "[)")
+    check_real(alpha, "alpha")
     out = alpha - kappa_value / math.sqrt(n_minus)
     if out <= 0.0:
         raise SampleTooSmall(
@@ -178,13 +171,10 @@ def _solve_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig,
 
 
 def _oracle_scan(H_minus, H_plus, s, level, lam_chunks):
-    """(lam, value) of the best feasible grid point on each class's merged atoms."""
-    minus, plus = empirical_atoms(H_minus), empirical_atoms(H_plus)
-    return argmin_feasible(
-        lam_chunks,
-        lambda lam: minus.phi_risk_grid(lam, s, +1.0),
-        lambda lam: plus.phi_risk_grid(lam, s, -1.0),
-        [level])[0]
+    """(lam, value) of the best feasible grid point, each class's risk
+    scored by risk.sample_risk_grid."""
+    return argmin_feasible(lam_chunks, sample_risk_grid(H_minus, s, +1.0),
+                           sample_risk_grid(H_plus, s, -1.0), [level])[0]
 
 
 def grid_oracle_np(sample: Sample, dictionary: BaseDictionary, cfg: NPConfig,
@@ -235,8 +225,7 @@ def feasibility_probe(negatives, dictionary: BaseDictionary, cfg: NPConfig,
                       eps: float) -> dict:
     """Check whether some mixture has empirical phi-type-I risk below
     eps*alpha - kappa/sqrt(n^-), and report the unconstrained minimum."""
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
+    check_real(eps, "eps", 0, 1)
     neg = _require_nonempty(negatives, "negative")
     lam, min_val = _min_type1(neg, dictionary, cfg)
     kap = kappa(cfg.surrogate.lipschitz, dictionary.m, cfg.delta)
@@ -252,25 +241,24 @@ def feasibility_probe(negatives, dictionary: BaseDictionary, cfg: NPConfig,
 def eps_bar_upper(min_r_minus_phi: float, kappa_value: float, n_minus: int,
                   alpha: float) -> float:
     """High-probability upper estimate (min R-hat + kappa/sqrt(n^-))/alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if n_minus < 1:
-        raise DomainError(f"n_minus must be >= 1, got {n_minus}")
-    return (min_r_minus_phi + kappa_value / math.sqrt(n_minus)) / alpha
+    check_real(min_r_minus_phi, "min_r_minus_phi")
+    check_real(kappa_value, "kappa", 0, math.inf, "[)")
+    check_real(alpha, "alpha", 0, 1)
+    check_count(n_minus, "n_minus")
+    return check_real((min_r_minus_phi + kappa_value / math.sqrt(n_minus)) / alpha,
+                      "eps_bar")
 
 
 def _excess_denominator(kappa_value: float, eps_bar: float, alpha: float,
                         phi_at_one: float) -> float:
     """(1 - eps_bar) alpha, after the checks the three excess bounds share."""
-    if not 0.0 <= eps_bar < 1.0:
-        raise DomainError(f"eps_bar must lie in [0, 1), got {eps_bar}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if kappa_value <= 0 or phi_at_one <= 0:
-        raise DomainError("kappa and phi(1) must be positive")
-    if not (math.isfinite(kappa_value) and math.isfinite(phi_at_one)):
-        raise DomainError(f"kappa and phi(1) must be finite, got {kappa_value} "
-                          f"and {phi_at_one}")
+    check_real(eps_bar, "eps_bar", 0, 1, "[)")
+    check_real(alpha, "alpha", 0, 1)
+    finite = f"kappa and phi(1) must be finite, got {kappa_value} and {phi_at_one}"
+    for v in (kappa_value, phi_at_one):
+        check_real(v, "kappa", message=finite)
+    for v in (kappa_value, phi_at_one):
+        check_real(v, "kappa", 0, math.inf, message="kappa and phi(1) must be positive")
     return (1.0 - eps_bar) * alpha
 
 
@@ -282,26 +270,27 @@ def n0_and_bound(kappa_value: float, eps_bar: float, alpha: float, n_minus: int,
     4 phi(1) kappa / ((1-eps_bar) alpha sqrt(n^-)) + 2 kappa / sqrt(n^+).
     """
     denom = _excess_denominator(kappa_value, eps_bar, alpha, phi_at_one)
-    if n_minus < 1 or n_plus < 1:
-        raise DomainError("sample sizes must be >= 1")
-    n0 = int(math.ceil((4.0 * kappa_value / denom) ** 2))
+    check_count(n_minus, "n_minus")
+    check_count(n_plus, "n_plus")
+    root = 4.0 * kappa_value / denom
+    check_real(root * root, "n0")  # root ** 2 raises OverflowError where this is inf
+    n0 = int(math.ceil(root ** 2))
     bound = (4.0 * phi_at_one * kappa_value / (denom * math.sqrt(n_minus))
              + 2.0 * kappa_value / math.sqrt(n_plus))
-    return BoundReport(max(n0, 1), bound)
+    return BoundReport(max(n0, 1), check_real(bound, "bound"))
 
 
 def pooled_bound(kappa_value: float, eps_bar: float, alpha: float, n: int, p: float,
                  phi_at_one: float) -> float:
     """sqrt(2)-inflated excess bound for a pooled sample of size n with
     P(Y=+1) = p: the expected class sizes n(1-p), np replace n^-, n^+."""
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must lie in (0, 1), got {p}")
+    check_real(p, "p", 0, 1)
     denom = _excess_denominator(kappa_value, eps_bar, alpha, phi_at_one)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    check_count(n, "n")
     root2 = math.sqrt(2.0)
-    return (4.0 * root2 * phi_at_one * kappa_value / (denom * math.sqrt(n * (1.0 - p)))
-            + 2.0 * root2 * kappa_value / math.sqrt(n * p))
+    return check_real(
+        4.0 * root2 * phi_at_one * kappa_value / (denom * math.sqrt(n * (1.0 - p)))
+        + 2.0 * root2 * kappa_value / math.sqrt(n * p), "bound")
 
 
 def split_pooled(pooled) -> Sample:

@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ._seeding import rng_for
-from .errors import DomainError, EmptySample, UnknownScenario
+from .errors import DomainError, EmptySample, UnknownScenario, check_count, check_real
 from .hypothesis import CombinedClassifier
 from .surrogate import Surrogate
 
@@ -120,10 +120,8 @@ def exact_risks_prop31(lam: float, alpha: float) -> Tuple[float, float]:
         R^-(h_lambda) = alpha * 1(lam <= 1/2)
         R^+(h_lambda) = (1 - alpha) * 1(lam < 1/2) + 1(lam >= 1/2)
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"lambda must lie in [0, 1], got {lam}")
+    check_real(alpha, "alpha", 0, 1)
+    check_real(lam, "lambda", 0, 1, "[]")
     r_minus = alpha if lam <= 0.5 else 0.0
     r_plus = (1.0 - alpha) if lam < 0.5 else 1.0
     return r_minus, r_plus
@@ -141,8 +139,7 @@ def monte_carlo_risk(h: CombinedClassifier, s: Surrogate, scenario, which: str,
     """
     if which not in _WHICH:
         raise DomainError(f"unknown risk selector {which!r}; expected one of {_WHICH}")
-    if m < 100:
-        raise DomainError(f"need at least 100 draws, got {m}")
+    check_count(m, "m", 100)
     if not (hasattr(scenario, "draw_negatives") and hasattr(scenario, "draw_positives")):
         raise UnknownScenario(f"scenario {scenario!r} cannot be sampled from")
     rng = rng_for(seed, "risk.monte_carlo")
@@ -176,8 +173,9 @@ def phi_risk_from_matrix(H: np.ndarray, lam: np.ndarray, s: Surrogate, sign: flo
 
     One mixture's risk for the reports and closed-form population
     computations (rows are atoms, weights their probabilities); grids go
-    through WeightedAtoms.phi_risk_grid, and the solver's smooth forms
-    call phi_risk_from_margins on their memoised margins.
+    through sample_risk_grid or WeightedAtoms.phi_risk_grid, and the
+    solver's smooth forms call phi_risk_from_margins on their memoised
+    margins.
     """
     return phi_risk_from_margins(sign * (H @ lam), s, weights)
 
@@ -221,6 +219,8 @@ class WeightedAtoms:
             raise DomainError("atoms and their weights must be finite")
         if np.any(w < -1e-12) or abs(float(w.sum()) - 1.0) > 1e-9:
             raise DomainError("atom weights must be a probability vector")
+        if self.n is not None:
+            check_count(self.n, "n")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "weights", w)
 
@@ -267,3 +267,16 @@ def empirical_atoms(H: np.ndarray) -> WeightedAtoms:
     H = H[np.lexsort(H.T[::-1])]
     starts = np.flatnonzero(np.r_[True, np.any(H[1:] != H[:-1], axis=1)])
     return WeightedAtoms(H=H[starts], weights=np.diff(starts, append=n) / n, n=n)
+
+
+def sample_risk_grid(H: np.ndarray, s: Surrogate, sign: float):
+    """grid -> mean of phi(sign * H @ lam) over the rows of H at every grid
+    row, the grid referees' scorer of a sample's risk.  For an affine phi
+    = a + b z it is a + grid @ ((b sign) mean(H)), one dot per point; any
+    other phi is scored on the merged atoms of H (empirical_atoms)."""
+    if s.affine_coefficients is None:
+        atoms = empirical_atoms(H)
+        return lambda grid: atoms.phi_risk_grid(grid, s, sign)
+    a, b = s.affine_coefficients
+    coeffs = (b * sign) * H.mean(axis=0)
+    return lambda grid: a + grid @ coeffs

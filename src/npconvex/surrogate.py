@@ -21,7 +21,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_real
 
 DOMAIN_TOL = 1e-12
 _LN2 = math.log(2.0)
@@ -121,8 +121,7 @@ def custom(grid, values, lipschitz: float) -> Surrogate:
         raise DomainError("custom surrogate grid must be strictly increasing")
     if zs[0] > -1.0 + DOMAIN_TOL or zs[-1] < 1.0 - DOMAIN_TOL:
         raise DomainError("custom surrogate grid must cover [-1, 1]")
-    if not (math.isfinite(lipschitz) and lipschitz > 0):
-        raise DomainError("declared Lipschitz constant must be positive")
+    check_real(lipschitz, "declared Lipschitz constant", 0, math.inf)
 
     slopes = np.diff(vs) / np.diff(zs)
     at_zero = float(np.interp(0.0, zs, vs))

@@ -18,7 +18,7 @@ import pytest
 
 from npconvex import harness
 from npconvex.cli import _parse_cells, load_csv, main
-from npconvex.errors import DomainError
+from npconvex.errors import DomainError, Infeasible
 from npconvex.hypothesis import ConstantClassifier, DecisionStump
 from npconvex.surrogate import hinge
 
@@ -744,3 +744,71 @@ def test_smooth_solve_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         out[threads] = proc.stdout
     assert json.loads(out["1"])["solution"]["status"] == "optimal"
     assert out["1"] == out["2"]
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity, as strict
+    parsers do."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("eps_bar", [1.5, -0.5])
+def test_a_given_eps_bar_outside_the_unit_interval_is_a_domain_error(tmp_path, capsys,
+                                                                      eps_bar):
+    # it flagged every row below n0 and reported "all_within_bound": true
+    # over 0 asserted rows
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_SMALL_EXPERIMENTS["rate"], "eps_bar": eps_bar}),
+                    encoding="utf-8")
+    assert main(["experiment", "--kind", "rate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "domain"
+    assert "eps_bar must lie in [0, 1)" in json.loads(err[0])["message"]
+
+
+def test_coverage_without_a_completed_trial_reports_null_statistics(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the three statistics were NaN, which strict JSON parsers reject
+    def infeasible(*args):
+        raise Infeasible("no trial solves")
+
+    monkeypatch.setattr(harness, "_solve_np", infeasible)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_SMALL_EXPERIMENTS["coverage"]), encoding="utf-8")
+    assert main(["experiment", "--kind", "coverage", "--config", str(path),
+                 "--no-timestamp"]) == 0
+    summary = _strict_json(capsys.readouterr().out)["summary"]
+    assert summary["completed"] == 0 and summary["solver_errors"] == {"Infeasible": 2}
+    assert summary["mean_true_type1"] is None
+    assert summary["max_true_type1"] is None
+    assert summary["mean_half_width"] is None
+
+
+def _numeric_leaves(cfg, path=()):
+    """The path of every number in a config, list items included."""
+    items = cfg.items() if isinstance(cfg, dict) else enumerate(cfg)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _numeric_leaves(value, (*path, key))
+        elif type(value) in (int, float):
+            yield (*path, key)
+
+
+@pytest.mark.parametrize("kind", list(_SMALL_EXPERIMENTS))
+def test_every_numeric_config_key_refuses_nan_and_infinity(tmp_path, capsys, kind):
+    path = tmp_path / "cfg.json"
+    leaves = list(_numeric_leaves(_SMALL_EXPERIMENTS[kind]))
+    assert leaves
+    for leaf in leaves:
+        for constant in ("NaN", "Infinity"):
+            cfg = json.loads(json.dumps(_SMALL_EXPERIMENTS[kind]))
+            target = cfg
+            for key in leaf[:-1]:
+                target = target[key]
+            target[leaf[-1]] = "__BAD__"
+            path.write_text(json.dumps(cfg).replace('"__BAD__"', constant), encoding="utf-8")
+            assert main(["experiment", "--kind", kind, "--config", str(path)]) == 2, leaf
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and json.loads(err[0])["error"] == "schema", (leaf, err)

@@ -46,6 +46,10 @@ ERRORS = {"solve-exponential-infeasible": "infeasible",
           "ccp-logit-infeasible": "infeasible"}
 
 
+def _refuse_constant(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
 def _corpus(root):
     return {name: cli_corpus.run(root, name, argv)
             for name, argv in cli_corpus.prepare(root, cli_corpus.SMOKE)}
@@ -57,6 +61,11 @@ def test_the_corpus_runs_to_the_same_bytes_twice(tmp_path):
     assert all(r["exit"] == 0 for name, r in first.items() if name not in ERRORS)
     for name, category in ERRORS.items():
         assert json.loads(first[name]["stderr"])["error"] == category
+    # every report and error line is strict JSON: no NaN or Infinity
+    for name, result in first.items():
+        for part, blob in result.items():
+            if part != "exit" and blob and not part.endswith(".csv"):
+                json.loads(blob, parse_constant=_refuse_constant)
     digests = {name: hashlib.sha256(cli_corpus.digest_line(name, r).encode()).hexdigest()
                for name, r in first.items() if name in PINNED}
     assert digests == PINNED

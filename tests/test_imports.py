@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in the package is used,
 every private module-level name is read somewhere in the package, every
 public module-level constant is read in the package, its tests or its
-benchmarks, no module calls warnings.warn, and scipy loads only when an
+benchmarks, no module but errors words a domain refusal as its two
+checkers do, no module calls warnings.warn, and scipy loads only when an
 SLSQP solve needs it."""
 
 from __future__ import annotations
@@ -119,6 +120,34 @@ def test_every_public_constant_is_read():
                     if path.parent == PACKAGE
                     for name in public_constants(src) if name not in read)
     assert unread == []
+
+
+#: the wordings of errors.check_real and errors.check_count
+DOMAIN_PHRASES = ("must lie in", "must be an integer >=")
+
+
+def domain_messages(source: str) -> list:
+    """Lines of the string literals, f-string parts included, that word a
+    domain refusal the way the two checkers do."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and any(phrase in node.value for phrase in DOMAIN_PHRASES)})
+
+
+def test_the_check_sees_domain_messages():
+    src = ("def f(x, n):\n    if not 0 < x < 1:\n"
+           "        raise DomainError(f'x must lie in (0, 1), got {x}')\n"
+           "    if n < 1:\n        raise DomainError('n must be an integer >= 1')\n"
+           "    check_real(x, 'x', 0, 1)\n    return 'must lie'\n")
+    assert domain_messages(src) == [3, 5]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
+                                        if p.name != "errors.py"))
+def test_only_the_checkers_word_a_domain_refusal(path):
+    # whether an argument is a usable number is decided once, by
+    # errors.check_real and errors.check_count
+    assert domain_messages((PACKAGE / path).read_text(encoding="utf-8")) == []
 
 
 def warning_calls(source: str) -> list:

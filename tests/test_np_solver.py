@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from npconvex import _solver_core as core
-from npconvex import np_solver
+from npconvex import np_solver, risk
 from npconvex.ccp import ccp_bound
 from npconvex.errors import (BaseRangeError, DomainError, EmptySample,
                              Infeasible, OneClassEmpty, SampleTooSmall,
@@ -26,7 +26,7 @@ from npconvex.np_solver import (NPConfig, alpha_kappa, eps_bar_upper,
                                 feasibility_probe, grid_oracle_np, kappa,
                                 n0_and_bound, pooled_bound, solve_np,
                                 split_pooled)
-from npconvex.risk import Sample, phi_risk_from_matrix
+from npconvex.risk import Sample, WeightedAtoms, phi_risk_from_matrix
 from npconvex.surrogate import exponential, hinge, logit
 
 
@@ -498,6 +498,23 @@ def test_grid_oracle_is_independent_of_the_solver(monkeypatch):
             assert sol.status == "optimal"
     # hinge at M = 2 and M = 3 scans the affine window at every resolution
     assert scans == ["affine_window"] * 4
+
+
+def test_hinge_grid_oracle_scores_on_class_means_without_atoms(monkeypatch):
+    # an affine risk is a function of the column means alone; the referee
+    # merged both classes into atoms on every check, about 60 us of an
+    # M = 2 check that scores five window points
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a hinge referee needs no atoms")
+
+    monkeypatch.setattr(risk, "empirical_atoms", forbidden)
+    monkeypatch.setattr(WeightedAtoms, "phi_risk_grid", forbidden)
+    rng = np.random.default_rng(8)
+    for m in (1, 2, 3):
+        d, sample = _random_instance(rng, m)
+        sol = grid_oracle_np(sample, d, NPConfig(alpha=0.85, delta=0.1, surrogate=hinge()),
+                             resolution=1e-2)
+        assert sol.status == "optimal" and sol.r_minus_phi <= sol.alpha_kappa
 
 
 def test_grid_oracle_reports_exactly_the_risks_at_its_weights():
